@@ -1,7 +1,8 @@
 """Critical firewall intensity versus device intensity.
 
-For each device intensity the search scans the firewall intensity upward and
-bisects to the first value whose spanning probability is at most epsilon.
+For each device intensity the search estimates the spanning probability on
+a grid of firewall intensities and reports the first value whose estimate
+is at most epsilon.
 The curve rises with device density but saturates under the closed-form
 ceiling lc1 / (4 r_f^2 - r_r^2), shown for both the usable approximation of
 the unit-range critical intensity and its proven upper bound.

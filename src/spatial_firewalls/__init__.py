@@ -9,9 +9,7 @@ restricted to unprotected devices.
 
 __version__ = "0.1.0"
 
-from .spatial import (Window, PointSet, GridIndex, split_seed, trial_seed,
-                      sample_ppp, build_grid_index, neighbors_within,
-                      save_points_csv, load_points_xy)
+from .spatial import Window, PointSet, split_seed, trial_seed, sample_ppp
 from .network import (NetworkConfig, Classification, IsgGraph, Realization,
                       classify_devices, build_rgg, build_isg,
                       largest_component, save_realization_csv)
@@ -29,7 +27,7 @@ from .bounds import (LambdaC1, DependencyGeometry, SupercriticalBound,
                      critical_intensity_upper_bound, safe_d2d_range,
                      protected_fraction, critical_protected_fraction,
                      classify_regime, evaluate_all)
-from .lattice import (HexFace, SquareEdge, A0Region, BlockingCounterexample,
+from .lattice import (HexFace, SquareEdge, BlockingCounterexample,
                       PocketSurvey, OpenEdgeCheck, hex_face_closed,
                       closed_face_mc_frequency, blocking_counterexample_search,
                       pocket_pair_survey, square_edge_open,

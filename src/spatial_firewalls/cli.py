@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 from . import __version__
@@ -28,12 +29,26 @@ from .network import NetworkConfig, build_isg
 from .percolation import SearchExhaustedError, estimate_percolation_probability, \
     estimate_protected_fraction, find_critical_firewall_intensity, \
     sweep_lambda_f, write_critical_csv, write_sweep_csv
-from .spatial import Window, trial_seed
+from .spatial import Window, open_csv, trial_seed
 
 __all__ = ["AxisSpec", "ExperimentSpec", "run", "main"]
 
 _COMMANDS = ("sweep", "critical", "bounds", "validate", "protected")
 _NUMERIC_PARAMS = ("lambda_r", "lambda_f", "r_r", "r_f")
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _check_types(spec) -> None:
+    """Raise SpecError for a field whose value does not have its annotated
+    type. A float field also takes an int; a bool passes as neither. None
+    passes where the annotation is Optional."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        kind = f.type.removeprefix("Optional[").removesuffix("]")
+        if kind not in _FIELD_TYPES or (value is None and kind != f.type):
+            continue
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+            raise SpecError(f"{f.name} must be of type {kind}, got {value!r}")
 
 
 @dataclass
@@ -46,9 +61,12 @@ class AxisSpec:
     step: float
 
     def validate(self):
+        _check_types(self)
         if self.param not in _NUMERIC_PARAMS:
             raise SpecError(f"axis.param must be one of {_NUMERIC_PARAMS}, "
                             f"got {self.param!r}")
+        if not all(math.isfinite(v) for v in (self.start, self.stop, self.step)):
+            raise SpecError("axis.start, axis.stop and axis.step must be finite")
         if not (self.step > 0):
             raise SpecError("axis.step must be > 0")
         if self.stop < self.start:
@@ -86,22 +104,35 @@ class ExperimentSpec:
     coupling_realizations: int = 100
 
     def validate(self):
+        """Raise SpecError unless every field is well typed and every
+        network configuration the spec describes, one per axis point, is
+        valid."""
+        _check_types(self)
         if self.command not in _COMMANDS:
             raise SpecError(f"command must be one of {_COMMANDS}, got {self.command!r}")
-        if self.trials < 1:
-            raise SpecError("trials must be >= 1")
+        for name in ("trials", "workers", "face_samples", "blocking_trials"):
+            if getattr(self, name) < 1:
+                raise SpecError(f"{name} must be >= 1")
         if not (0 < self.epsilon < 1):
             raise SpecError("epsilon must be in (0, 1)")
-        if self.workers < 1:
-            raise SpecError("workers must be >= 1")
-        if self.window_size <= 0:
+        if not (self.window_size > 0):
             raise SpecError("window_size must be > 0")
+        for name in ("lambda_f_max", "search_step"):
+            value = getattr(self, name)
+            if value is not None and not (value > 0 and math.isfinite(value)):
+                raise SpecError(f"{name} must be finite and > 0")
         if self.axis is not None:
             self.axis.validate()
         try:
             LambdaC1.parse(self.lc1)
         except ValueError as exc:
             raise SpecError(f"lc1: {exc}") from exc
+        try:
+            cfg = self.network_config()
+            for v in self.axis.values() if self.axis is not None else ():
+                replace(cfg, **{self.axis.param: v})
+        except ValueError as exc:
+            raise SpecError(str(exc)) from exc
 
     def network_config(self) -> NetworkConfig:
         return NetworkConfig(lambda_r=self.lambda_r, r_r=self.r_r,
@@ -164,15 +195,14 @@ def _meta_lines(spec: ExperimentSpec, wall_s: float) -> list[str]:
 
 
 def _emit(spec: ExperimentSpec, writer, rows_desc: str, t0: float) -> None:
-    """Write CSV through `writer(file_handle, header_lines)` to out or stdout."""
+    """Write the metadata lines, then the CSV through `writer(file_handle)`,
+    to out or stdout."""
     meta = _meta_lines(spec, time.perf_counter() - t0)
+    with open_csv(spec.out or sys.stdout, meta) as fh:
+        writer(fh)
     if spec.out:
-        with open(spec.out, "w") as fh:
-            writer(fh, meta)
         print(json.dumps({"command": spec.command, "out": spec.out,
                           "rows": rows_desc}))
-    else:
-        writer(sys.stdout, meta)
 
 
 def _run_sweep(spec: ExperimentSpec) -> int:
@@ -193,8 +223,7 @@ def _run_sweep(spec: ExperimentSpec) -> int:
                 workers=spec.workers))
             _progress(f"  {spec.axis.param}={v:g} theta_hat="
                       f"{estimates[-1].theta_hat:.3f}")
-    _emit(spec, lambda fh, meta: write_sweep_csv(estimates, fh, meta),
-          str(len(estimates)), t0)
+    _emit(spec, lambda fh: write_sweep_csv(estimates, fh), str(len(estimates)), t0)
     return 0
 
 
@@ -223,10 +252,8 @@ def _run_critical(spec: ExperimentSpec) -> int:
         rows.append((lr, res))
         _progress(f"  lambda_f_critical={res.lambda_f_critical:.5f}")
 
-    def writer(fh, meta):
-        write_critical_csv(rows, fh, list(meta) + bounds_meta)
-
-    _emit(spec, writer, str(len(rows)), t0)
+    _emit(spec, lambda fh: write_critical_csv(rows, fh, bounds_meta),
+          str(len(rows)), t0)
     if exhausted:
         lr, exc = exhausted
         print(f"error: search exhausted at lambda_r={lr:g}: {exc}",
@@ -317,7 +344,7 @@ def _run_validate(spec: ExperimentSpec) -> int:
     dx, dy = independence_offsets(spec.r_f, s)
     rows.append(("independence_offsets", 1, 0, f"dx={dx:.4f} dy={dy:.4f}"))
 
-    _emit(spec, lambda fh, meta: write_validator_csv(rows, fh), str(len(rows)), t0)
+    _emit(spec, lambda fh: write_validator_csv(rows, fh), str(len(rows)), t0)
     total = sum(r[2] for r in rows)
     if total:
         print(f"error: {total} validator violations", file=sys.stderr)
@@ -344,9 +371,7 @@ def _run_protected(spec: ExperimentSpec) -> int:
         _progress(f"protected lambda_f={lf:g} r_f={rf:g}: "
                   f"{est.mean_fraction:.4f} vs formula {results[-1][3]:.4f}")
 
-    def writer(fh, meta):
-        for line in meta:
-            fh.write(f"# {line}\n")
+    def writer(fh):
         fh.write("lambda_f,r_f,trials,mean_fraction,std_err,formula_fraction\n")
         for lf, rf, est, formula in results:
             fh.write(f"{lf!r},{rf!r},{est.trials_used + est.trials_skipped},"

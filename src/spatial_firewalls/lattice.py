@@ -15,12 +15,11 @@ import numpy as np
 
 from .bounds import _ceil_ratio
 from .network import Realization
-from .spatial import PointSet
+from .spatial import PointSet, open_csv
 
 __all__ = [
     "HexFace",
     "SquareEdge",
-    "A0Region",
     "BlockingCounterexample",
     "PocketSurvey",
     "hex_face_closed",
@@ -447,31 +446,18 @@ def verify_open_edge_coupling(realization: Realization,
     return violations
 
 
-@dataclass(frozen=True)
-class A0Region:
-    """Maximal cell region around a reference edge whose edges all depend on
-    it, for a dependency region of a x b cells."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a < 2 or self.b < 2:
-            raise ValueError("need a >= 2 and b >= 2")
-
-    @property
-    def cell_extent(self) -> tuple[int, int]:
-        return (2 * self.a - 2, 2 * self.b - 1)
-
-
 def count_dependent_edges_bruteforce(a: int, b: int) -> int:
-    """Enumerate every lattice edge inside the (2a-2) x (2b-1)-cell region.
+    """Enumerate every lattice edge inside the (2a-2) x (2b-1)-cell region,
+    the maximal region around a reference edge whose edges all depend on it
+    for a dependency region of a x b cells (a, b >= 2).
 
     Horizontal and vertical edges counted separately by explicit iteration;
     serves as the independent oracle for the closed-form count.
     """
-    region = A0Region(int(a), int(b))
-    rows, cols = region.cell_extent  # rows of cells along y, columns along x
+    a, b = int(a), int(b)
+    if a < 2 or b < 2:
+        raise ValueError("need a >= 2 and b >= 2")
+    rows, cols = 2 * a - 2, 2 * b - 1  # rows of cells along y, columns along x
     count = 0
     for y in range(rows + 1):        # horizontal edges on each lattice line
         for _x in range(cols):
@@ -493,12 +479,7 @@ def independence_offsets(r_f: float, s: float) -> tuple[float, float]:
 
 def write_validator_csv(rows, path_or_file) -> None:
     """Validator report rows: check_name,trials,violations,details."""
-    own = not hasattr(path_or_file, "write")
-    fh = open(path_or_file, "w") if own else path_or_file
-    try:
+    with open_csv(path_or_file) as fh:
         fh.write("check_name,trials,violations,details\n")
         for name, trials, violations, details in rows:
             fh.write(f"{name},{trials},{violations},{details}\n")
-    finally:
-        if own:
-            fh.close()

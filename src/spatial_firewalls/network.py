@@ -1,5 +1,5 @@
-"""Device graph construction, protected/susceptible classification, and the
-infection-susceptible graph (ISG).
+"""Per-trial world sampling, device graph construction, protected/susceptible
+classification, and the infection-susceptible graph (ISG).
 
 Devices connect when within the D2D range r_r of each other (closed ball).
 A device is protected when some firewall lies within r_f of it; the ISG is
@@ -24,6 +24,7 @@ __all__ = [
     "Realization",
     "classify_devices",
     "build_rgg",
+    "sample_world",
     "build_isg",
     "largest_component",
     "save_realization_csv",
@@ -65,8 +66,8 @@ class NetworkConfig:
         if self.r_f < self.r_r and not self.allow_small_firewall_range:
             raise ValueError(
                 "r_f < r_r; set allow_small_firewall_range=True to override")
-        if self.firewall_margin < 0:
-            raise ValueError("firewall_margin must be >= 0")
+        if not (math.isfinite(self.firewall_margin) and self.firewall_margin >= 0):
+            raise ValueError("firewall_margin must be finite and >= 0")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
 
@@ -202,16 +203,31 @@ def build_rgg(points: PointSet, radius: float) -> IsgGraph:
     return _graph_from_pairs(np.arange(points.n), points.n, pairs)
 
 
+def sample_world(config: NetworkConfig, tseed: int,
+                 lambda_f: float) -> tuple[PointSet, PointSet, np.ndarray]:
+    """(devices, firewalls, marks) of trial seed `tseed`.
+
+    Devices are sampled at config.lambda_r on the window and firewalls at
+    `lambda_f` on the firewall window; `marks` holds one uniform [0, 1)
+    thinning mark per firewall. Each draws from its own sub-stream of
+    `tseed`, so the devices do not depend on `lambda_f`.
+    """
+    devices = sample_ppp(config.lambda_r, config.window,
+                         split_seed(tseed, _STREAM_DEVICES))
+    firewalls = sample_ppp(lambda_f, config.firewall_window(),
+                           split_seed(tseed, _STREAM_FIREWALLS))
+    marks = np.random.default_rng(
+        split_seed(tseed, _STREAM_THINNING_MARKS)).random(firewalls.n)
+    return devices, firewalls, marks
+
+
 def build_isg(config: NetworkConfig, trial_seed: int) -> Realization:
     """Sample one realization and build its infection-susceptible graph.
 
     Equivalent to building the full device graph and deleting the protected
     vertices together with their incident edges.
     """
-    devices = sample_ppp(config.lambda_r, config.window,
-                         split_seed(trial_seed, _STREAM_DEVICES))
-    firewalls = sample_ppp(config.lambda_f, config.firewall_window(),
-                           split_seed(trial_seed, _STREAM_FIREWALLS))
+    devices, firewalls, _ = sample_world(config, trial_seed, config.lambda_f)
     classification = classify_devices(devices, firewalls, config.r_f)
     susceptible = classification.susceptible_idx
     pairs = _radius_pairs(devices.points[susceptible], config.r_r)

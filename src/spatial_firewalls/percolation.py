@@ -3,12 +3,14 @@ search for the critical firewall intensity.
 
 A trial percolates when one ISG component touches boundary strips of width
 r_r on both axes (left-right and bottom-top). Estimates over multiple trials
-use per-trial derived seeds; sweeps over the firewall intensity reuse one
-firewall pool per trial and thin it with per-firewall uniform marks, so the
-kept set at intensity x is an exact Poisson process of intensity x and is
-nested across intensities. Nesting makes every trial's spanning indicator
-monotone in the firewall intensity, which sharpens sweep comparisons and
-makes the critical-intensity bisection exact for a fixed seed.
+use per-trial derived seeds. Every estimate samples one firewall pool per
+trial and thins it with per-firewall uniform marks, so the kept set at
+intensity x is an exact Poisson process of intensity x and is nested across
+intensities. Nesting makes every trial's spanning indicator non-increasing
+in the firewall intensity: on an ascending grid of thinning fractions the
+spanning points form a prefix, whose length one bisection finds exactly.
+Sweeps, point estimates and the critical search all read their counts off
+that per-trial prefix length.
 """
 from __future__ import annotations
 
@@ -21,9 +23,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .network import (NetworkConfig, Realization, _canonical_labels,
-                      _radius_pairs, _STREAM_DEVICES, _STREAM_FIREWALLS,
-                      _STREAM_THINNING_MARKS, classify_devices)
-from .spatial import sample_ppp, split_seed, trial_seed
+                      _radius_pairs, classify_devices, sample_world)
+from .spatial import open_csv, trial_seed
 
 __all__ = [
     "PercolationEstimate",
@@ -78,7 +79,7 @@ class CriticalSearchResult:
     """Outcome of the critical firewall-intensity search."""
 
     lambda_f_critical: float
-    evaluated: tuple  # (lambda_f, PercolationEstimate) in probe order
+    evaluated: tuple  # (lambda_f, PercolationEstimate) at every grid point, ascending
     epsilon: float
     trials: int
     step: float
@@ -93,12 +94,22 @@ class ProtectedFractionEstimate(NamedTuple):
     trials_skipped: int
 
 
-def _spans_from_labels(labels, k, left, right, bottom, top) -> tuple[bool, bool]:
-    """Spanning flags given component labels and boundary-strip masks."""
+def _strip_masks(xy: np.ndarray, config: NetworkConfig) -> np.ndarray:
+    """(4, n) masks of the points within r_r of the left, right, bottom and
+    top window edges (boundary inclusive)."""
+    w = config.window
+    return np.stack([xy[:, 0] <= w.x_min + config.r_r,
+                     xy[:, 0] >= w.x_max - config.r_r,
+                     xy[:, 1] <= w.y_min + config.r_r,
+                     xy[:, 1] >= w.y_max - config.r_r])
+
+
+def _spans_from_labels(labels, k, strips) -> tuple[bool, bool]:
+    """Spanning flags given component labels and `_strip_masks` rows."""
     if k == 0:
         return (False, False)
     hit = np.zeros((4, k), dtype=bool)
-    for row, mask in enumerate((left, right, bottom, top)):
+    for row, mask in enumerate(strips):
         if mask.any():
             hit[row, labels[mask]] = True
     spans_lr = bool((hit[0] & hit[1]).any())
@@ -113,16 +124,10 @@ def detect_spanning(realization: Realization) -> tuple[bool, bool]:
     x <= x_min + r_r and another with x >= x_max - r_r; bottom-top likewise
     on y. Percolation for the trial is declared when both flags hold.
     """
-    cfg = realization.config
-    w = cfg.window
     xy = realization.devices.points[realization.isg.vertices]
-    labels = realization.isg.component_label
-    left = xy[:, 0] <= w.x_min + cfg.r_r
-    right = xy[:, 0] >= w.x_max - cfg.r_r
-    bottom = xy[:, 1] <= w.y_min + cfg.r_r
-    top = xy[:, 1] >= w.y_max - cfg.r_r
-    return _spans_from_labels(labels, realization.isg.n_components,
-                              left, right, bottom, top)
+    return _spans_from_labels(realization.isg.component_label,
+                              realization.isg.n_components,
+                              _strip_masks(xy, realization.config))
 
 
 class _TrialState:
@@ -135,19 +140,13 @@ class _TrialState:
     when min_mark[i] >= p.
     """
 
-    __slots__ = ("pairs", "min_mark", "left", "right", "bottom", "top", "n")
+    __slots__ = ("pairs", "min_mark", "strips")
 
     def __init__(self, config: NetworkConfig, lambda_pool: float, tseed: int):
-        devices = sample_ppp(config.lambda_r, config.window,
-                             split_seed(tseed, _STREAM_DEVICES))
-        pool = sample_ppp(lambda_pool, config.firewall_window(),
-                          split_seed(tseed, _STREAM_FIREWALLS))
-        marks = np.random.default_rng(
-            split_seed(tseed, _STREAM_THINNING_MARKS)).random(pool.n)
+        devices, pool, marks = sample_world(config, tseed, lambda_pool)
         xy = devices.points
-        self.n = devices.n
-        self.min_mark = np.full(self.n, np.inf)
-        if self.n and pool.n:
+        self.min_mark = np.full(devices.n, np.inf)
+        if devices.n and pool.n:
             balls = cKDTree(xy).query_ball_point(pool.points, config.r_f)
             lens = np.fromiter((len(b) for b in balls), dtype=np.int64, count=pool.n)
             total = int(lens.sum())
@@ -156,11 +155,7 @@ class _TrialState:
                                   dtype=np.int64, count=total)
                 np.minimum.at(self.min_mark, idx, np.repeat(marks, lens))
         self.pairs = _radius_pairs(xy, config.r_r)
-        w = config.window
-        self.left = xy[:, 0] <= w.x_min + config.r_r
-        self.right = xy[:, 0] >= w.x_max - config.r_r
-        self.bottom = xy[:, 1] <= w.y_min + config.r_r
-        self.top = xy[:, 1] >= w.y_max - config.r_r
+        self.strips = _strip_masks(xy, config)
 
     def spans_at(self, p: float) -> bool:
         """Does the ISG at thinning fraction p span both axes?"""
@@ -176,43 +171,29 @@ class _TrialState:
         else:
             sub = self.pairs
         labels, k = _canonical_labels(m, sub)
-        lr, bt = _spans_from_labels(labels, k,
-                                    self.left[susceptible], self.right[susceptible],
-                                    self.bottom[susceptible], self.top[susceptible])
+        lr, bt = _spans_from_labels(labels, k, self.strips[:, susceptible])
         return lr and bt
 
 
-def _sweep_worker(args) -> np.ndarray:
-    """Spanning booleans, shape (trials in chunk, number of p values)."""
-    config, lambda_pool, p_values, t0, t1 = args
-    out = np.zeros((t1 - t0, len(p_values)), dtype=bool)
-    for row, t in enumerate(range(t0, t1)):
-        state = _TrialState(config, lambda_pool, trial_seed(config.master_seed, t))
-        for col, p in enumerate(p_values):
-            out[row, col] = state.spans_at(p)
-    return out
+def _threshold_worker(args) -> np.ndarray:
+    """Per trial, how many leading points of the ascending thinning grid
+    `p_grid` span.
 
-
-def _critical_worker(args) -> np.ndarray:
-    """Per-trial smallest grid index j in [0, K] whose thinned ISG does not
-    span, or K + 1 when the trial still spans at the full pool."""
-    config, lambda_pool, grid_n, t0, t1 = args
+    Spanning is non-increasing in p, so the spanning points form a prefix
+    of the grid and bisection over `spans_at` finds its length exactly.
+    """
+    config, lambda_pool, p_grid, t0, t1 = args
     out = np.zeros(t1 - t0, dtype=np.int64)
     for row, t in enumerate(range(t0, t1)):
         state = _TrialState(config, lambda_pool, trial_seed(config.master_seed, t))
-        if not state.spans_at(0.0):
-            out[row] = 0
-        elif state.spans_at(1.0):
-            out[row] = grid_n + 1
-        else:
-            lo, hi = 0, grid_n  # spans at lo, does not span at hi
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if state.spans_at(mid / grid_n):
-                    lo = mid
-                else:
-                    hi = mid
-            out[row] = hi
+        lo, hi = 0, len(p_grid)  # p_grid[:lo] spans, p_grid[hi:] does not
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if state.spans_at(p_grid[mid]):
+                lo = mid + 1
+            else:
+                hi = mid
+        out[row] = lo
     return out
 
 
@@ -221,13 +202,10 @@ def _protected_worker(args) -> np.ndarray:
     config, t0, t1 = args
     out = np.full(t1 - t0, np.nan)
     for row, t in enumerate(range(t0, t1)):
-        tseed = trial_seed(config.master_seed, t)
-        devices = sample_ppp(config.lambda_r, config.window,
-                             split_seed(tseed, _STREAM_DEVICES))
+        devices, firewalls, _ = sample_world(
+            config, trial_seed(config.master_seed, t), config.lambda_f)
         if devices.n == 0:
             continue
-        firewalls = sample_ppp(config.lambda_f, config.firewall_window(),
-                               split_seed(tseed, _STREAM_FIREWALLS))
         cls = classify_devices(devices, firewalls, config.r_f)
         out[row] = cls.is_protected.mean()
     return out
@@ -254,14 +232,15 @@ def estimate_percolation_probability(config: NetworkConfig, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    spans = _run_chunked(_sweep_worker, (config, config.lambda_f, (1.0,)),
-                         trials, workers)
-    return PercolationEstimate.from_counts(int(spans[:, 0].sum()), trials, config)
+    counts = _run_chunked(_threshold_worker, (config, config.lambda_f, (1.0,)),
+                          trials, workers)
+    return PercolationEstimate.from_counts(int(counts.sum()), trials, config)
 
 
 def sweep_lambda_f(config: NetworkConfig, lambda_f_values, trials: int,
                    workers: int = 1) -> list[PercolationEstimate]:
-    """Percolation estimates over a grid of firewall intensities.
+    """Percolation estimates over a grid of firewall intensities, in the
+    order given (duplicates included).
 
     All grid points of one trial share the same device set and the same
     thinned firewall pool, so each trial's spanning indicator is
@@ -270,18 +249,19 @@ def sweep_lambda_f(config: NetworkConfig, lambda_f_values, trials: int,
     values = [float(v) for v in lambda_f_values]
     if not values:
         return []
-    if any(v < 0 for v in values):
-        raise ValueError("lambda_f values must be >= 0")
+    if not all(math.isfinite(v) and v >= 0 for v in values):
+        raise ValueError("lambda_f values must be finite and >= 0")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     lambda_pool = max(values)
-    p_values = tuple(v / lambda_pool for v in values) if lambda_pool > 0 \
-        else tuple(0.0 for _ in values)
-    spans = _run_chunked(_sweep_worker, (config, lambda_pool, p_values),
-                         trials, workers)
-    return [PercolationEstimate.from_counts(int(spans[:, j].sum()), trials,
-                                            replace(config, lambda_f=v))
-            for j, v in enumerate(values)]
+    p_values = [v / lambda_pool if lambda_pool > 0 else 0.0 for v in values]
+    p_grid = sorted(set(p_values))
+    counts = _run_chunked(_threshold_worker, (config, lambda_pool, tuple(p_grid)),
+                          trials, workers)
+    # a trial spans at grid index j exactly when its count exceeds j
+    spanning = (counts[:, None] > np.searchsorted(p_grid, p_values)).sum(axis=0)
+    return [PercolationEstimate.from_counts(int(n), trials, replace(config, lambda_f=v))
+            for n, v in zip(spanning, values)]
 
 
 def find_critical_firewall_intensity(config: NetworkConfig, *,
@@ -293,8 +273,10 @@ def find_critical_firewall_intensity(config: NetworkConfig, *,
     """Smallest firewall intensity at which the spanning probability has
     dropped to (at most) epsilon.
 
-    Scans upward from 0 in `step` increments, then refines the bracket by
-    bisection to resolution step / 8. Returns 0 when the network does not
+    Estimates the spanning probability from the same trials at every grid
+    point j * step / 8 up to lambda_f_max (rounded up onto the grid), which
+    makes the estimates non-increasing along the grid, and returns the first
+    point with theta_hat <= epsilon. Returns 0 when the network does not
     percolate even without firewalls; raises SearchExhaustedError when the
     estimate stays above epsilon all the way to lambda_f_max.
     """
@@ -313,42 +295,21 @@ def find_critical_firewall_intensity(config: NetworkConfig, *,
     delta = step / 8.0
     grid_n = int(math.ceil(lambda_f_max / delta - 1e-9))
     lambda_pool = grid_n * delta  # snap the search ceiling onto the grid
-
-    crit_idx = _run_chunked(_critical_worker, (config, lambda_pool, grid_n),
-                            trials, workers)
-
-    evaluated: list[tuple[float, PercolationEstimate]] = []
-
-    def probe(j: int) -> float:
-        lam = j * delta
-        est = PercolationEstimate.from_counts(int((crit_idx > j).sum()), trials,
-                                              replace(config, lambda_f=lam))
-        evaluated.append((lam, est))
-        return est.theta_hat
-
-    coarse = list(range(0, grid_n + 1, 8))
-    if coarse[-1] != grid_n:
-        coarse.append(grid_n)
-    j_hi = None
-    j_lo = None
-    for j in coarse:
-        if probe(j) <= epsilon:
-            j_hi = j
-            break
-        j_lo = j
-    if j_hi is None:
+    p_grid = tuple(j / grid_n for j in range(grid_n + 1))
+    counts = _run_chunked(_threshold_worker, (config, lambda_pool, p_grid),
+                          trials, workers)
+    spanning = (counts[:, None] > np.arange(grid_n + 1)).sum(axis=0)
+    evaluated = tuple((j * delta, PercolationEstimate.from_counts(
+                           int(n), trials, replace(config, lambda_f=j * delta)))
+                      for j, n in enumerate(spanning))
+    j_crit = next((j for j, (_, est) in enumerate(evaluated)
+                   if est.theta_hat <= epsilon), None)
+    if j_crit is None:
         raise SearchExhaustedError(
             f"theta_hat > {epsilon} up to lambda_f_max {lambda_pool:.6g}; "
             "raise lambda_f_max or epsilon", evaluated)
-    if j_hi > 0:
-        while j_hi - j_lo > 1:
-            mid = (j_lo + j_hi) // 2
-            if probe(mid) <= epsilon:
-                j_hi = mid
-            else:
-                j_lo = mid
-    return CriticalSearchResult(lambda_f_critical=j_hi * delta,
-                                evaluated=tuple(evaluated), epsilon=epsilon,
+    return CriticalSearchResult(lambda_f_critical=j_crit * delta,
+                                evaluated=evaluated, epsilon=epsilon,
                                 trials=trials, step=step, resolution=delta,
                                 lambda_f_max=lambda_pool)
 
@@ -381,27 +342,15 @@ def _window_size(config: NetworkConfig) -> float:
     return w.width
 
 
-def _open_out(path_or_file):
-    if hasattr(path_or_file, "write"):
-        return path_or_file, False
-    return open(path_or_file, "w"), True
-
-
 def write_sweep_csv(estimates, path_or_file, header_lines=()) -> None:
     """Sweep rows: lambda_r,r_r,lambda_f,r_f,window_size,trials,theta_hat,std_err,seed."""
-    fh, owned = _open_out(path_or_file)
-    try:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+    with open_csv(path_or_file, header_lines) as fh:
         fh.write("lambda_r,r_r,lambda_f,r_f,window_size,trials,theta_hat,std_err,seed\n")
         for est in estimates:
             c = est.config
             fh.write(f"{c.lambda_r!r},{c.r_r!r},{c.lambda_f!r},{c.r_f!r},"
                      f"{_window_size(c)!r},{est.trials},{est.theta_hat!r},"
                      f"{est.std_err!r},{c.master_seed}\n")
-    finally:
-        if owned:
-            fh.close()
 
 
 def write_critical_csv(rows, path_or_file, header_lines=()) -> None:
@@ -409,14 +358,8 @@ def write_critical_csv(rows, path_or_file, header_lines=()) -> None:
 
     `rows` is an iterable of (lambda_r, CriticalSearchResult).
     """
-    fh, owned = _open_out(path_or_file)
-    try:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+    with open_csv(path_or_file, header_lines) as fh:
         fh.write("lambda_r,lambda_f_critical,epsilon,step,trials_per_point\n")
         for lambda_r, res in rows:
             fh.write(f"{lambda_r!r},{res.lambda_f_critical!r},{res.epsilon!r},"
                      f"{res.step!r},{res.trials}\n")
-    finally:
-        if owned:
-            fh.close()

@@ -1,4 +1,4 @@
-"""Poisson point process sampling and fixed-radius neighbor queries.
+"""Poisson point process sampling, seed splitting, and CSV output.
 
 Point sets live on rectangular windows. All sampling is a pure function of
 (parameters, seed): per-trial and per-stream seeds are derived from a master
@@ -8,21 +8,18 @@ execution order or parallelism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Window",
     "PointSet",
-    "GridIndex",
     "split_seed",
     "trial_seed",
     "sample_ppp",
-    "build_grid_index",
-    "neighbors_within",
-    "save_points_csv",
-    "load_points_xy",
+    "open_csv",
 ]
 
 
@@ -132,70 +129,20 @@ def sample_ppp(intensity: float, window: Window, seed: int) -> PointSet:
     return PointSet(np.column_stack([xs, ys]), intensity, window, int(seed))
 
 
-@dataclass(frozen=True)
-class GridIndex:
-    """Uniform-grid spatial index over a point set.
+@contextmanager
+def open_csv(path_or_file, header_lines=()):
+    """Yield a text handle for a CSV, after writing each header line as a
+    `# ` comment.
 
-    A point at (x, y) lives in bucket (floor(x / cell_size), floor(y / cell_size)).
+    `path_or_file` is a path, opened here and closed on exit, or an open
+    handle, which stays open.
     """
-
-    cell_size: float
-    buckets: dict = field(repr=False)
-
-    def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        return (int(math.floor(x / self.cell_size)), int(math.floor(y / self.cell_size)))
-
-
-def build_grid_index(points: PointSet, cell_size: float) -> GridIndex:
-    """Bin all point indices into grid cells of side `cell_size`."""
-    if not (cell_size > 0) or not math.isfinite(cell_size):
-        raise ValueError(f"cell_size must be > 0, got {cell_size}")
-    buckets: dict[tuple[int, int], np.ndarray] = {}
-    if points.n:
-        cells = np.floor(points.points / cell_size).astype(np.int64)
-        order = np.lexsort((cells[:, 1], cells[:, 0]))
-        sorted_cells = cells[order]
-        change = np.flatnonzero(np.any(np.diff(sorted_cells, axis=0), axis=1)) + 1
-        starts = np.concatenate([[0], change, [points.n]])
-        for a, b in zip(starts[:-1], starts[1:]):
-            cx, cy = sorted_cells[a]
-            buckets[(int(cx), int(cy))] = np.sort(order[a:b])
-    return GridIndex(cell_size=cell_size, buckets=buckets)
-
-
-def neighbors_within(index: GridIndex, points: PointSet, query: tuple[float, float],
-                     radius: float) -> np.ndarray:
-    """Indices of all points with Euclidean distance <= radius from `query`.
-
-    Closed-ball semantics: a point exactly at `radius` is included. Scans the
-    ceil(radius / cell_size)-ring of cells around the query's cell.
-    """
-    if radius < 0 or not math.isfinite(radius):
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    qx, qy = float(query[0]), float(query[1])
-    cx, cy = index.cell_of(qx, qy)
-    ring = int(math.ceil(radius / index.cell_size))
-    candidates = []
-    for dx in range(-ring, ring + 1):
-        for dy in range(-ring, ring + 1):
-            bucket = index.buckets.get((cx + dx, cy + dy))
-            if bucket is not None:
-                candidates.append(bucket)
-    if not candidates:
-        return np.empty(0, dtype=np.int64)
-    cand = np.concatenate(candidates)
-    d2 = np.sum((points.points[cand] - [qx, qy]) ** 2, axis=1)
-    return np.sort(cand[d2 <= radius * radius])
-
-
-def save_points_csv(points: PointSet, path) -> None:
-    """Write `x,y` rows at 9 significant digits, one point per row."""
-    with open(path, "w") as fh:
-        fh.write("x,y\n")
-        for x, y in points.points:
-            fh.write(f"{x:.9g},{y:.9g}\n")
-
-
-def load_points_xy(path) -> np.ndarray:
-    """Read an `x,y` CSV back into an (n, 2) array."""
-    return np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2).reshape(-1, 2)
+    owned = not hasattr(path_or_file, "write")
+    fh = open(path_or_file, "w") if owned else path_or_file
+    try:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        yield fh
+    finally:
+        if owned:
+            fh.close()

@@ -114,6 +114,8 @@ def test_validate_small(tmp_path):
     assert {"hex_blocking_search", "open_edge_coupling",
             "dependent_edge_count", "independence_offsets"} <= checks
     assert all(row.split(",")[2] == "0" for row in body[1:])
+    meta = [l for l in out.read_text().splitlines() if l.startswith("#")]
+    assert any("tool:" in l for l in meta) and any("spec:" in l for l in meta)
 
 
 def test_protected_rows(tmp_path):
@@ -173,3 +175,31 @@ def test_bad_axis_step(capsys):
 
 def test_bad_epsilon():
     assert main(["critical", "--epsilon", "1.5", "--trials", "2"]) == 2
+
+
+def _assert_spec_error(rc, capsys, needle):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
+def test_config_wrong_field_type(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"command": "sweep", "trials": "100"}))
+    _assert_spec_error(main(["sweep", "--config", str(path)]), capsys, "trials")
+
+
+_AXIS = ["--axis", "lambda_f", "--start", "0", "--stop", "0.1", "--step", "0.05"]
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["sweep", "--lambda-r", "-1"] + _AXIS, "lambda_r"),
+    (["sweep", "--window-size", "nan"] + _AXIS, "window_size"),
+    (["sweep", "--margin", "nan"] + _AXIS, "firewall_margin"),
+    (["sweep", "--axis", "r_r", "--start", "0", "--stop", "2", "--step", "1"], "r_r"),
+    (["sweep", "--axis", "lambda_f", "--start", "0", "--stop", "nan",
+      "--step", "0.05"], "axis"),
+])
+def test_malformed_model_parameters(argv, needle, capsys):
+    _assert_spec_error(main(argv + ["--trials", "2"]), capsys, needle)

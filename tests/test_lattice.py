@@ -13,7 +13,6 @@ from spatial_firewalls import (HexFace, NetworkConfig, SquareEdge, Window,
                                pocket_pair_survey, square_edge_open,
                                subcritical_sufficient_intensity, trial_seed,
                                verify_open_edge_coupling)
-from spatial_firewalls.lattice import A0Region
 
 
 def test_hexagon_vertices_and_triangles():
@@ -166,11 +165,7 @@ def test_dependent_edge_count_invalid():
     with pytest.raises(ValueError):
         count_dependent_edges_bruteforce(1, 5)
     with pytest.raises(ValueError):
-        A0Region(3, 1)
-
-
-def test_a0_region_extent():
-    assert A0Region(4, 3).cell_extent == (6, 5)
+        count_dependent_edges_bruteforce(3, 1)
 
 
 def _rect_overlap_area(r1, r2):

@@ -1,11 +1,9 @@
-"""Sampling, seeding, and grid-index behaviour."""
+"""Sampling and seeding behaviour."""
 import numpy as np
 import pytest
 from scipy import stats
 
-from spatial_firewalls import (PointSet, Window, build_grid_index,
-                               load_points_xy, neighbors_within, sample_ppp,
-                               save_points_csv, split_seed, trial_seed)
+from spatial_firewalls import Window, sample_ppp, split_seed, trial_seed
 
 
 def test_window_properties():
@@ -95,91 +93,3 @@ def test_split_seed_deterministic_and_distinct():
     assert trial_seed(7, 3) == split_seed(7, 3)
     with pytest.raises(ValueError):
         split_seed(-1, 0)
-
-
-def test_grid_index_empty():
-    ps = sample_ppp(0.0, Window.square(10), 0)
-    idx = build_grid_index(ps, 1.0)
-    assert idx.buckets == {}
-
-
-def test_grid_index_single_point_bucket():
-    ps = PointSet(np.array([[1.5, 2.5]]), 0.0, Window.square(10), 0)
-    idx = build_grid_index(ps, 1.0)
-    assert list(idx.buckets) == [(1, 2)]
-    assert idx.buckets[(1, 2)].tolist() == [0]
-
-
-def test_grid_index_partitions_points():
-    ps = sample_ppp(2.0, Window.square(20), 3)
-    idx = build_grid_index(ps, 1.7)
-    seen = np.concatenate(list(idx.buckets.values()))
-    assert len(seen) == ps.n
-    assert np.array_equal(np.sort(seen), np.arange(ps.n))
-    for (cx, cy), members in idx.buckets.items():
-        cells = np.floor(ps.points[members] / 1.7).astype(int)
-        assert (cells == [cx, cy]).all()
-
-
-def test_grid_index_bad_cell_size():
-    ps = sample_ppp(1.0, Window.square(5), 0)
-    for bad in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError):
-            build_grid_index(ps, bad)
-
-
-def test_neighbors_radius_zero_self():
-    ps = sample_ppp(1.0, Window.square(10), 5)
-    idx = build_grid_index(ps, 2.0)
-    q = tuple(ps.points[4])
-    assert 4 in neighbors_within(idx, ps, q, 0.0).tolist()
-
-
-def test_neighbors_closed_ball_boundary():
-    pts = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 0.0]])
-    ps = PointSet(pts, 0.0, Window.square(10), 0)
-    idx = build_grid_index(ps, 2.0)
-    hits = neighbors_within(idx, ps, (0.0, 0.0), 5.0)
-    assert hits.tolist() == [0, 1]  # (3,4) is at exactly distance 5
-
-
-def test_neighbors_far_query_empty():
-    ps = sample_ppp(1.0, Window.square(10), 5)
-    idx = build_grid_index(ps, 2.0)
-    assert neighbors_within(idx, ps, (1e6, 1e6), 3.0).size == 0
-
-
-def test_neighbors_negative_radius():
-    ps = sample_ppp(1.0, Window.square(10), 5)
-    idx = build_grid_index(ps, 2.0)
-    with pytest.raises(ValueError):
-        neighbors_within(idx, ps, (0, 0), -0.1)
-
-
-def test_neighbors_match_brute_force():
-    # exactness against the all-pairs oracle over 100 random configurations
-    rng = np.random.default_rng(99)
-    for trial in range(100):
-        side = rng.uniform(5, 30)
-        ps = sample_ppp(rng.uniform(0.1, 2.0), Window.square(side), 500 + trial)
-        if ps.n == 0:
-            continue
-        cell = rng.uniform(0.3, 4.0)
-        radius = rng.uniform(0, 4.0)
-        q = rng.uniform(0, side, 2)
-        idx = build_grid_index(ps, cell)
-        got = neighbors_within(idx, ps, q, radius)
-        want = np.flatnonzero(np.linalg.norm(ps.points - q, axis=1) <= radius)
-        assert np.array_equal(got, want)
-
-
-def test_points_csv_round_trip(tmp_path):
-    ps = sample_ppp(1.0, Window.square(30), 17)
-    path = tmp_path / "pts.csv"
-    save_points_csv(ps, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y"
-    assert len(lines) == ps.n + 1
-    back = load_points_xy(path)
-    assert back.shape == ps.points.shape
-    np.testing.assert_allclose(back, ps.points, rtol=1e-8)
