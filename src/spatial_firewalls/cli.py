@@ -26,9 +26,10 @@ from .lattice import blocking_counterexample_search, closed_face_mc_frequency, \
     verify_open_edge_coupling, write_validator_csv
 from .bounds import closed_face_probability
 from .network import NetworkConfig, build_isg
-from .percolation import SearchExhaustedError, estimate_percolation_probability, \
-    estimate_protected_fraction, find_critical_firewall_intensity, \
-    sweep_lambda_f, write_critical_csv, write_sweep_csv
+from .percolation import NoDevicesError, SearchExhaustedError, \
+    estimate_percolation_probability, estimate_protected_fraction, \
+    find_critical_firewall_intensity, sweep_lambda_f, write_critical_csv, \
+    write_sweep_csv
 from .spatial import Window, open_csv, trial_seed
 
 __all__ = ["AxisSpec", "ExperimentSpec", "run", "main"]
@@ -129,10 +130,12 @@ class ExperimentSpec:
             raise SpecError(f"lc1: {exc}") from exc
         try:
             cfg = self.network_config()
-            for v in self.axis.values() if self.axis is not None else ():
-                replace(cfg, **{self.axis.param: v})
+            configs = [cfg] + [replace(cfg, **{self.axis.param: v})
+                               for v in (self.axis.values() if self.axis else ())]
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
+        if self.command == "protected" and any(c.lambda_r <= 0 for c in configs):
+            raise SpecError("lambda_r must be > 0 for protected, at every axis point")
 
     def network_config(self) -> NetworkConfig:
         return NetworkConfig(lambda_r=self.lambda_r, r_r=self.r_r,
@@ -478,7 +481,7 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NoDevicesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

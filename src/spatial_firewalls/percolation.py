@@ -11,6 +11,17 @@ in the firewall intensity: on an ascending grid of thinning fractions the
 spanning points form a prefix, whose length one bisection finds exactly.
 Sweeps, point estimates and the critical search all read their counts off
 that per-trial prefix length.
+
+Each probe of the bisection runs on a cell graph built once per trial
+(`_TrialState`). Devices are binned into square cells of diagonal < r_r, so
+the susceptible devices of one cell are always a clique and each cell can
+stand as one node. Two cells are joined at a thinning fraction p exactly
+when some linked device pair across them has both ends susceptible at p,
+and a cell touches a boundary strip exactly when one of its devices in the
+strip is susceptible; each of these is a threshold on one weight computed
+once per trial. A probe compares the weights with p and labels a graph of a
+few thousand nodes, with the same outcome as labelling every susceptible
+device pair.
 """
 from __future__ import annotations
 
@@ -131,21 +142,38 @@ def detect_spanning(realization: Realization) -> tuple[bool, bool]:
 
 
 class _TrialState:
-    """Per-trial structures reused across firewall intensities.
+    """One trial's world compressed to a cell graph, probed at any thinning
+    fraction p.
 
-    A pool firewall is kept at thinning fraction p when its mark is < p;
-    marks are uniform on [0, 1), so p = 0 keeps none and p = 1 keeps all.
-    `min_mark[i]` is the smallest mark among pool firewalls within r_f of
-    device i (inf when none): device i is susceptible at fraction p exactly
-    when min_mark[i] >= p.
+    A pool firewall is kept at fraction p when its mark is < p; marks are
+    uniform on [0, 1), so p = 0 keeps none and p = 1 keeps all. Device i is
+    susceptible at p exactly when `min_mark[i] >= p`, where min_mark[i] is
+    the smallest mark among pool firewalls within r_f of it (inf when none).
+
+    The devices are binned into square cells of side 0.7 * r_r, whose
+    diagonal 0.99 * r_r leaves room for rounding: any two devices of one
+    cell are linked, so the susceptible devices of a cell always form one
+    clique. Collapsing each occupied cell to a node therefore keeps the ISG
+    components exactly, given that
+      - the edge between two cells is live at p when some linked device pair
+        across them has both ends susceptible, i.e. when the max over those
+        pairs of min(min_mark_i, min_mark_j) is >= p (`edge_w`), and
+      - a node touches a boundary strip at p when some device of the cell in
+        that strip is susceptible, i.e. when the max min_mark of those
+        devices is >= p (`strip_w`, one row per `_strip_masks` row).
+    A cell with no susceptible device has no live edge and no strip hit, so
+    it is an isolated node that cannot make a component span; nodes need no
+    weight of their own.
     """
 
-    __slots__ = ("pairs", "min_mark", "strips")
+    __slots__ = ("edges", "edge_w", "strip_w")
+
+    _CHUNK = 1 << 18  # device pairs per pass, to bound the temporaries
 
     def __init__(self, config: NetworkConfig, lambda_pool: float, tseed: int):
         devices, pool, marks = sample_world(config, tseed, lambda_pool)
         xy = devices.points
-        self.min_mark = np.full(devices.n, np.inf)
+        min_mark = np.full(devices.n, np.inf)
         if devices.n and pool.n:
             balls = cKDTree(xy).query_ball_point(pool.points, config.r_f)
             lens = np.fromiter((len(b) for b in balls), dtype=np.int64, count=pool.n)
@@ -153,25 +181,49 @@ class _TrialState:
             if total:
                 idx = np.fromiter((i for b in balls for i in b),
                                   dtype=np.int64, count=total)
-                np.minimum.at(self.min_mark, idx, np.repeat(marks, lens))
-        self.pairs = _radius_pairs(xy, config.r_r)
-        self.strips = _strip_masks(xy, config)
+                np.minimum.at(min_mark, idx, np.repeat(marks, lens))
+
+        # node = occupied cell, numbered in (cx, cy) order; devices sorted by
+        # node, so that every pair i < j has node[i] <= node[j]
+        w = config.window
+        cell = np.floor((xy - (w.x_min, w.y_min)) / (0.7 * config.r_r)).astype(np.int64)
+        stride = int(cell[:, 1].max(initial=0)) + 1
+        cell_id = cell[:, 0] * stride + cell[:, 1]
+        order = np.argsort(cell_id)
+        xy, min_mark, cell = xy[order], min_mark[order], cell[order]
+        cell_ids, node = np.unique(cell_id[order], return_inverse=True)
+        n_nodes = len(cell_ids)
+        pairs = _radius_pairs(xy, config.r_r)
+
+        # a linked pair lies at most 2 cells apart per axis, so its offset
+        # (dx, dy) from the lower node has dx in 0..2 and dy in -2..2, and
+        # 13 * node[i] + 5 * dx + dy is unique per cell pair; slot 0 of a
+        # node is its own cell, whose pairs need no edge
+        best = np.full(n_nodes * 13, -np.inf)
+        head = 13 * node - 5 * cell[:, 0] - cell[:, 1]
+        tail = 5 * cell[:, 0] + cell[:, 1]
+        for lo in range(0, len(pairs), self._CHUNK):
+            i, j = pairs[lo:lo + self._CHUNK].T
+            np.maximum.at(best, head[i] + tail[j],
+                          np.minimum(min_mark[i], min_mark[j]))
+        slots = np.flatnonzero(best > -np.inf)
+        slots = slots[slots % 13 != 0]
+        a, off = np.divmod(slots, 13)
+        dx = (off + 2) // 5
+        dy = off - 5 * dx
+        b = np.searchsorted(cell_ids, cell_ids[a] + dx * stride + dy)
+        self.edges = np.stack([a, b], axis=1)
+        self.edge_w = best[slots]
+
+        self.strip_w = np.full((4, n_nodes), -np.inf)
+        for row, mask in enumerate(_strip_masks(xy, config)):
+            np.maximum.at(self.strip_w[row], node[mask], min_mark[mask])
 
     def spans_at(self, p: float) -> bool:
         """Does the ISG at thinning fraction p span both axes?"""
-        susceptible = self.min_mark >= p
-        m = int(susceptible.sum())
-        if m == 0:
-            return False
-        if len(self.pairs):
-            keep = susceptible[self.pairs[:, 0]] & susceptible[self.pairs[:, 1]]
-            sub = self.pairs[keep]
-            local = np.cumsum(susceptible) - 1
-            sub = local[sub]
-        else:
-            sub = self.pairs
-        labels, k = _canonical_labels(m, sub)
-        lr, bt = _spans_from_labels(labels, k, self.strips[:, susceptible])
+        labels, k = _canonical_labels(self.strip_w.shape[1],
+                                      self.edges[self.edge_w >= p])
+        lr, bt = _spans_from_labels(labels, k, self.strip_w >= p)
         return lr and bt
 
 

@@ -203,3 +203,20 @@ _AXIS = ["--axis", "lambda_f", "--start", "0", "--stop", "0.1", "--step", "0.05"
 ])
 def test_malformed_model_parameters(argv, needle, capsys):
     _assert_spec_error(main(argv + ["--trials", "2"]), capsys, needle)
+
+
+@pytest.mark.parametrize("argv", [
+    ["protected", "--lambda-r", "0"],
+    ["protected", "--axis", "lambda_r", "--start", "0", "--stop", "1", "--step", "0.5"],
+])
+def test_protected_needs_positive_lambda_r(argv, capsys):
+    _assert_spec_error(main(argv + ["--trials", "2"]), capsys, "lambda_r")
+
+
+def test_protected_no_devices_exit(capsys):
+    rc = main(["protected", "--lambda-r", "1e-9", "--trials", "2",
+               "--window-size", "5"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "empty device sets" in err

@@ -1,6 +1,7 @@
-"""Property tests on small random worlds: the bisected spanning-prefix
-worker against probing every grid point, the nested-thinning monotonicity
-it relies on, the slow reference path, worker-count invariance and the
+"""Property tests on small random worlds: the cell-graph trial kernel
+against a device-level reference, the bisected spanning-prefix worker
+against probing every grid point, the nested-thinning monotonicity it
+relies on, the slow reference path, worker-count invariance and the
 closed-ball distance and strip rules."""
 from unittest import mock
 
@@ -12,8 +13,10 @@ from spatial_firewalls import (NetworkConfig, PointSet, Window, build_isg,
                                build_rgg, classify_devices, detect_spanning,
                                sweep_lambda_f, trial_seed)
 from spatial_firewalls import percolation
-from spatial_firewalls.percolation import (_strip_masks, _TrialState,
-                                          _threshold_worker)
+from spatial_firewalls.network import (_canonical_labels, _radius_pairs,
+                                       sample_world)
+from spatial_firewalls.percolation import (_spans_from_labels, _strip_masks,
+                                          _TrialState, _threshold_worker)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -33,6 +36,82 @@ def worlds(draw):
 
 
 p_grids = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12, unique=True).map(sorted)
+
+
+def _device_level_spans(world, cfg, p):
+    """Reference for `_TrialState.spans_at`: label every susceptible device
+    pair of the world at thinning fraction p."""
+    devices, pool, marks = world
+    kept = PointSet(pool.points[marks < p], 0.0, pool.window, 0)
+    xy = devices.points[~classify_devices(devices, kept, cfg.r_f).is_protected]
+    labels, k = _canonical_labels(len(xy), _radius_pairs(xy, cfg.r_r))
+    lr, bt = _spans_from_labels(labels, k, _strip_masks(xy, cfg))
+    return lr and bt
+
+
+@st.composite
+def edge_worlds(draw):
+    """(config, world) on a non-square window, from narrower than r_r to
+    ten r_r per side, with a few extra devices on the window's max edges."""
+    r_r = draw(st.floats(0.3, 3.0))
+    x0, y0 = draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))
+    window = Window(x0, y0, x0 + r_r * draw(st.floats(0.5, 10.0)),
+                    y0 + r_r * draw(st.floats(0.5, 10.0)))
+    r_f = r_r * draw(st.floats(1.0, 2.0))
+    cfg = NetworkConfig(lambda_r=draw(st.floats(0.5, 8.0)) / (np.pi * r_r ** 2),
+                        r_r=r_r, lambda_f=0.0, r_f=r_f, window=window,
+                        master_seed=draw(st.integers(0, 2 ** 32)),
+                        firewall_margin=draw(st.sampled_from([0.0, r_r])))
+    lambda_pool = draw(st.floats(0.0, 3.0)) / (np.pi * r_f ** 2)
+    devices, pool, marks = sample_world(cfg, trial_seed(cfg.master_seed, 0),
+                                        lambda_pool)
+    on_edge = [(window.x_max, window.y_min + u * window.height) if side == 0
+               else (window.x_min + u * window.width, window.y_max)
+               for side, u in draw(st.lists(st.tuples(st.integers(0, 1),
+                                                      st.floats(0.0, 1.0)),
+                                            max_size=4))]
+    xy = np.concatenate([devices.points, np.reshape(on_edge, (-1, 2))])
+    return cfg, (PointSet(xy, cfg.lambda_r, window, 0), pool, marks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_worlds(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_cell_graph_matches_device_level_reference(world, ps):
+    cfg, sampled = world
+    with mock.patch.object(percolation, "sample_world", return_value=sampled):
+        state = _TrialState(cfg, 1.0, 0)
+    marks = sampled[2]
+    for p in ps + [0.0, 1.0] + list(marks[:3]):
+        assert state.spans_at(p) == _device_level_spans(sampled, cfg, p)
+
+
+def test_pair_just_beyond_range_never_links():
+    """No alignment of the cell grid links a pair more than r_r apart.
+
+    Two devices on a diagonal, the direction in which a square cell holds
+    its farthest pair, sit in a window where only the linked pair spans.
+    The window's lower-left corner takes 24 x 24 positions relative to the
+    pair, so a grid anchored to the window meets the pair at as many
+    alignments: the pair must span at (1 - 1e-6) r_r and never at
+    (1 + 1e-6) r_r.
+    """
+    r, steps = 1.0, 24
+    for scale, spans in ((1 - 1e-6, True), (1 + 1e-6, False)):
+        g = scale * r / np.sqrt(2)
+        pair = np.array([[0.0, 0.0], [g, g]])
+        for u in range(steps):
+            for v in range(steps):
+                # near pads in (r - g, r] and far pads of r - g / 2 leave
+                # each device in one strip per axis
+                pad = r - g * np.array([u, v]) / steps
+                win = Window(-pad[0], -pad[1], r + g / 2, r + g / 2)
+                cfg = NetworkConfig(lambda_r=0.0, r_r=r, lambda_f=0.0, r_f=r,
+                                    window=win)
+                world = (PointSet(pair, 0.0, win, 0),
+                         PointSet(np.empty((0, 2)), 0.0, win, 0), np.empty(0))
+                with mock.patch.object(percolation, "sample_world",
+                                       return_value=world):
+                    assert _TrialState(cfg, 1.0, 0).spans_at(0.5) == spans
 
 
 @SETTINGS
@@ -110,15 +189,29 @@ def test_closed_ball_rule(x, y, r, offset, mark):
     pair = PointSet(np.array([[x, y], at_range]), 0.0, window, 0)
     assert build_rgg(pair, r).n_components == 1
 
-    # the trial kernel: the pool firewall covers both devices, the pair links
-    cfg = NetworkConfig(lambda_r=0.0, r_r=r, lambda_f=0.0, r_f=r, window=window)
-    world = (pair, PointSet(np.array([[x, y]]), 0.0, window, 0), np.array([mark]))
-    with mock.patch.object(percolation, "sample_world", return_value=world):
-        state = _TrialState(cfg, 1.0, 0)
-    assert state.min_mark[0] == mark and state.min_mark[1] == mark
-    assert state.pairs.tolist() == [[0, 1]]
+    # the trial kernel: one pool firewall on the first device, of mark
+    # `mark`, is kept for p above the mark and covers both devices there
+    lo, hi = pair.points.min(axis=0), pair.points.max(axis=0)
+    apart = hi > lo
+
+    def kernel(pad):
+        win = Window(*(lo - pad), *(hi + pad))
+        cfg = NetworkConfig(lambda_r=0.0, r_r=r, lambda_f=0.0, r_f=r, window=win)
+        world = (PointSet(pair.points, 0.0, win, 0),
+                 PointSet(pair.points[:1], 0.0, win, 0), np.array([mark]))
+        with mock.patch.object(percolation, "sample_world", return_value=world):
+            return _TrialState(cfg, 1.0, 0)
+
+    # no padding on the axes where the devices differ puts each device in
+    # all four strips: each spans alone until the firewall is kept
+    alone = kernel(np.where(apart, 0.0, r / 2))
+    assert alone.spans_at(mark) and not alone.spans_at(np.nextafter(mark, 1.0))
+    # padding r on those axes puts each device exactly r_r inside one strip
+    # of the axis, so only the linked pair spans
+    assert kernel(np.where(apart, r, r / 2)).spans_at(mark)
 
     # a device exactly r_r from a window edge lies in that edge's strip
+    cfg = NetworkConfig(lambda_r=0.0, r_r=r, lambda_f=0.0, r_f=r, window=window)
     corners = np.array([[window.x_min + r, window.y_max - r],
                         [window.x_max - r, window.y_min + r]])
     assert _strip_masks(corners, cfg).tolist() == [[True, False], [False, True],
