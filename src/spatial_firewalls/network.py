@@ -174,7 +174,9 @@ def _radius_pairs(xy: np.ndarray, radius: float) -> np.ndarray:
     """All index pairs at Euclidean distance <= radius, as an (m, 2) array."""
     if len(xy) < 2:
         return np.empty((0, 2), dtype=np.int64)
-    return cKDTree(xy).query_pairs(radius, output_type="ndarray")
+    # sliding-midpoint splits build faster than median splits on uniform
+    # points; the pairs found do not depend on the tree's shape
+    return cKDTree(xy, balanced_tree=False).query_pairs(radius, output_type="ndarray")
 
 
 def _graph_from_pairs(vertices: np.ndarray, n_local: int, pairs: np.ndarray) -> IsgGraph:

@@ -12,22 +12,30 @@ spanning points form a prefix, whose length one bisection finds exactly.
 Sweeps, point estimates and the critical search all read their counts off
 that per-trial prefix length.
 
-Each probe of the bisection runs on a cell graph built once per trial
+Each probe of the bisection runs on a cell graph of the trial
 (`_TrialState`). Devices are binned into square cells of diagonal < r_r, so
 the susceptible devices of one cell are always a clique and each cell can
 stand as one node. Two cells are joined at a thinning fraction p exactly
 when some linked device pair across them has both ends susceptible at p,
 and a cell touches a boundary strip exactly when one of its devices in the
-strip is susceptible; each of these is a threshold on one weight computed
-once per trial. A probe compares the weights with p and labels a graph of a
-few thousand nodes, with the same outcome as labelling every susceptible
-device pair.
+strip is susceptible; each of these is a threshold on one weight. A probe
+compares the weights with p and labels a graph of a few thousand nodes,
+with the same outcome as labelling every susceptible device pair.
+
+The edge weights are computed by the first probe, and again by any probe
+below the lowest fraction probed so far (the floor), from only the devices
+still susceptible at the floor. This is exact: an edge weight is a min over
+the weights of its two devices, so a device below the floor only gives
+weights that no probe at or above the floor keeps. A trial probed once at
+p = 1 therefore enumerates pairs only among the devices with no pool
+firewall within r_f.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -142,8 +150,8 @@ def detect_spanning(realization: Realization) -> tuple[bool, bool]:
 
 
 class _TrialState:
-    """One trial's world compressed to a cell graph, probed at any thinning
-    fraction p.
+    """One trial's world, probed at any thinning fraction p through a cell
+    graph.
 
     A pool firewall is kept at fraction p when its mark is < p; marks are
     uniform on [0, 1), so p = 0 keeps none and p = 1 keeps all. Device i is
@@ -164,9 +172,18 @@ class _TrialState:
     A cell with no susceptible device has no live edge and no strip hit, so
     it is an isolated node that cannot make a component span; nodes need no
     weight of their own.
+
+    The strip weights are computed once, but the edges only at probe time,
+    from the devices with min_mark >= `floor`, the lowest fraction probed
+    so far. This is exact: an edge weight is a min over the min_marks of
+    its two devices, so a device below the floor only gives weights
+    < floor, which no probe at p >= floor keeps. A probe at p >= floor
+    reuses the edges; the first probe, and any probe below the floor,
+    builds them with floor = p.
     """
 
-    __slots__ = ("edges", "edge_w", "strip_w")
+    __slots__ = ("xy", "min_mark", "head", "tail", "cell_ids", "stride",
+                 "r_r", "strip_w", "floor", "edges", "edge_w")
 
     _CHUNK = 1 << 18  # device pairs per pass, to bound the temporaries
 
@@ -175,33 +192,43 @@ class _TrialState:
         xy = devices.points
         min_mark = np.full(devices.n, np.inf)
         if devices.n and pool.n:
-            balls = cKDTree(xy).query_ball_point(pool.points, config.r_f)
-            lens = np.fromiter((len(b) for b in balls), dtype=np.int64, count=pool.n)
-            total = int(lens.sum())
-            if total:
-                idx = np.fromiter((i for b in balls for i in b),
-                                  dtype=np.int64, count=total)
-                np.minimum.at(min_mark, idx, np.repeat(marks, lens))
+            # unbalanced for a faster build, as in `_radius_pairs`
+            balls = cKDTree(xy, balanced_tree=False).query_ball_point(
+                pool.points, config.r_f, return_sorted=False)
+            lens = np.fromiter(map(len, balls), dtype=np.int64, count=pool.n)
+            idx = np.fromiter(chain.from_iterable(balls), dtype=np.int64,
+                              count=int(lens.sum()))
+            np.minimum.at(min_mark, idx, np.repeat(marks, lens))
 
         # node = occupied cell, numbered in (cx, cy) order; devices sorted by
-        # node, so that every pair i < j has node[i] <= node[j]
+        # node, so that every pair i < j of any subset has node[i] <= node[j]
         w = config.window
         cell = np.floor((xy - (w.x_min, w.y_min)) / (0.7 * config.r_r)).astype(np.int64)
-        stride = int(cell[:, 1].max(initial=0)) + 1
-        cell_id = cell[:, 0] * stride + cell[:, 1]
+        self.stride = int(cell[:, 1].max(initial=0)) + 1
+        cell_id = cell[:, 0] * self.stride + cell[:, 1]
         order = np.argsort(cell_id)
-        xy, min_mark, cell = xy[order], min_mark[order], cell[order]
-        cell_ids, node = np.unique(cell_id[order], return_inverse=True)
-        n_nodes = len(cell_ids)
-        pairs = _radius_pairs(xy, config.r_r)
+        self.xy, self.min_mark, cell = xy[order], min_mark[order], cell[order]
+        self.cell_ids, node = np.unique(cell_id[order], return_inverse=True)
+        self.r_r = config.r_r
 
         # a linked pair lies at most 2 cells apart per axis, so its offset
         # (dx, dy) from the lower node has dx in 0..2 and dy in -2..2, and
-        # 13 * node[i] + 5 * dx + dy is unique per cell pair; slot 0 of a
-        # node is its own cell, whose pairs need no edge
-        best = np.full(n_nodes * 13, -np.inf)
-        head = 13 * node - 5 * cell[:, 0] - cell[:, 1]
-        tail = 5 * cell[:, 0] + cell[:, 1]
+        # head[i] + tail[j] = 13 * node[i] + 5 * dx + dy is unique per cell
+        # pair; slot 0 of a node is its own cell, whose pairs need no edge
+        self.head = 13 * node - 5 * cell[:, 0] - cell[:, 1]
+        self.tail = 5 * cell[:, 0] + cell[:, 1]
+
+        self.strip_w = np.full((4, len(self.cell_ids)), -np.inf)
+        for row, mask in enumerate(_strip_masks(self.xy, config)):
+            np.maximum.at(self.strip_w[row], node[mask], self.min_mark[mask])
+        self.floor = math.nan  # no edges yet: `p >= nan` fails for every p
+
+    def _build_edges(self, floor: float) -> None:
+        """Cell edges and their weights among the devices with min_mark >= floor."""
+        keep = self.min_mark >= floor
+        min_mark, head, tail = self.min_mark[keep], self.head[keep], self.tail[keep]
+        pairs = _radius_pairs(self.xy[keep], self.r_r)
+        best = np.full(len(self.cell_ids) * 13, -np.inf)
         for lo in range(0, len(pairs), self._CHUNK):
             i, j = pairs[lo:lo + self._CHUNK].T
             np.maximum.at(best, head[i] + tail[j],
@@ -211,16 +238,15 @@ class _TrialState:
         a, off = np.divmod(slots, 13)
         dx = (off + 2) // 5
         dy = off - 5 * dx
-        b = np.searchsorted(cell_ids, cell_ids[a] + dx * stride + dy)
+        b = np.searchsorted(self.cell_ids, self.cell_ids[a] + dx * self.stride + dy)
         self.edges = np.stack([a, b], axis=1)
         self.edge_w = best[slots]
-
-        self.strip_w = np.full((4, n_nodes), -np.inf)
-        for row, mask in enumerate(_strip_masks(xy, config)):
-            np.maximum.at(self.strip_w[row], node[mask], min_mark[mask])
+        self.floor = floor
 
     def spans_at(self, p: float) -> bool:
         """Does the ISG at thinning fraction p span both axes?"""
+        if not p >= self.floor:
+            self._build_edges(p)
         labels, k = _canonical_labels(self.strip_w.shape[1],
                                       self.edges[self.edge_w >= p])
         lr, bt = _spans_from_labels(labels, k, self.strip_w >= p)
@@ -334,6 +360,9 @@ def find_critical_firewall_intensity(config: NetworkConfig, *,
     """
     if lambda_f_max is None:
         denom = 4.0 * config.r_f ** 2 - config.r_r ** 2
+        if not denom > 0:
+            raise ValueError("the default lambda_f_max, 1.5 * 1.44 / (4 r_f^2 - r_r^2), "
+                             "needs 2 * r_f > r_r; pass lambda_f_max")
         lambda_f_max = 1.5 * _DEFAULT_LC1 / denom
     if step is None:
         step = lambda_f_max / 9.0

@@ -172,6 +172,19 @@ def test_critical_search_exhausted():
     assert len(err.value.evaluated) >= 1
 
 
+@pytest.mark.parametrize("r_f", [1.0, 0.8])
+def test_critical_default_ceiling_needs_wide_firewall_range(r_f):
+    """The default ceiling 1.5 * 1.44 / (4 r_f^2 - r_r^2) exists only for
+    2 r_f > r_r; below that the caller has to pass lambda_f_max."""
+    cfg = NetworkConfig(lambda_r=0.1, r_r=2, lambda_f=0, r_f=r_f,
+                        window=Window.square(20), master_seed=1,
+                        allow_small_firewall_range=True)
+    with pytest.raises(ValueError, match=r"needs 2 \* r_f > r_r; pass lambda_f_max"):
+        find_critical_firewall_intensity(cfg, trials=2)
+    res = find_critical_firewall_intensity(cfg, lambda_f_max=0.5, trials=2)
+    assert res.lambda_f_max == pytest.approx(0.5)
+
+
 def test_critical_search_result_invariants():
     cfg = NetworkConfig(lambda_r=0.8, r_r=2, lambda_f=0, r_f=2,
                         window=Window.square(50), master_seed=7)

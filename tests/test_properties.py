@@ -1,8 +1,9 @@
 """Property tests on small random worlds: the cell-graph trial kernel
-against a device-level reference, the bisected spanning-prefix worker
-against probing every grid point, the nested-thinning monotonicity it
-relies on, the slow reference path, worker-count invariance and the
-closed-ball distance and strip rules."""
+against a device-level reference along any sequence of probes, the pruning
+of pair enumeration to the devices above the probe floor, the bisected
+spanning-prefix worker against probing every grid point, the
+nested-thinning monotonicity it relies on, the slow reference path,
+worker-count invariance and the closed-ball distance and strip rules."""
 from unittest import mock
 
 import numpy as np
@@ -75,14 +76,49 @@ def edge_worlds(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(edge_worlds(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
-def test_cell_graph_matches_device_level_reference(world, ps):
+@given(edge_worlds(), st.data())
+def test_cell_graph_matches_device_level_reference(world, data):
+    """One state probed along a sequence that descends (each probe below the
+    floor rebuilds the edges), ascends (each reuses them) and repeats, at
+    random fractions, 0, 1 and exact min_mark values."""
     cfg, sampled = world
+    devices, pool, marks = sampled
+    d2 = ((devices.points[:, None, :] - pool.points[None, :, :]) ** 2).sum(axis=2)
+    min_mark = np.where(d2 <= cfg.r_f ** 2, marks, np.inf).min(axis=1, initial=np.inf)
+    exact = sorted(set(min_mark[np.isfinite(min_mark)].tolist()))
+    p = st.floats(0.0, 1.0)
+    ps = data.draw(st.lists(st.one_of(p, st.sampled_from(exact)) if exact else p,
+                            min_size=1, max_size=8))
     with mock.patch.object(percolation, "sample_world", return_value=sampled):
         state = _TrialState(cfg, 1.0, 0)
-    marks = sampled[2]
-    for p in ps + [0.0, 1.0] + list(marks[:3]):
+    for p in ps + sorted(ps, reverse=True) + sorted(ps) + [0.0, 1.0] + exact[::-1]:
         assert state.spans_at(p) == _device_level_spans(sampled, cfg, p)
+
+
+def test_pairs_enumerated_only_among_devices_above_floor():
+    """Pair enumeration sees only the devices a probe can still find
+    susceptible: on the grid (1.0,), the devices with no pool firewall
+    within r_f; on the grid (0.0,), every device."""
+    cfg = NetworkConfig(lambda_r=1.0, r_r=1.0, lambda_f=0.3, r_f=1.0,
+                        window=Window.square(12.0), master_seed=5)
+    trials = 3
+    worlds = [sample_world(cfg, trial_seed(cfg.master_seed, t), cfg.lambda_f)
+              for t in range(trials)]
+    unprotected = [int((~classify_devices(devices, pool, cfg.r_f).is_protected).sum())
+                   for devices, pool, _ in worlds]
+    every = [devices.n for devices, _, _ in worlds]
+    assert all(0 < u < n for u, n in zip(unprotected, every))
+
+    for grid, expected in (((1.0,), unprotected), ((0.0,), every)):
+        seen = []
+
+        def recording(xy, radius):
+            seen.append(len(xy))
+            return _radius_pairs(xy, radius)
+
+        with mock.patch.object(percolation, "_radius_pairs", recording):
+            _threshold_worker((cfg, cfg.lambda_f, grid, 0, trials))
+        assert seen == expected
 
 
 def test_pair_just_beyond_range_never_links():
