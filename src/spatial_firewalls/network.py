@@ -150,7 +150,10 @@ def classify_devices(devices: PointSet, firewalls: PointSet, r_f: float) -> Clas
         return Classification(np.zeros(0, dtype=bool))
     if firewalls.n == 0:
         return Classification(np.zeros(devices.n, dtype=bool))
-    dist, _ = cKDTree(firewalls.points).query(devices.points, k=1)
+    # the bound prunes the search; a nearest firewall within r_f is found
+    # at the same distance, and any other device reads inf > r_f
+    dist, _ = cKDTree(firewalls.points).query(devices.points, k=1,
+                                              distance_upper_bound=r_f * (1 + 1e-9))
     return Classification(dist <= r_f)
 
 

@@ -29,17 +29,23 @@ the weights of its two devices, so a device below the floor only gives
 weights that no probe at or above the floor keeps. A trial probed once at
 p = 1 therefore enumerates pairs only among the devices with no pool
 firewall within r_f.
+
+The same cell grid gives each device its protection: the smallest mark of
+a pool firewall within r_f. Each firewall scans the device slices of the
+cell columns its disc can touch, found by binary search in the devices
+sorted by cell, and keeps the devices with dx*dx + dy*dy <= r_f*r_f. The
+scanned range is that of r_f plus a small pad, binned by the same function
+as the devices, so no device the test accepts lies outside it; the one
+kd-tree a trial builds is the pair enumeration's, over the kept devices.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .network import (NetworkConfig, Realization, _canonical_labels,
                       _radius_pairs, classify_devices, sample_world)
@@ -61,6 +67,7 @@ __all__ = [
 ]
 
 _DEFAULT_LC1 = 1.44  # unit-range critical intensity used for search defaults
+_CHUNK = 1 << 18  # device pairs or candidates per pass, to bound the temporaries
 
 
 class SearchExhaustedError(RuntimeError):
@@ -149,6 +156,52 @@ def detect_spanning(realization: Realization) -> tuple[bool, bool]:
                               _strip_masks(xy, realization.config))
 
 
+def _min_marks(xy, cell_id, stride, cell_of, pool_xy, marks, r_f) -> np.ndarray:
+    """Per device, the smallest mark among the pool firewalls within r_f of
+    it (closed ball), inf when there is none.
+
+    The devices are sorted by `cell_id = cx * stride + cy`, where (cx, cy) =
+    `cell_of(xy)`, so the devices in rows lo..hi of one column are one
+    slice. A device is within r_f of firewall f = (fx, fy) when
+    dx*dx + dy*dy <= r_f*r_f, the sum `cKDTree` compares.
+
+    f scans the cells from cell_of(f - reach) to cell_of(f + reach), clipped
+    to the grid, and that range holds every device the test accepts. Such a
+    device has |x - fx| <= r_f (1 + 4 eps), eps the unit roundoff. The pad
+    of reach over r_f, 1e-9 (r_f + the largest |coordinate| of a firewall),
+    exceeds that and the rounding of fx -+ reach together, so the device's
+    x lies between the rounded fx - reach and fx + reach, and likewise y.
+    `cell_of` is the devices' own binning and is non-decreasing in each
+    coordinate, so the device's cell lies between the two bound cells.
+    """
+    min_mark = np.full(len(xy), np.inf)
+    if len(xy) == 0 or len(pool_xy) == 0:
+        return min_mark
+    reach = r_f + 1e-9 * (r_f + np.abs(pool_xy).max())
+    lo = np.maximum(cell_of(pool_xy - reach), 0)
+    hi = np.minimum(cell_of(pool_xy + reach), (cell_id[-1] // stride, stride - 1))
+    # one slice per (firewall, column) of the range, ordered by firewall
+    n_cols = np.maximum(hi[:, 0] - lo[:, 0] + 1, 0)
+    fw = np.repeat(np.arange(len(pool_xy)), n_cols)
+    col = np.arange(len(fw)) - np.repeat(np.cumsum(n_cols) - n_cols - lo[:, 0], n_cols)
+    start = np.searchsorted(cell_id, col * stride + lo[fw, 1], side="left")
+    lens = np.maximum(np.searchsorted(cell_id, col * stride + hi[fw, 1],
+                                      side="right") - start, 0)
+    # each pass takes the slices whose candidates begin in one _CHUNK window
+    (x, y), (fx, fy) = xy.T.copy(), pool_xy.T.copy()  # contiguous for `take`
+    offset = np.cumsum(lens) - lens
+    for at in range(0, int(lens.sum()), _CHUNK):
+        a, b = np.searchsorted(offset, (at, at + _CHUNK))
+        n = lens[a:b]
+        idx = np.arange(n.sum()) + np.repeat(start[a:b] - (np.cumsum(n) - n), n)
+        f = np.repeat(fw[a:b], n)
+        dx = x.take(idx) - fx.take(f)
+        dy = y.take(idx) - fy.take(f)
+        hit = dx * dx + dy * dy <= r_f * r_f
+        np.minimum.at(min_mark, idx[hit], marks[f[hit]])
+    return min_mark
+
+
 class _TrialState:
     """One trial's world, probed at any thinning fraction p through a cell
     graph.
@@ -157,6 +210,9 @@ class _TrialState:
     uniform on [0, 1), so p = 0 keeps none and p = 1 keeps all. Device i is
     susceptible at p exactly when `min_mark[i] >= p`, where min_mark[i] is
     the smallest mark among pool firewalls within r_f of it (inf when none).
+    `_min_marks` reads it off the cell grid below, with no kd-tree: the
+    devices are sorted by cell id cx * stride + cy, so the rows one firewall
+    can reach in one column are one slice.
 
     The devices are binned into square cells of side 0.7 * r_r, whose
     diagonal 0.99 * r_r leaves room for rounding: any two devices of one
@@ -185,30 +241,28 @@ class _TrialState:
     __slots__ = ("xy", "min_mark", "head", "tail", "cell_ids", "stride",
                  "r_r", "strip_w", "floor", "edges", "edge_w")
 
-    _CHUNK = 1 << 18  # device pairs per pass, to bound the temporaries
-
     def __init__(self, config: NetworkConfig, lambda_pool: float, tseed: int):
         devices, pool, marks = sample_world(config, tseed, lambda_pool)
-        xy = devices.points
-        min_mark = np.full(devices.n, np.inf)
-        if devices.n and pool.n:
-            # unbalanced for a faster build, as in `_radius_pairs`
-            balls = cKDTree(xy, balanced_tree=False).query_ball_point(
-                pool.points, config.r_f, return_sorted=False)
-            lens = np.fromiter(map(len, balls), dtype=np.int64, count=pool.n)
-            idx = np.fromiter(chain.from_iterable(balls), dtype=np.int64,
-                              count=int(lens.sum()))
-            np.minimum.at(min_mark, idx, np.repeat(marks, lens))
+        origin, side = (config.window.x_min, config.window.y_min), 0.7 * config.r_r
+
+        def cell_of(xy):
+            return np.floor((xy - origin) / side).astype(np.int64)
 
         # node = occupied cell, numbered in (cx, cy) order; devices sorted by
         # node, so that every pair i < j of any subset has node[i] <= node[j]
-        w = config.window
-        cell = np.floor((xy - (w.x_min, w.y_min)) / (0.7 * config.r_r)).astype(np.int64)
+        cell = cell_of(devices.points)
         self.stride = int(cell[:, 1].max(initial=0)) + 1
         cell_id = cell[:, 0] * self.stride + cell[:, 1]
         order = np.argsort(cell_id)
-        self.xy, self.min_mark, cell = xy[order], min_mark[order], cell[order]
-        self.cell_ids, node = np.unique(cell_id[order], return_inverse=True)
+        self.xy = devices.points.take(order, axis=0)
+        cell, cell_id = cell.take(order, axis=0), cell_id[order]
+        first = np.empty(len(cell_id), dtype=bool)  # first device of its node
+        first[:1] = True
+        np.not_equal(cell_id[1:], cell_id[:-1], out=first[1:])
+        node = np.cumsum(first) - 1
+        self.cell_ids = cell_id[first]
+        self.min_mark = _min_marks(self.xy, cell_id, self.stride, cell_of,
+                                   pool.points, marks, config.r_f)
         self.r_r = config.r_r
 
         # a linked pair lies at most 2 cells apart per axis, so its offset
@@ -229,8 +283,8 @@ class _TrialState:
         min_mark, head, tail = self.min_mark[keep], self.head[keep], self.tail[keep]
         pairs = _radius_pairs(self.xy[keep], self.r_r)
         best = np.full(len(self.cell_ids) * 13, -np.inf)
-        for lo in range(0, len(pairs), self._CHUNK):
-            i, j = pairs[lo:lo + self._CHUNK].T
+        for lo in range(0, len(pairs), _CHUNK):
+            i, j = pairs[lo:lo + _CHUNK].T
             np.maximum.at(best, head[i] + tail[j],
                           np.minimum(min_mark[i], min_mark[j]))
         slots = np.flatnonzero(best > -np.inf)

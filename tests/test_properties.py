@@ -1,15 +1,21 @@
 """Property tests on small random worlds: the cell-graph trial kernel
 against a device-level reference along any sequence of probes, the pruning
-of pair enumeration to the devices above the probe floor, the bisected
-spanning-prefix worker against probing every grid point, the
-nested-thinning monotonicity it relies on, the slow reference path,
-worker-count invariance and the closed-ball distance and strip rules."""
+of pair enumeration (and of every kd-tree) to the devices above the probe
+floor, the bisected spanning-prefix worker against probing every grid
+point, the nested-thinning monotonicity it relies on, the slow reference
+path, worker-count invariance, the closed-ball distance and strip rules,
+and the cell-grid `min_mark` and `classify_devices` against brute force."""
+import importlib
+import pkgutil
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+import spatial_firewalls
 from spatial_firewalls import (NetworkConfig, PointSet, Window, build_isg,
                                build_rgg, classify_devices, detect_spanning,
                                sweep_lambda_f, trial_seed)
@@ -20,6 +26,8 @@ from spatial_firewalls.percolation import (_spans_from_labels, _strip_masks,
                                           _TrialState, _threshold_worker)
 
 SETTINGS = settings(max_examples=40, deadline=None)
+PACKAGE_MODULES = [importlib.import_module(f"spatial_firewalls.{info.name}")
+                   for info in pkgutil.iter_modules(spatial_firewalls.__path__)]
 
 
 @st.composite
@@ -96,9 +104,10 @@ def test_cell_graph_matches_device_level_reference(world, data):
 
 
 def test_pairs_enumerated_only_among_devices_above_floor():
-    """Pair enumeration sees only the devices a probe can still find
-    susceptible: on the grid (1.0,), the devices with no pool firewall
-    within r_f; on the grid (0.0,), every device."""
+    """Pair enumeration, and every kd-tree the package builds, sees only
+    the devices a probe can still find susceptible: on the grid (1.0,), the
+    devices with no pool firewall within r_f; on the grid (0.0,), every
+    device."""
     cfg = NetworkConfig(lambda_r=1.0, r_r=1.0, lambda_f=0.3, r_f=1.0,
                         window=Window.square(12.0), master_seed=5)
     trials = 3
@@ -110,15 +119,29 @@ def test_pairs_enumerated_only_among_devices_above_floor():
     assert all(0 < u < n for u, n in zip(unprotected, every))
 
     for grid, expected in (((1.0,), unprotected), ((0.0,), every)):
-        seen = []
+        seen, trees = [], []
 
         def recording(xy, radius):
             seen.append(len(xy))
             return _radius_pairs(xy, radius)
 
-        with mock.patch.object(percolation, "_radius_pairs", recording):
+        class RecordingTree(cKDTree):
+            def __init__(self, data, *args, **kwargs):
+                trees.append(len(data))
+                super().__init__(data, *args, **kwargs)
+
+        with ExitStack() as patches:
+            patches.enter_context(mock.patch.object(percolation, "_radius_pairs",
+                                                    recording))
+            for module in PACKAGE_MODULES:
+                if hasattr(module, "cKDTree"):
+                    patches.enter_context(mock.patch.object(module, "cKDTree",
+                                                            RecordingTree))
             _threshold_worker((cfg, cfg.lambda_f, grid, 0, trials))
         assert seen == expected
+        # protection reads the cell grid: the one kd-tree of a trial is the
+        # pair enumeration's, over the kept devices
+        assert trees == expected
 
 
 def test_pair_just_beyond_range_never_links():
@@ -252,3 +275,84 @@ def test_closed_ball_rule(x, y, r, offset, mark):
                         [window.x_max - r, window.y_min + r]])
     assert _strip_masks(corners, cfg).tolist() == [[True, False], [False, True],
                                                    [False, True], [True, False]]
+
+
+# the offsets above with every sign and turn: 12 points exactly r from a site
+turns = np.array([(5, 0), (0, 5), (-5, 0), (0, -5), (3, 4), (4, 3), (-3, 4),
+                  (-4, 3), (3, -4), (4, -3), (-3, -4), (-4, -3)])
+units = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ranges, st.data())
+def test_min_mark_matches_brute_force(r_f, data):
+    """Every device's `min_mark` is the smallest mark among the pool
+    firewalls with dx*dx + dy*dy <= r_f*r_f, taken over all pairs.
+
+    r_f runs from r_r to 6 r_r and the margin from 0 to 2 r_f, on offset
+    non-square windows, so firewalls lie inside and outside the cell grid
+    at many alignments of the grid. Besides the sampled world, firewalls
+    on the 1/8 grid each get the devices exactly r_f from them.
+    """
+    draw = data.draw
+    r_r = r_f / draw(st.floats(1.0, 6.0))
+    x0, y0 = draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0))
+    window = Window(x0, y0, x0 + r_r * draw(st.floats(0.5, 12.0)),
+                    y0 + r_r * draw(st.floats(0.5, 12.0)))
+    cfg = NetworkConfig(lambda_r=draw(st.floats(0.2, 3.0)) / r_r ** 2, r_r=r_r,
+                        lambda_f=0.0, r_f=r_f, window=window,
+                        master_seed=draw(st.integers(0, 2 ** 32)),
+                        firewall_margin=r_f * draw(st.floats(0.0, 2.0)))
+    devices, pool, marks = sample_world(cfg, trial_seed(cfg.master_seed, 0),
+                                        draw(st.floats(0.0, 2.0)) / r_f ** 2)
+    fw = cfg.firewall_window()
+    sites = np.round(np.reshape([(fw.x_min + u * fw.width, fw.y_min + v * fw.height)
+                                 for u, v in draw(st.lists(units, max_size=6))],
+                                (-1, 2)) * 8) / 8
+    at_range = (sites[:, None, :] + turns * (r_f / 5)).reshape(-1, 2)
+    assert (((at_range - sites.repeat(len(turns), axis=0)) ** 2).sum(axis=1)
+            == r_f * r_f).all()
+    pool_xy = np.concatenate([pool.points, sites])
+    marks = np.concatenate([marks, draw(st.lists(st.floats(0.0, 0.99),
+                                                 min_size=len(sites),
+                                                 max_size=len(sites)))])
+    world = (PointSet(np.concatenate([devices.points,
+                                      at_range[window.contains(at_range)]]),
+                      0.0, window, 0),
+             PointSet(pool_xy, 0.0, fw.expand(1.0), 0), marks)
+    with mock.patch.object(percolation, "sample_world", return_value=world):
+        state = _TrialState(cfg, 1.0, 0)
+
+    d = state.xy[:, None, :] - pool_xy[None, :, :]
+    d2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    expected = np.where(d2 <= r_f * r_f, marks, np.inf).min(axis=1, initial=np.inf)
+    assert np.array_equal(state.min_mark, expected)
+
+
+@SETTINGS
+@given(ranges, st.lists(st.tuples(exact, exact), min_size=1, max_size=5),
+       st.lists(units, max_size=30))
+def test_classify_devices_matches_brute_force(r, sites, spots):
+    """A device is protected exactly when some firewall is within r
+    (closed), also for devices exactly r from a firewall and one ulp
+    beyond it."""
+    window = Window(-10.0, -10.0, 30.0, 30.0)
+    sites = np.array(sites)
+    at_range = (sites[:, None, :] + turns * (r / 5)).reshape(-1, 2)
+    # the next double past x + r on each axis
+    beyond = np.concatenate([np.stack([np.nextafter(sites[:, 0] + r, np.inf),
+                                       sites[:, 1]], axis=1),
+                             np.stack([sites[:, 0],
+                                       np.nextafter(sites[:, 1] + r, np.inf)],
+                                      axis=1)])
+    xy = np.concatenate([at_range, beyond, np.reshape(spots, (-1, 2)) * 20.0 - 5.0])
+    devices = PointSet(xy, 0.0, window, 0)
+    firewalls = PointSet(sites, 0.0, window, 0)
+
+    d = xy[:, None, :] - sites[None, :, :]
+    dist = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+    assert (dist[:len(at_range)].min(axis=1) <= r).all()
+    own = np.tile(np.arange(len(sites)), 2)
+    assert (dist[len(at_range) + np.arange(len(beyond)), own] > r).all()
+    assert np.array_equal(classify_devices(devices, firewalls, r).is_protected,
+                          dist.min(axis=1) <= r)
