@@ -15,6 +15,7 @@ import numpy as np
 
 from .bounds import _ceil_ratio
 from .network import Realization
+from .percolation import _CHUNK
 from .spatial import PointSet, open_csv
 
 __all__ = [
@@ -149,19 +150,19 @@ def closed_face_mc_frequency(lambda_f: float, r_r: float, samples: int,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     face = HexFace(side=r_r)
-    v = face.vertices()
-    x0, y0 = v[:, 0].min(), v[:, 1].min()
-    x1, y1 = v[:, 0].max(), v[:, 1].max()
+    (x0, y0), (x1, y1) = face.vertices().min(axis=0), face.vertices().max(axis=0)
     area = (x1 - x0) * (y1 - y0)
     rng = np.random.default_rng(seed)
-    tris = face.triangles()
-    closed = 0
-    for _ in range(samples):
-        n = int(rng.poisson(lambda_f * area))
-        xy = np.column_stack([rng.uniform(x0, x1, n), rng.uniform(y0, y1, n)])
-        if n and all(_points_in_triangle(t, xy).any() for t in tris):
-            closed += 1
-    return closed / samples
+    xs, ys = [], []
+    for _ in range(samples):  # drawn in this order, so the random stream is fixed
+        n = rng.poisson(lambda_f * area)
+        xs.append(rng.uniform(x0, x1, n))
+        ys.append(rng.uniform(y0, y1, n))
+    xy = np.column_stack([np.concatenate(xs), np.concatenate(ys)])
+    owner = np.repeat(np.arange(samples), [len(x) for x in xs])
+    hits = [np.bincount(owner[_points_in_triangle(tri, xy)], minlength=samples)
+            for tri in face.triangles()]
+    return int((np.min(hits, axis=0) > 0).sum()) / samples
 
 
 @dataclass(frozen=True)
@@ -345,8 +346,25 @@ class OpenEdgeCheck(NamedTuple):
     edges_scanned: int
 
 
+def _any_pair_beyond(xy: np.ndarray, sizes: np.ndarray, r2: float) -> np.ndarray:
+    """Per group of points, listed in `xy` one after another with the given
+    sizes, whether some pair has dx*dx + dy*dy > r2; passes of ~_CHUNK pairs."""
+    beyond = np.zeros(len(sizes), dtype=bool)
+    pairs = sizes * sizes
+    offset = np.cumsum(pairs) - pairs
+    first = np.cumsum(sizes) - sizes
+    for at in range(0, int(pairs.sum()), _CHUNK):
+        a, b = np.searchsorted(offset, (at, at + _CHUNK))
+        n = pairs[a:b]
+        g = np.repeat(np.arange(a, b), n)
+        k = np.arange(len(g)) - np.repeat(np.cumsum(n) - n, n)  # pair in its group
+        d = (xy.take(first[g] + k // sizes[g], axis=0)
+             - xy.take(first[g] + k % sizes[g], axis=0))
+        beyond[g[d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] > r2]] = True
+    return beyond
+
+
 def verify_open_edge_coupling(realization: Realization,
-                              lattice_origin: tuple[float, float] | None = None,
                               detail: bool = False) -> int | OpenEdgeCheck:
     """Check the local cluster property on every open edge inside the window.
 
@@ -355,95 +373,77 @@ def verify_open_edge_coupling(realization: Realization,
     and (iii) they share one ISG component. Returns the number of edges
     violating any clause (the coupling argument predicts 0), or the full
     tally when detail=True.
+
+    The lattice starts at the window corner. Clause (i) holds on an edge
+    whose two cells' bounding box, w by h, has w*w + h*h <= r_r**2: rounded
+    subtraction, squaring and addition are monotone, so no pair's dx*dx +
+    dy*dy exceeds it. Only the other edges have their pairs tested.
     """
     cfg = realization.config
     w = cfg.window
-    ox, oy = lattice_origin if lattice_origin is not None else (w.x_min, w.y_min)
     s = cfg.r_r / math.sqrt(5.0)
     c = _ceil_ratio(cfg.r_f, s)
     n_cols = int(math.floor(w.width / s))
     n_rows = int(math.floor(w.height / s))
     if n_cols < 1 or n_rows < 2:
         return OpenEdgeCheck(0, 0, 0) if detail else 0
+    origin = (w.x_min, w.y_min)
 
-    dev_xy = realization.devices.points
-    fw_xy = realization.firewalls.points
+    # firewalls in the (2c+1) x (2c+1) cells around each cell, as a
+    # four-term difference of prefix sums led by a zero row and column; an
+    # edge's dependency region is the union of its two cells' blocks
+    k = 2 * c + 1
+    shape = (n_cols + k - 1, n_rows + k - 1)
+    fcells = np.floor((realization.firewalls.points - origin) / s).astype(np.int64) + c
+    fcells = fcells[((fcells >= 0) & (fcells < shape)).all(axis=1)]
+    fw_cum = np.pad(np.bincount(np.ravel_multi_index(tuple(fcells.T), shape),
+                                minlength=shape[0] * shape[1]).reshape(shape)
+                    .cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0)))
+    clear = (fw_cum[k:, k:] - fw_cum[:-k, k:] - fw_cum[k:, :-k] + fw_cum[:-k, :-k]
+             ).ravel() == 0
 
-    # device indices grouped per fully-in-window cell
-    dev_cells = np.floor((dev_xy - [ox, oy]) / s).astype(np.int64)
-    dev_count = np.zeros((n_cols, n_rows), dtype=np.int64)
-    cell_members: dict[tuple[int, int], list[int]] = {}
-    for idx, (ci, cj) in enumerate(dev_cells):
-        if 0 <= ci < n_cols and 0 <= cj < n_rows:
-            dev_count[ci, cj] += 1
-            cell_members.setdefault((int(ci), int(cj)), []).append(idx)
+    # devices binned on the n_cols x n_rows cells, which lie in the window
+    cells = np.floor((realization.devices.points - origin) / s).astype(np.int64)
+    binned = np.flatnonzero(((cells >= 0) & (cells < (n_cols, n_rows))).all(axis=1))
+    cell = np.ravel_multi_index(tuple(cells[binned].T), (n_cols, n_rows))
+    count = np.bincount(cell, minlength=n_cols * n_rows)
 
-    # firewall counts on the extended grid reachable by dependency regions
-    pad = c + 2
-    fw_count = np.zeros((n_cols + 2 * pad, n_rows + 2 * pad), dtype=np.int64)
-    if len(fw_xy):
-        fcells = np.floor((fw_xy - [ox, oy]) / s).astype(np.int64) + pad
-        inside = ((fcells[:, 0] >= 0) & (fcells[:, 0] < fw_count.shape[0])
-                  & (fcells[:, 1] >= 0) & (fcells[:, 1] < fw_count.shape[1]))
-        np.add.at(fw_count, (fcells[inside, 0], fcells[inside, 1]), 1)
-    fw_cum = fw_count.cumsum(axis=0).cumsum(axis=1)
+    # scanned edges join occupied cells (i, j) and (i, j+1), or (i, j) and
+    # (i+1, j); open ones have no firewall in either cell's block
+    occupied = count.reshape(n_cols, n_rows) > 0
+    ids = np.arange(n_cols * n_rows).reshape(n_cols, n_rows)
+    h, v = occupied[:, :-1] & occupied[:, 1:], occupied[:-1] & occupied[1:]
+    edges = np.stack([np.concatenate([ids[:, :-1][h], ids[:-1][v]]),
+                      np.concatenate([ids[:, 1:][h], ids[1:][v]])])
+    a, b = edges[:, clear[edges].all(axis=0)]
 
-    def fw_in_cells(ci0, ci1, cj0, cj1):
-        # inclusive cell ranges in padded coordinates
-        ci0, ci1 = ci0 + pad, ci1 + pad
-        cj0, cj1 = cj0 + pad, cj1 + pad
-        total = fw_cum[ci1, cj1]
-        if ci0 > 0:
-            total = total - fw_cum[ci0 - 1, cj1]
-        if cj0 > 0:
-            total = total - fw_cum[ci1, cj0 - 1]
-        if ci0 > 0 and cj0 > 0:
-            total = total + fw_cum[ci0 - 1, cj0 - 1]
-        return int(total)
+    # per-cell min and max of x, y and the ISG label, which reads -1 on a
+    # protected device (labels are small integers, exact as floats)
+    label = np.full(realization.devices.n, -1.0)
+    label[realization.isg.vertices] = realization.isg.component_label
+    label[realization.classification.is_protected] = -1.0
+    tally = np.column_stack([realization.devices.points, label]).take(binned, axis=0)
+    lo = np.full((n_cols * n_rows, 3), np.inf)
+    hi = -lo
+    np.minimum.at(lo, cell, tally)
+    np.maximum.at(hi, cell, tally)
+    lo, hi = np.minimum(lo[a], lo[b]), np.maximum(hi[a], hi[b])  # per open edge
 
-    # local susceptible index and component label per device
-    local = np.full(realization.devices.n, -1, dtype=np.int64)
-    local[realization.isg.vertices] = np.arange(realization.isg.n_vertices)
-    protected = realization.classification.is_protected
-    labels = realization.isg.component_label
+    # clause (i): pairs are tested only on the edges whose box exceeds r_r
     r2 = cfg.r_r ** 2
+    bw, bh = hi[:, 0] - lo[:, 0], hi[:, 1] - lo[:, 1]
+    wide = np.flatnonzero(bw * bw + bh * bh > r2)
+    slices = np.column_stack([a[wide], b[wide]]).ravel()  # both cells of each
+    lens = count[slices]
+    idx = np.arange(lens.sum()) + np.repeat(
+        (np.cumsum(count) - count)[slices] - (np.cumsum(lens) - lens), lens)
+    far = np.zeros(len(a), dtype=bool)
+    far[wide] = _any_pair_beyond(tally[np.argsort(cell)[idx], :2],
+                                 lens[::2] + lens[1::2], r2)
 
-    open_edges = 0
-    edges_scanned = 0
-
-    def check_edge(cells_a, cells_b, acell_range) -> int:
-        nonlocal open_edges, edges_scanned
-        edges_scanned += 1
-        if fw_in_cells(*acell_range) != 0:
-            return 0  # closed edge: nothing to assert
-        open_edges += 1
-        members = cell_members.get(cells_a, []) + cell_members.get(cells_b, [])
-        pts = dev_xy[members]
-        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        if (d2 > r2).any():
-            return 1
-        if protected[members].any():
-            return 1
-        if len(set(labels[local[members]].tolist())) != 1:
-            return 1
-        return 0
-
-    violations = 0
-    # horizontal edges: squares (i, j-1) and (i, j)
-    for i in range(n_cols):
-        for j in range(1, n_rows):
-            if dev_count[i, j - 1] and dev_count[i, j]:
-                violations += check_edge((i, j - 1), (i, j),
-                                         (i - c, i + c, j - 1 - c, j + c))
-    # vertical edges: squares (i-1, j) and (i, j)
-    for i in range(1, n_cols):
-        for j in range(n_rows):
-            if dev_count[i - 1, j] and dev_count[i, j]:
-                violations += check_edge((i - 1, j), (i, j),
-                                         (i - 1 - c, i + c, j - c, j + c))
-    if detail:
-        return OpenEdgeCheck(violations, open_edges, edges_scanned)
-    return violations
+    # clause (ii): no label -1; clause (iii): a single label
+    violations = int((far | (lo[:, 2] < 0) | (hi[:, 2] != lo[:, 2])).sum())
+    return OpenEdgeCheck(violations, len(a), edges.shape[1]) if detail else violations
 
 
 def count_dependent_edges_bruteforce(a: int, b: int) -> int:

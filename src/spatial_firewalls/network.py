@@ -235,7 +235,7 @@ def build_isg(config: NetworkConfig, trial_seed: int) -> Realization:
     devices, firewalls, _ = sample_world(config, trial_seed, config.lambda_f)
     classification = classify_devices(devices, firewalls, config.r_f)
     susceptible = classification.susceptible_idx
-    pairs = _radius_pairs(devices.points[susceptible], config.r_r)
+    pairs = _radius_pairs(devices.points.take(susceptible, axis=0), config.r_r)
     isg = _graph_from_pairs(susceptible, len(susceptible), pairs)
     return Realization(config=config, trial_seed=int(trial_seed), devices=devices,
                        firewalls=firewalls, classification=classification, isg=isg)

@@ -150,7 +150,7 @@ def detect_spanning(realization: Realization) -> tuple[bool, bool]:
     x <= x_min + r_r and another with x >= x_max - r_r; bottom-top likewise
     on y. Percolation for the trial is declared when both flags hold.
     """
-    xy = realization.devices.points[realization.isg.vertices]
+    xy = realization.devices.points.take(realization.isg.vertices, axis=0)
     return _spans_from_labels(realization.isg.component_label,
                               realization.isg.n_components,
                               _strip_masks(xy, realization.config))
@@ -281,7 +281,7 @@ class _TrialState:
         """Cell edges and their weights among the devices with min_mark >= floor."""
         keep = self.min_mark >= floor
         min_mark, head, tail = self.min_mark[keep], self.head[keep], self.tail[keep]
-        pairs = _radius_pairs(self.xy[keep], self.r_r)
+        pairs = _radius_pairs(self.xy.compress(keep, axis=0), self.r_r)
         best = np.full(len(self.cell_ids) * 13, -np.inf)
         for lo in range(0, len(pairs), _CHUNK):
             i, j = pairs[lo:lo + _CHUNK].T

@@ -13,6 +13,7 @@ from spatial_firewalls import (HexFace, NetworkConfig, SquareEdge, Window,
                                pocket_pair_survey, square_edge_open,
                                subcritical_sufficient_intensity, trial_seed,
                                verify_open_edge_coupling)
+from spatial_firewalls.lattice import _points_in_triangle
 
 
 def test_hexagon_vertices_and_triangles():
@@ -51,6 +52,36 @@ def test_closed_face_mc_matches_formula():
         p = closed_face_probability(lam, r_r)
         se = math.sqrt(p * (1 - p) / 2000)
         assert abs(freq - p) <= 3 * se
+
+
+def _closed_face_mc_reference(lambda_f, r_r, samples, seed):
+    """Per-sample reference for `closed_face_mc_frequency`: the loop it
+    replaced, one Poisson draw and one closure test per sample."""
+    face = HexFace(side=r_r)
+    v = face.vertices()
+    x0, y0 = v[:, 0].min(), v[:, 1].min()
+    x1, y1 = v[:, 0].max(), v[:, 1].max()
+    area = (x1 - x0) * (y1 - y0)
+    rng = np.random.default_rng(seed)
+    tris = face.triangles()
+    closed = 0
+    for _ in range(samples):
+        n = int(rng.poisson(lambda_f * area))
+        xy = np.column_stack([rng.uniform(x0, x1, n), rng.uniform(y0, y1, n)])
+        if n and all(_points_in_triangle(t, xy).any() for t in tris):
+            closed += 1
+    return closed / samples
+
+
+@pytest.mark.parametrize("r_r", [1.0, 2.0])
+@pytest.mark.parametrize("mult", [0.0, 0.01, 0.5, 2.0])
+def test_closed_face_mc_matches_per_sample_reference(mult, r_r):
+    # at 0.01 x the subcritical intensity most samples hold no point at all
+    lam = mult * subcritical_sufficient_intensity(r_r)
+    for samples in (1, 700):
+        for seed in (0, 7, 40):
+            assert (closed_face_mc_frequency(lam, r_r, samples, seed)
+                    == _closed_face_mc_reference(lam, r_r, samples, seed))
 
 
 def test_blocking_search_no_crossing_pair():

@@ -4,10 +4,13 @@ of pair enumeration (and of every kd-tree) to the devices above the probe
 floor, the bisected spanning-prefix worker against probing every grid
 point, the nested-thinning monotonicity it relies on, the slow reference
 path, worker-count invariance, the closed-ball distance and strip rules,
-and the cell-grid `min_mark` and `classify_devices` against brute force."""
+the cell-grid `min_mark` and `classify_devices` against brute force, and
+the open-edge coupling check against its per-edge reference."""
 import importlib
+import math
 import pkgutil
 from contextlib import ExitStack
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -16,12 +19,16 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import spatial_firewalls
-from spatial_firewalls import (NetworkConfig, PointSet, Window, build_isg,
-                               build_rgg, classify_devices, detect_spanning,
-                               sweep_lambda_f, trial_seed)
-from spatial_firewalls import percolation
-from spatial_firewalls.network import (_canonical_labels, _radius_pairs,
-                                       sample_world)
+from spatial_firewalls import (Classification, NetworkConfig, PointSet,
+                               Realization, Window, build_isg, build_rgg,
+                               classify_devices, detect_spanning,
+                               subcritical_sufficient_intensity, sweep_lambda_f,
+                               trial_seed, verify_open_edge_coupling)
+from spatial_firewalls import lattice, percolation
+from spatial_firewalls.bounds import _ceil_ratio
+from spatial_firewalls.lattice import OpenEdgeCheck, _any_pair_beyond
+from spatial_firewalls.network import (_canonical_labels, _graph_from_pairs,
+                                       _radius_pairs, sample_world)
 from spatial_firewalls.percolation import (_spans_from_labels, _strip_masks,
                                           _TrialState, _threshold_worker)
 
@@ -356,3 +363,228 @@ def test_classify_devices_matches_brute_force(r, sites, spots):
     assert (dist[len(at_range) + np.arange(len(beyond)), own] > r).all()
     assert np.array_equal(classify_devices(devices, firewalls, r).is_protected,
                           dist.min(axis=1) <= r)
+
+
+def _coupling_reference(realization):
+    """Per-edge reference for `verify_open_edge_coupling(..., detail=True)`:
+    the loop over lattice edges it replaced, with the lattice at the window
+    corner."""
+    cfg = realization.config
+    w = cfg.window
+    ox, oy = (w.x_min, w.y_min)
+    s = cfg.r_r / math.sqrt(5.0)
+    c = _ceil_ratio(cfg.r_f, s)
+    n_cols = int(math.floor(w.width / s))
+    n_rows = int(math.floor(w.height / s))
+    if n_cols < 1 or n_rows < 2:
+        return OpenEdgeCheck(0, 0, 0)
+
+    dev_xy = realization.devices.points
+    fw_xy = realization.firewalls.points
+
+    # device indices grouped per cell
+    dev_cells = np.floor((dev_xy - [ox, oy]) / s).astype(np.int64)
+    dev_count = np.zeros((n_cols, n_rows), dtype=np.int64)
+    cell_members: dict[tuple[int, int], list[int]] = {}
+    for idx, (ci, cj) in enumerate(dev_cells):
+        if 0 <= ci < n_cols and 0 <= cj < n_rows:
+            dev_count[ci, cj] += 1
+            cell_members.setdefault((int(ci), int(cj)), []).append(idx)
+
+    # firewall counts on the extended grid reachable by dependency regions
+    pad = c + 2
+    fw_count = np.zeros((n_cols + 2 * pad, n_rows + 2 * pad), dtype=np.int64)
+    if len(fw_xy):
+        fcells = np.floor((fw_xy - [ox, oy]) / s).astype(np.int64) + pad
+        inside = ((fcells[:, 0] >= 0) & (fcells[:, 0] < fw_count.shape[0])
+                  & (fcells[:, 1] >= 0) & (fcells[:, 1] < fw_count.shape[1]))
+        np.add.at(fw_count, (fcells[inside, 0], fcells[inside, 1]), 1)
+    fw_cum = fw_count.cumsum(axis=0).cumsum(axis=1)
+
+    def fw_in_cells(ci0, ci1, cj0, cj1):
+        # inclusive cell ranges in padded coordinates
+        ci0, ci1 = ci0 + pad, ci1 + pad
+        cj0, cj1 = cj0 + pad, cj1 + pad
+        total = fw_cum[ci1, cj1]
+        if ci0 > 0:
+            total = total - fw_cum[ci0 - 1, cj1]
+        if cj0 > 0:
+            total = total - fw_cum[ci1, cj0 - 1]
+        if ci0 > 0 and cj0 > 0:
+            total = total + fw_cum[ci0 - 1, cj0 - 1]
+        return int(total)
+
+    # local susceptible index and component label per device
+    local = np.full(realization.devices.n, -1, dtype=np.int64)
+    local[realization.isg.vertices] = np.arange(realization.isg.n_vertices)
+    protected = realization.classification.is_protected
+    labels = realization.isg.component_label
+    r2 = cfg.r_r ** 2
+
+    open_edges = 0
+    edges_scanned = 0
+
+    def check_edge(cells_a, cells_b, acell_range) -> int:
+        nonlocal open_edges, edges_scanned
+        edges_scanned += 1
+        if fw_in_cells(*acell_range) != 0:
+            return 0  # closed edge: nothing to assert
+        open_edges += 1
+        members = cell_members.get(cells_a, []) + cell_members.get(cells_b, [])
+        pts = dev_xy[members]
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        if (d2 > r2).any():
+            return 1
+        if protected[members].any():
+            return 1
+        if len(set(labels[local[members]].tolist())) != 1:
+            return 1
+        return 0
+
+    violations = 0
+    # horizontal edges: squares (i, j-1) and (i, j)
+    for i in range(n_cols):
+        for j in range(1, n_rows):
+            if dev_count[i, j - 1] and dev_count[i, j]:
+                violations += check_edge((i, j - 1), (i, j),
+                                         (i - c, i + c, j - 1 - c, j + c))
+    # vertical edges: squares (i-1, j) and (i, j)
+    for i in range(1, n_cols):
+        for j in range(n_rows):
+            if dev_count[i - 1, j] and dev_count[i, j]:
+                violations += check_edge((i - 1, j), (i, j),
+                                         (i - 1 - c, i + c, j - c, j + c))
+    return OpenEdgeCheck(violations, open_edges, edges_scanned)
+
+
+@st.composite
+def coupling_worlds(draw):
+    """A realization on an offset window of 0.5 to 20 r_r per side, with 0.1
+    to 3 devices per lattice cell on average and firewalls from none to
+    twice the subcritical sufficient intensity. The intensity's multiplier
+    is 2 u**3 for u uniform on [0, 1], so that most worlds keep open edges
+    next to firewalls."""
+    r_r = draw(st.floats(0.3, 3.0))
+    r_f = r_r * draw(st.floats(1.0, 2.5))
+    x0, y0 = draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))
+    window = Window(x0, y0, x0 + r_r * draw(st.floats(0.5, 20.0)),
+                    y0 + r_r * draw(st.floats(0.5, 20.0)))
+    cfg = NetworkConfig(lambda_r=draw(st.floats(0.1, 3.0)) * 5.0 / r_r ** 2, r_r=r_r,
+                        lambda_f=2.0 * draw(st.floats(0.0, 1.0)) ** 3
+                        * subcritical_sufficient_intensity(r_r),
+                        r_f=r_f, window=window,
+                        master_seed=draw(st.integers(0, 2 ** 32)),
+                        firewall_margin=draw(st.sampled_from([0.0, r_f])))
+    return build_isg(cfg, trial_seed(cfg.master_seed, 0))
+
+
+def _perturbed(realization, data):
+    """The realization with a few susceptible devices flagged protected and a
+    few ISG labels reassigned, so that clauses (ii) and (iii) fail on the
+    open edges they touch. Flags go one way only: a susceptible device that
+    the ISG lacks never comes from `build_isg`, and the reference reads its
+    label through index -1."""
+    isg = realization.isg
+    if isg.n_vertices == 0:
+        return realization
+    vertex = st.integers(0, isg.n_vertices - 1)
+    flagged = data.draw(st.lists(vertex, min_size=1, max_size=6))
+    relabelled = data.draw(st.lists(st.tuples(vertex, st.integers(0, isg.n_components)),
+                                    min_size=1, max_size=6))
+    protected = realization.classification.is_protected.copy()
+    protected[isg.vertices[flagged]] = True
+    labels = isg.component_label.copy()
+    for v, label in relabelled:
+        labels[v] = label
+    return replace(realization,
+                   classification=replace(realization.classification,
+                                          is_protected=protected),
+                   isg=replace(isg, component_label=labels))
+
+
+def test_open_edge_coupling_matches_per_edge_reference():
+    """The array-at-a-time coupling check returns the per-edge loop's
+    (violations, open_edges, edges_scanned), on sampled and on perturbed
+    realizations, and some perturbed ones do violate the coupling."""
+    violations = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(coupling_worlds(), st.data())
+    def check(realization, data):
+        for r in (realization, _perturbed(realization, data)):
+            got = verify_open_edge_coupling(r, detail=True)
+            assert got == _coupling_reference(r)
+            assert verify_open_edge_coupling(r) == got.violations
+        violations.append(got.violations)
+
+    check()
+    assert any(violations)
+
+
+def _hand_made(r_r, origin, points):
+    """A realization of the given devices, all susceptible and in one ISG
+    component, with no firewalls, on a 25 x 25 window at `origin`."""
+    window = Window(origin[0], origin[1], origin[0] + 25.0, origin[1] + 25.0)
+    cfg = NetworkConfig(lambda_r=1.0, r_r=r_r, lambda_f=0.0, r_f=r_r, window=window)
+    n = len(points)
+    star = np.column_stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)])
+    return Realization(config=cfg, trial_seed=0,
+                       devices=PointSet(points, 1.0, window, 0),
+                       firewalls=PointSet(np.empty((0, 2)), 0.0, window, 0),
+                       classification=Classification(np.zeros(n, dtype=bool)),
+                       isg=_graph_from_pairs(np.arange(n), n, star))
+
+
+def test_pair_test_decides_edges_whose_box_exceeds_range():
+    """Clause (i) on one open edge at the limit of rounding. Binning devices
+    into cells rounds, so two adjacent cells' devices can span a box a few
+    ulps wider than r_r: there the pairs are tested, and one pair may lie
+    beyond r_r. A box of exactly r_r needs no pair test."""
+    r_r, origin = 1.9845375112356627, (0.9190278321411052, -1.596761426193336)
+    s = r_r / math.sqrt(5.0)
+    p = (9.794149390183492, 3.7283115086320966)
+    q = (10.681661545987732, 5.503335820240574)
+    cells = np.floor((np.array([p, q]) - origin) / s).astype(int).tolist()
+    assert cells == [[10, 6], [10, 7]]
+    d = np.subtract(q, p)
+    assert d[0] * d[0] + d[1] * d[1] > r_r ** 2
+    near_p = [(p[0], p[1] + 1e-6), (p[0] + 1e-6, p[1])]  # same cell as p
+    exact_r_r = 1.001375
+    exact_q = (0.4478285141937703, 0.8956570283875406)
+    assert exact_q[0] * exact_q[0] + exact_q[1] * exact_q[1] == exact_r_r ** 2
+    cases = [(_hand_made(r_r, origin, [p, q]), (1, 1, 1), 1),
+             (_hand_made(r_r, origin, near_p + [q]), (0, 1, 1), 1),
+             (_hand_made(exact_r_r, (0.0, 0.0), [(0.0, 0.0), exact_q]), (0, 1, 1), 0)]
+    for realization, expected, pair_tested in cases:
+        assert _coupling_reference(realization) == expected
+        with mock.patch.object(lattice, "_any_pair_beyond",
+                               wraps=lattice._any_pair_beyond) as pair_test:
+            assert verify_open_edge_coupling(realization, detail=True) == expected
+        groups = sum(len(call.args[1]) for call in pair_test.call_args_list)
+        assert groups == pair_tested
+
+
+def test_any_pair_beyond_hand_made_groups():
+    """A group whose bounding box is wider than r_r with every pair within
+    it passes; a two-cell group with one pair beyond r_r fails; a pair at
+    exactly r_r is within range."""
+    group = [(0.0, 0.5), (0.5, 0.0), (0.8, 0.8)]        # box 0.8 x 0.8 at r2 = 1
+    edge = [(0.0, 0.0), (0.3, 0.2), (0.5, 0.9), (0.9, 0.6)]  # 0.81 + 0.36 > 1
+    assert _any_pair_beyond(np.array(group + edge), np.array([3, 4]), 1.0).tolist() \
+        == [False, True]
+    assert _any_pair_beyond(np.array([(0.0, 0.0), (3.0, 4.0)]), np.array([2]),
+                            25.0).tolist() == [False]
+
+
+@SETTINGS
+@given(st.lists(st.lists(units, max_size=6), max_size=8),
+       st.integers(1, 40))
+def test_any_pair_beyond_matches_brute_force(groups, chunk):
+    """Any chunk size gives the per-group brute-force answer."""
+    xy = np.reshape([pt for g in groups for pt in g], (-1, 2))
+    sizes = np.array([len(g) for g in groups], dtype=np.int64)
+    with mock.patch.object(lattice, "_CHUNK", chunk):
+        got = _any_pair_beyond(xy, sizes, 0.5)
+    expected = [any((a[0] - b[0]) * (a[0] - b[0]) + (a[1] - b[1]) * (a[1] - b[1]) > 0.5
+                    for a in g for b in g) for g in groups]
+    assert got.tolist() == expected
