@@ -18,8 +18,8 @@ from .percolation import (PercolationEstimate, CriticalSearchResult,
                           NoDevicesError, detect_spanning,
                           estimate_percolation_probability, sweep_lambda_f,
                           find_critical_firewall_intensity,
-                          estimate_protected_fraction, write_sweep_csv,
-                          write_critical_csv)
+                          estimate_protected_fraction, sweep_protected_fraction,
+                          write_sweep_csv, write_critical_csv)
 from .bounds import (LambdaC1, DependencyGeometry, SupercriticalBound,
                      BoundsReport, device_percolation_threshold,
                      subcritical_sufficient_intensity, closed_face_probability,

@@ -27,8 +27,8 @@ from .lattice import blocking_counterexample_search, closed_face_mc_frequency, \
 from .bounds import closed_face_probability
 from .network import NetworkConfig, build_isg
 from .percolation import NoDevicesError, SearchExhaustedError, \
-    estimate_percolation_probability, estimate_protected_fraction, \
-    find_critical_firewall_intensity, sweep_lambda_f, write_critical_csv, \
+    estimate_percolation_probability, find_critical_firewall_intensity, \
+    sweep_lambda_f, sweep_protected_fraction, write_critical_csv, \
     write_sweep_csv
 from .spatial import Window, open_csv, trial_seed
 
@@ -358,21 +358,23 @@ def _run_validate(spec: ExperimentSpec) -> int:
 def _run_protected(spec: ExperimentSpec) -> int:
     t0 = time.perf_counter()
     cfg = spec.network_config()
+    # (lambda_f, r_f values): one r_f sweep per lambda_f shares its worlds
     if spec.axis is None:
-        points = [(spec.lambda_f, spec.r_f)]
+        groups = [(spec.lambda_f, [spec.r_f])]
     elif spec.axis.param == "lambda_f":
-        points = [(v, spec.r_f) for v in spec.axis.values()]
+        groups = [(v, [spec.r_f]) for v in spec.axis.values()]
     elif spec.axis.param == "r_f":
-        points = [(spec.lambda_f, v) for v in spec.axis.values()]
+        groups = [(spec.lambda_f, spec.axis.values())]
     else:
         raise SpecError("protected sweeps over lambda_f or r_f only")
     results = []
-    for lf, rf in points:
-        est = estimate_protected_fraction(replace(cfg, lambda_f=lf, r_f=rf),
-                                          spec.trials, workers=spec.workers)
-        results.append((lf, rf, est, protected_fraction(lf, rf)))
-        _progress(f"protected lambda_f={lf:g} r_f={rf:g}: "
-                  f"{est.mean_fraction:.4f} vs formula {results[-1][3]:.4f}")
+    for lf, rfs in groups:
+        estimates = sweep_protected_fraction(replace(cfg, lambda_f=lf), rfs,
+                                             spec.trials, workers=spec.workers)
+        for rf, est in zip(rfs, estimates):
+            results.append((lf, rf, est, protected_fraction(lf, rf)))
+            _progress(f"protected lambda_f={lf:g} r_f={rf:g}: "
+                      f"{est.mean_fraction:.4f} vs formula {results[-1][3]:.4f}")
 
     def writer(fh):
         fh.write("lambda_f,r_f,trials,mean_fraction,std_err,formula_fraction\n")

@@ -23,6 +23,7 @@ __all__ = [
     "IsgGraph",
     "Realization",
     "classify_devices",
+    "nearest_firewall_distance",
     "build_rgg",
     "sample_world",
     "build_isg",
@@ -87,10 +88,6 @@ class Classification:
         object.__setattr__(self, "is_protected", mask)
 
     @property
-    def n_devices(self) -> int:
-        return len(self.is_protected)
-
-    @property
     def protected_idx(self) -> np.ndarray:
         return np.flatnonzero(self.is_protected)
 
@@ -142,19 +139,22 @@ class Realization:
     isg: IsgGraph
 
 
+def nearest_firewall_distance(devices: PointSet, firewalls: PointSet,
+                              r: float) -> np.ndarray:
+    """Per device, the nearest firewall's distance where it is <= r (the bound
+    only prunes), some distance > r elsewhere: `dist <= r_f` tests any r_f <= r."""
+    if not (r > 0):
+        raise ValueError("r_f must be > 0")
+    if devices.n == 0 or firewalls.n == 0:
+        return np.full(devices.n, np.inf)
+    dist, _ = cKDTree(firewalls.points).query(devices.points, k=1,
+                                              distance_upper_bound=r * (1 + 1e-9))
+    return dist
+
+
 def classify_devices(devices: PointSet, firewalls: PointSet, r_f: float) -> Classification:
     """Mark device i protected iff its nearest firewall is within r_f (closed)."""
-    if not (r_f > 0):
-        raise ValueError("r_f must be > 0")
-    if devices.n == 0:
-        return Classification(np.zeros(0, dtype=bool))
-    if firewalls.n == 0:
-        return Classification(np.zeros(devices.n, dtype=bool))
-    # the bound prunes the search; a nearest firewall within r_f is found
-    # at the same distance, and any other device reads inf > r_f
-    dist, _ = cKDTree(firewalls.points).query(devices.points, k=1,
-                                              distance_upper_bound=r_f * (1 + 1e-9))
-    return Classification(dist <= r_f)
+    return Classification(nearest_firewall_distance(devices, firewalls, r_f) <= r_f)
 
 
 def _canonical_labels(n: int, pairs: np.ndarray) -> tuple[np.ndarray, int]:

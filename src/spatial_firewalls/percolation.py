@@ -1,5 +1,5 @@
-"""Spanning-cluster detection, percolation probability estimation, and the
-search for the critical firewall intensity.
+"""Spanning-cluster detection, percolation probability estimation, the
+search for the critical firewall intensity, and protected fractions.
 
 A trial percolates when one ISG component touches boundary strips of width
 r_r on both axes (left-right and bottom-top). Estimates over multiple trials
@@ -37,6 +37,10 @@ sorted by cell, and keeps the devices with dx*dx + dy*dy <= r_f*r_f. The
 scanned range is that of r_f plus a small pad, binned by the same function
 as the devices, so no device the test accepts lies outside it; the one
 kd-tree a trial builds is the pair enumeration's, over the kept devices.
+
+Protected fractions need no thinning. r_f enters neither the world nor the
+trial seed, so a sweep over r_f reads every fraction off one nearest-firewall
+query per trial, bounded at the largest r_f.
 """
 from __future__ import annotations
 
@@ -48,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .network import (NetworkConfig, Realization, _canonical_labels,
-                      _radius_pairs, classify_devices, sample_world)
+                      _radius_pairs, nearest_firewall_distance, sample_world)
 from .spatial import open_csv, trial_seed
 
 __all__ = [
@@ -62,6 +66,7 @@ __all__ = [
     "sweep_lambda_f",
     "find_critical_firewall_intensity",
     "estimate_protected_fraction",
+    "sweep_protected_fraction",
     "write_sweep_csv",
     "write_critical_csv",
 ]
@@ -330,16 +335,17 @@ def _threshold_worker(args) -> np.ndarray:
 
 
 def _protected_worker(args) -> np.ndarray:
-    """Per-trial protected fraction, NaN when the device set came up empty."""
-    config, t0, t1 = args
-    out = np.full(t1 - t0, np.nan)
+    """Per trial (row) and r_f value (column), the protected fraction; a
+    row of NaN when the device set came up empty."""
+    config, r_fs, t0, t1 = args
+    out = np.full((t1 - t0, len(r_fs)), np.nan)
     for row, t in enumerate(range(t0, t1)):
         devices, firewalls, _ = sample_world(
             config, trial_seed(config.master_seed, t), config.lambda_f)
         if devices.n == 0:
             continue
-        cls = classify_devices(devices, firewalls, config.r_f)
-        out[row] = cls.is_protected.mean()
+        dist = nearest_firewall_distance(devices, firewalls, max(r_fs))
+        out[row] = (dist[:, None] <= np.asarray(r_fs)).mean(axis=0)
     return out
 
 
@@ -451,23 +457,35 @@ def find_critical_firewall_intensity(config: NetworkConfig, *,
 
 def estimate_protected_fraction(config: NetworkConfig, trials: int,
                                 workers: int = 1) -> ProtectedFractionEstimate:
-    """Mean protected share of devices, averaged over trials.
+    """`sweep_protected_fraction` at the one value config.r_f."""
+    return sweep_protected_fraction(config, (config.r_f,), trials, workers)[0]
 
-    Trials with an empty device set carry no fraction; they are skipped and
-    counted. Raises NoDevicesError when every trial came up empty.
+
+def sweep_protected_fraction(config: NetworkConfig, r_f_values, trials: int,
+                             workers: int = 1) -> list[ProtectedFractionEstimate]:
+    """Mean protected share of devices at each r_f, in the order given
+    (duplicates included), from trials whose worlds every r_f shares.
+
+    Trials with an empty device set are skipped and counted. Raises
+    NoDevicesError when every trial came up empty.
     """
+    values = [replace(config, r_f=float(v)).r_f for v in r_f_values]  # checks each r_f
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if config.lambda_r <= 0:
         raise ValueError("lambda_r must be > 0 to estimate a device fraction")
-    fractions = _run_chunked(_protected_worker, (config,), trials, workers)
-    used = ~np.isnan(fractions)
-    m = int(used.sum())
+    if not values:
+        return []
+    fractions = _run_chunked(_protected_worker, (config, tuple(values)), trials, workers)
+    kept = fractions[~np.isnan(fractions[:, 0])]
+    m = len(kept)
     if m == 0:
         raise NoDevicesError("all trials produced empty device sets")
-    kept = fractions[used]
-    std_err = float(np.std(kept, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    return ProtectedFractionEstimate(float(kept.mean()), std_err, m, trials - m)
+    return [ProtectedFractionEstimate(
+                float(col.mean()),
+                float(np.std(col, ddof=1) / math.sqrt(m)) if m > 1 else 0.0,
+                m, trials - m)
+            for col in kept.T]
 
 
 def _window_size(config: NetworkConfig) -> float:

@@ -132,6 +132,60 @@ def test_protected_rows(tmp_path):
     assert float(rows[0][5]) == protected_fraction(0.05, 2.0)
 
 
+_PROTECTED = ["protected", "--lambda-r", "0.5", "--window-size", "30",
+              "--trials", "6", "--seed", "3"]
+# bodies written by the per-point loop that ran before the r_f values of a
+# sweep shared their worlds
+_PROTECTED_BODIES = {
+    "lambda_f": (["--margin", "2", "--axis", "lambda_f", "--start", "0.05",
+                  "--stop", "0.15", "--step", "0.05"], [
+        "lambda_f,r_f,trials,mean_fraction,std_err,formula_fraction",
+        "0.05,2.0,6,0.45795245174300875,0.01567298224653833,0.4665119089088967",
+        "0.1,2.0,6,0.6910312424904571,0.011922494004610332,0.7153904566639707",
+        "0.15000000000000002,2.0,6,0.8332146135815833,0.014717634411571508,"
+        "0.8481641980193512"]),
+    "r_f": (["--margin", "4", "--lambda-f", "0.05", "--axis", "r_f", "--start", "2",
+             "--stop", "4", "--step", "1"], [
+        "lambda_f,r_f,trials,mean_fraction,std_err,formula_fraction",
+        "0.05,2.0,6,0.4279284300329531,0.01475376659412345,0.4665119089088967",
+        "0.05,3.0,6,0.7274042402668939,0.015201632061747754,0.7567624385624672",
+        "0.05,4.0,6,0.9029993264649557,0.01214063343855704,0.9189974078420569"]),
+}
+
+
+@pytest.mark.parametrize("axis", sorted(_PROTECTED_BODIES))
+def test_protected_axis_bodies_unchanged(axis, tmp_path):
+    flags, expected = _PROTECTED_BODIES[axis]
+    for workers in ("1", "2"):
+        out = tmp_path / f"{axis}{workers}.csv"
+        assert main(_PROTECTED + flags + ["--workers", workers, "--out", str(out)]) == 0
+        assert _body(out) == expected
+
+
+def test_protected_r_f_axis_matches_single_points(tmp_path, capsys):
+    """Each row of an r_f sweep is the body row of a run at that r_f alone,
+    and each point still prints its own progress line."""
+    common = _PROTECTED + ["--margin", "4", "--lambda-f", "0.05"]
+    out = tmp_path / "axis.csv"
+    assert main(common + ["--axis", "r_f", "--start", "2", "--stop", "4.5",
+                          "--step", "0.5", "--out", str(out)]) == 0
+    assert capsys.readouterr().err.count("protected lambda_f=0.05 r_f=") == 6
+    rows = _body(out)
+    assert len(rows) == 7
+    for k, row in enumerate(rows[1:]):
+        single = tmp_path / f"r_f{k}.csv"
+        assert main(common + ["--r-f", str(2 + 0.5 * k), "--out", str(single)]) == 0
+        assert _body(single) == [rows[0], row]
+
+
+def test_protected_axis_point_below_r_r(capsys):
+    rc = main(["protected", "--r-r", "2", "--axis", "r_f", "--start", "1",
+               "--stop", "3", "--step", "1", "--trials", "2"])
+    err = capsys.readouterr().err
+    _assert_spec_error_text(rc, err, "r_f < r_r")
+    assert "Traceback" not in err
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = {"command": "sweep", "lambda_r": 0.5, "window_size": 30, "trials": 3,
            "master_seed": 4,
@@ -178,7 +232,10 @@ def test_bad_epsilon():
 
 
 def _assert_spec_error(rc, capsys, needle):
-    err = capsys.readouterr().err
+    _assert_spec_error_text(rc, capsys.readouterr().err, needle)
+
+
+def _assert_spec_error_text(rc, err, needle):
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err

@@ -257,3 +257,19 @@ def test_sweep_csv_rejects_rectangles(tmp_path):
     est = estimate_percolation_probability(cfg, 2)
     with pytest.raises(ValueError):
         write_sweep_csv([est], tmp_path / "bad.csv")
+
+
+def test_spanning_crosses_half_at_continuum_threshold():
+    """Without firewalls the device graph is a Gilbert disc graph, whose
+    percolation threshold is lambda_c r_r^2 = 1.4363 (eta_c = 1.12809,
+    Mertens & Moore, PRE 86, 061109, 2012), a value owed nothing by the
+    paper's bounds. On the 100 m window at r_r = 2 the spanning frequency
+    must cross 1/2 between 0.95 and 1.05 lambda_c. Bracket, trial count and
+    seed were fixed before the first run."""
+    lambda_c = 1.4363 / 2.0 ** 2
+    theta = [estimate_percolation_probability(
+                 NetworkConfig(lambda_r=mult * lambda_c, r_r=2.0, lambda_f=0.0,
+                               r_f=2.0, window=Window.square(100.0),
+                               master_seed=2026), 200).theta_hat
+             for mult in (0.95, 1.05)]
+    assert theta[0] < 0.5 < theta[1], theta

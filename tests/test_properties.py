@@ -4,8 +4,9 @@ of pair enumeration (and of every kd-tree) to the devices above the probe
 floor, the bisected spanning-prefix worker against probing every grid
 point, the nested-thinning monotonicity it relies on, the slow reference
 path, worker-count invariance, the closed-ball distance and strip rules,
-the cell-grid `min_mark` and `classify_devices` against brute force, and
-the open-edge coupling check against its per-edge reference."""
+the cell-grid `min_mark` and `classify_devices` against brute force, the
+open-edge coupling check against its per-edge reference, and the
+protected-fraction sweep over r_f against one estimate per r_f."""
 import importlib
 import math
 import pkgutil
@@ -14,16 +15,19 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import spatial_firewalls
-from spatial_firewalls import (Classification, NetworkConfig, PointSet,
-                               Realization, Window, build_isg, build_rgg,
-                               classify_devices, detect_spanning,
+from spatial_firewalls import (Classification, NetworkConfig, NoDevicesError,
+                               PointSet, ProtectedFractionEstimate, Realization,
+                               Window, build_isg, build_rgg, classify_devices,
+                               detect_spanning, estimate_protected_fraction,
                                subcritical_sufficient_intensity, sweep_lambda_f,
-                               trial_seed, verify_open_edge_coupling)
+                               sweep_protected_fraction, trial_seed,
+                               verify_open_edge_coupling)
 from spatial_firewalls import lattice, percolation
 from spatial_firewalls.bounds import _ceil_ratio
 from spatial_firewalls.lattice import OpenEdgeCheck, _any_pair_beyond
@@ -588,3 +592,127 @@ def test_any_pair_beyond_matches_brute_force(groups, chunk):
     expected = [any((a[0] - b[0]) * (a[0] - b[0]) + (a[1] - b[1]) * (a[1] - b[1]) > 0.5
                     for a in g for b in g) for g in groups]
     assert got.tolist() == expected
+
+
+def _protected_reference(config, trials):
+    """Reference for one point of `sweep_protected_fraction`: the per-trial
+    loop it replaced, which samples and classifies every world at config.r_f
+    alone. Raises NoDevicesError when every device set came up empty."""
+    fractions = []
+    for t in range(trials):
+        devices, firewalls, _ = sample_world(
+            config, trial_seed(config.master_seed, t), config.lambda_f)
+        if devices.n:
+            fractions.append(classify_devices(devices, firewalls,
+                                              config.r_f).is_protected.mean())
+    if not fractions:
+        raise NoDevicesError("all trials produced empty device sets")
+    kept, m = np.array(fractions), len(fractions)
+    std_err = float(np.std(kept, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
+    return ProtectedFractionEstimate(float(kept.mean()), std_err, m, trials - m)
+
+
+def _assert_sweep_matches_points(cfg, values, trials, workers=1):
+    """The sweep equals, field for field, both the reference and the
+    one-point estimate at every r_f, or raises NoDevicesError exactly when
+    they do. Returns the sweep (None when it raised)."""
+    try:
+        expected = [_protected_reference(replace(cfg, r_f=v), trials) for v in values]
+    except NoDevicesError:
+        with pytest.raises(NoDevicesError):
+            sweep_protected_fraction(cfg, values, trials, workers)
+        for v in values:
+            with pytest.raises(NoDevicesError):
+                estimate_protected_fraction(replace(cfg, r_f=v), trials)
+        return None
+    got = sweep_protected_fraction(cfg, values, trials, workers)
+    assert got == expected
+    assert got == [estimate_protected_fraction(replace(cfg, r_f=v), trials)
+                   for v in values]
+    return got
+
+
+@st.composite
+def protected_sweeps(draw):
+    """(config, r_f values, trials): unsorted r_f values with duplicates on
+    small windows, where some trials draw no devices or no firewalls."""
+    r_r = draw(st.sampled_from([1.0, 2.0]))
+    distinct = draw(st.lists(st.floats(1.0, 3.0).map(lambda u: u * r_r),
+                             min_size=1, max_size=4))
+    values = draw(st.permutations(
+        distinct + draw(st.lists(st.sampled_from(distinct), max_size=3))))
+    cfg = NetworkConfig(
+        lambda_r=draw(st.sampled_from([0.01, 0.1, 1.0])), r_r=r_r,
+        lambda_f=draw(st.sampled_from([0.0, 0.005, 0.05, 0.3])), r_f=r_r,
+        window=Window.square(draw(st.floats(3.0, 20.0))),
+        master_seed=draw(st.integers(0, 2 ** 32)),
+        firewall_margin=draw(st.sampled_from([0.0, 2.0])))
+    return cfg, values, draw(st.integers(1, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(protected_sweeps())
+def test_protected_sweep_matches_per_point_estimates(sweep):
+    _assert_sweep_matches_points(*sweep)
+
+
+def _world_counts(cfg, trials):
+    """(devices, firewalls) per trial of `cfg`."""
+    worlds = [sample_world(cfg, trial_seed(cfg.master_seed, t), cfg.lambda_f)
+              for t in range(trials)]
+    return [(d.n, f.n) for d, f, _ in worlds]
+
+
+def test_protected_sweep_directed_cases():
+    """Hand-picked worlds for each case the property test may draw rarely:
+    no firewalls in any trial, some trials with no firewall, some empty
+    device sets, and every device set empty."""
+    values = [3.0, 2.0, 3.0, 4.5, 2.0]
+    base = NetworkConfig(lambda_r=0.5, r_r=2.0, lambda_f=0.0, r_f=2.0,
+                         window=Window.square(12.0), master_seed=4,
+                         firewall_margin=2.0)
+    # lambda_f = 0: no firewall anywhere, every fraction is 0
+    got = _assert_sweep_matches_points(base, values, 6)
+    assert all(est.mean_fraction == 0.0 for est in got)
+    # a few firewalls: some trials have none, others protect some devices
+    sparse_fw = replace(base, lambda_f=0.003)
+    counts = _world_counts(sparse_fw, 10)
+    assert any(f == 0 for _, f in counts) and any(f > 0 for _, f in counts)
+    got = _assert_sweep_matches_points(sparse_fw, values, 10)
+    assert 0.0 < got[3].mean_fraction < 1.0
+    # a few devices: some trials skip an empty device set
+    sparse_dev = replace(base, lambda_r=0.01, lambda_f=0.1, window=Window.square(8.0))
+    counts = _world_counts(sparse_dev, 12)
+    assert any(d == 0 for d, _ in counts) and any(d > 0 for d, _ in counts)
+    got = _assert_sweep_matches_points(sparse_dev, values, 12)
+    assert all(est.trials_skipped == sum(d == 0 for d, _ in counts) for est in got)
+    # every device set empty: NoDevicesError for every point, as for each alone
+    empty = replace(base, lambda_r=1e-9, lambda_f=0.1, window=Window.square(5.0))
+    assert all(d == 0 for d, _ in _world_counts(empty, 5))
+    assert _assert_sweep_matches_points(empty, values, 5) is None
+
+
+def test_protected_sweep_closed_ball():
+    """Every r_f of a sweep counts a device exactly r_f from a firewall as
+    protected and one an ulp beyond as not, as classify_devices does."""
+    window = Window(-20.0, -20.0, 40.0, 40.0)
+    xy = np.array([(3.0, 4.0), (0.0, 2.5), (6.0, 8.0), (np.nextafter(5.0, np.inf), 0.0)])
+    world = (PointSet(xy, 0.0, window, 0), PointSet(np.zeros((1, 2)), 0.0, window, 0),
+             np.zeros(1))
+    cfg = NetworkConfig(lambda_r=1.0, r_r=1.0, lambda_f=1.0, r_f=1.0, window=window)
+    with mock.patch.object(percolation, "sample_world", return_value=world):
+        got = sweep_protected_fraction(cfg, [5.0, 2.5, 10.0, 5.0], 1)
+    assert [est.mean_fraction for est in got] == [0.5, 0.25, 1.0, 0.5]
+
+
+@settings(max_examples=6, deadline=None)
+@given(protected_sweeps())
+def test_protected_sweep_worker_count_invariant(sweep):
+    cfg, values, trials = sweep
+    try:
+        one = sweep_protected_fraction(cfg, values, trials, workers=1)
+    except NoDevicesError:
+        with pytest.raises(NoDevicesError):
+            sweep_protected_fraction(cfg, values, trials, workers=2)
+        return
+    assert sweep_protected_fraction(cfg, values, trials, workers=2) == one
