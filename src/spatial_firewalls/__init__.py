@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .spatial import Window, PointSet, split_seed, trial_seed, sample_ppp
 from .network import (NetworkConfig, Classification, IsgGraph, Realization,
                       classify_devices, build_rgg, build_isg,
-                      largest_component, save_realization_csv)
+                      save_realization_csv)
 from .percolation import (PercolationEstimate, CriticalSearchResult,
                           ProtectedFractionEstimate, SearchExhaustedError,
                           NoDevicesError, detect_spanning,

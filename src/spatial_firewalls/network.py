@@ -27,7 +27,6 @@ __all__ = [
     "build_rgg",
     "sample_world",
     "build_isg",
-    "largest_component",
     "save_realization_csv",
 ]
 
@@ -103,7 +102,11 @@ class IsgGraph:
     `vertices[i]` is the device index of local vertex i; adjacency is stored
     in CSR form over local vertex positions. Component labels are canonical:
     the component containing the smallest vertex gets label 0, the component
-    containing the smallest vertex not in it gets label 1, and so on.
+    containing the smallest vertex not in it gets label 1, and so on. So the
+    labels of the slow reference path (`build_isg`), which the realization
+    CSV dump writes and clause (iii) of `lattice.verify_open_edge_coupling`
+    compares, depend only on the partition. (The trial kernel's probes label
+    their cell graphs without this relabel: spanning needs only equality.)
     """
 
     vertices: np.ndarray
@@ -122,9 +125,6 @@ class IsgGraph:
 
     def neighbors(self, local_v: int) -> np.ndarray:
         return self.adj_indices[self.indptr[local_v]:self.indptr[local_v + 1]]
-
-    def component_sizes(self) -> np.ndarray:
-        return np.bincount(self.component_label, minlength=self.n_components)
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def _canonical_labels(n: int, pairs: np.ndarray) -> tuple[np.ndarray, int]:
     return remap[labels], k
 
 
-def _radius_pairs(xy: np.ndarray, radius: float) -> np.ndarray:
+def radius_pairs(xy: np.ndarray, radius: float) -> np.ndarray:
     """All index pairs at Euclidean distance <= radius, as an (m, 2) array."""
     if len(xy) < 2:
         return np.empty((0, 2), dtype=np.int64)
@@ -204,7 +204,7 @@ def build_rgg(points: PointSet, radius: float) -> IsgGraph:
     """Geometric graph over all points of a set: edges at distance <= radius."""
     if not (radius > 0):
         raise ValueError("radius must be > 0")
-    pairs = _radius_pairs(points.points, radius)
+    pairs = radius_pairs(points.points, radius)
     return _graph_from_pairs(np.arange(points.n), points.n, pairs)
 
 
@@ -235,22 +235,10 @@ def build_isg(config: NetworkConfig, trial_seed: int) -> Realization:
     devices, firewalls, _ = sample_world(config, trial_seed, config.lambda_f)
     classification = classify_devices(devices, firewalls, config.r_f)
     susceptible = classification.susceptible_idx
-    pairs = _radius_pairs(devices.points.take(susceptible, axis=0), config.r_r)
+    pairs = radius_pairs(devices.points.take(susceptible, axis=0), config.r_r)
     isg = _graph_from_pairs(susceptible, len(susceptible), pairs)
     return Realization(config=config, trial_seed=int(trial_seed), devices=devices,
                        firewalls=firewalls, classification=classification, isg=isg)
-
-
-def largest_component(isg: IsgGraph) -> tuple[int, int]:
-    """(label, size) of the largest component; ties go to the smallest label.
-
-    Returns (-1, 0) on an empty graph.
-    """
-    if isg.n_vertices == 0:
-        return (-1, 0)
-    sizes = isg.component_sizes()
-    label = int(np.argmax(sizes))  # argmax takes the first, i.e. smallest, label
-    return (label, int(sizes[label]))
 
 
 def save_realization_csv(realization: Realization, path) -> None:

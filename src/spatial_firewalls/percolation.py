@@ -20,7 +20,9 @@ when some linked device pair across them has both ends susceptible at p,
 and a cell touches a boundary strip exactly when one of its devices in the
 strip is susceptible; each of these is a threshold on one weight. A probe
 compares the weights with p and labels a graph of a few thousand nodes,
-with the same outcome as labelling every susceptible device pair.
+with the same outcome as labelling every susceptible device pair. The live
+edges, stored sorted by first node, are the rows of a CSR as they stand;
+its labels are not canonical, as spanning only asks which nodes share one.
 
 The edge weights are computed by the first probe, and again by any probe
 below the lowest fraction probed so far (the floor), from only the devices
@@ -50,9 +52,11 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from .network import (NetworkConfig, Realization, _canonical_labels,
-                      _radius_pairs, nearest_firewall_distance, sample_world)
+from .network import (NetworkConfig, Realization, nearest_firewall_distance,
+                      radius_pairs, sample_world)
 from .spatial import open_csv, trial_seed
 
 __all__ = [
@@ -240,11 +244,13 @@ class _TrialState:
     its two devices, so a device below the floor only gives weights
     < floor, which no probe at p >= floor keeps. A probe at p >= floor
     reuses the edges; the first probe, and any probe below the floor,
-    builds them with floor = p.
+    builds them with floor = p. The edges are kept as endpoint arrays
+    (`edge_a` non-decreasing), so a probe's live edges form a CSR directly.
+    Its weak components are the cell graph's, numbered in no fixed order.
     """
 
     __slots__ = ("xy", "min_mark", "head", "tail", "cell_ids", "stride",
-                 "r_r", "strip_w", "floor", "edges", "edge_w")
+                 "r_r", "strip_w", "floor", "edge_a", "edge_b", "edge_w")
 
     def __init__(self, config: NetworkConfig, lambda_pool: float, tseed: int):
         devices, pool, marks = sample_world(config, tseed, lambda_pool)
@@ -286,7 +292,7 @@ class _TrialState:
         """Cell edges and their weights among the devices with min_mark >= floor."""
         keep = self.min_mark >= floor
         min_mark, head, tail = self.min_mark[keep], self.head[keep], self.tail[keep]
-        pairs = _radius_pairs(self.xy.compress(keep, axis=0), self.r_r)
+        pairs = radius_pairs(self.xy.compress(keep, axis=0), self.r_r)
         best = np.full(len(self.cell_ids) * 13, -np.inf)
         for lo in range(0, len(pairs), _CHUNK):
             i, j = pairs[lo:lo + _CHUNK].T
@@ -298,7 +304,7 @@ class _TrialState:
         dx = (off + 2) // 5
         dy = off - 5 * dx
         b = np.searchsorted(self.cell_ids, self.cell_ids[a] + dx * self.stride + dy)
-        self.edges = np.stack([a, b], axis=1)
+        self.edge_a, self.edge_b = a, b.astype(np.int32)  # a ascends with slots
         self.edge_w = best[slots]
         self.floor = floor
 
@@ -306,8 +312,13 @@ class _TrialState:
         """Does the ISG at thinning fraction p span both axes?"""
         if not p >= self.floor:
             self._build_edges(p)
-        labels, k = _canonical_labels(self.strip_w.shape[1],
-                                      self.edges[self.edge_w >= p])
+        n = len(self.cell_ids)
+        live = self.edge_w >= p
+        b = self.edge_b[live]
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.edge_a[live], minlength=n), out=indptr[1:])
+        graph = csr_matrix((np.ones(len(b)), b, indptr), shape=(n, n))
+        k, labels = connected_components(graph, directed=True, connection="weak")
         lr, bt = _spans_from_labels(labels, k, self.strip_w >= p)
         return lr and bt
 

@@ -3,9 +3,8 @@ import numpy as np
 import pytest
 
 from spatial_firewalls import (NetworkConfig, PointSet, Window, build_isg,
-                               build_rgg, classify_devices, largest_component,
-                               protected_fraction, sample_ppp,
-                               save_realization_csv, trial_seed)
+                               build_rgg, classify_devices, protected_fraction,
+                               sample_ppp, save_realization_csv, trial_seed)
 
 
 def _pset(points, side=100.0):
@@ -140,29 +139,6 @@ def test_component_labels_canonical():
     first_of_label = [np.flatnonzero(g.component_label == k)[0]
                       for k in range(g.n_components)]
     assert first_of_label == sorted(first_of_label)
-
-
-def test_largest_component_empty_and_single():
-    empty = build_rgg(_pset(np.empty((0, 2))), 1.0)
-    assert largest_component(empty) == (-1, 0)
-    single = build_rgg(_pset([[1, 1]]), 1.0)
-    assert largest_component(single) == (0, 1)
-
-
-def test_largest_component_tie_breaks_to_smallest_label():
-    # two singletons tie at size 1; the smaller label wins
-    g = build_rgg(_pset([[0, 0], [10, 10]]), 1.0)
-    assert largest_component(g) == (0, 1)
-
-
-def test_largest_component_census():
-    ps = sample_ppp(0.5, Window.square(20), 77)  # ~200 points
-    g = build_rgg(ps, 1.5)
-    oracle = _bfs_partition(ps.points, 1.5)
-    sizes = np.bincount(oracle)
-    label, size = largest_component(g)
-    assert size == sizes.max()
-    assert np.bincount(g.component_label)[label] == size
 
 
 def test_isg_equals_rgg_without_firewalls():

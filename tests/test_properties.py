@@ -1,5 +1,6 @@
 """Property tests on small random worlds: the cell-graph trial kernel
-against a device-level reference along any sequence of probes, the pruning
+against a device-level reference along any sequence of probes, its CSR
+probe against canonical labelling of the same live edges, the pruning
 of pair enumeration (and of every kd-tree) to the devices above the probe
 floor, the bisected spanning-prefix worker against probing every grid
 point, the nested-thinning monotonicity it relies on, the slow reference
@@ -32,7 +33,7 @@ from spatial_firewalls import lattice, percolation
 from spatial_firewalls.bounds import _ceil_ratio
 from spatial_firewalls.lattice import OpenEdgeCheck, _any_pair_beyond
 from spatial_firewalls.network import (_canonical_labels, _graph_from_pairs,
-                                       _radius_pairs, sample_world)
+                                       radius_pairs, sample_world)
 from spatial_firewalls.percolation import (_spans_from_labels, _strip_masks,
                                           _TrialState, _threshold_worker)
 
@@ -64,7 +65,7 @@ def _device_level_spans(world, cfg, p):
     devices, pool, marks = world
     kept = PointSet(pool.points[marks < p], 0.0, pool.window, 0)
     xy = devices.points[~classify_devices(devices, kept, cfg.r_f).is_protected]
-    labels, k = _canonical_labels(len(xy), _radius_pairs(xy, cfg.r_r))
+    labels, k = _canonical_labels(len(xy), radius_pairs(xy, cfg.r_r))
     lr, bt = _spans_from_labels(labels, k, _strip_masks(xy, cfg))
     return lr and bt
 
@@ -114,6 +115,59 @@ def test_cell_graph_matches_device_level_reference(world, data):
         assert state.spans_at(p) == _device_level_spans(sampled, cfg, p)
 
 
+def _canonical_probe(state, p):
+    """Reference for `spans_at` on the state's current edges: canonical
+    labels over the live ones, then the spanning flags."""
+    live = state.edge_w >= p
+    edges = np.stack([state.edge_a[live], state.edge_b[live]], axis=1)
+    labels, k = _canonical_labels(len(state.cell_ids), edges)
+    lr, bt = _spans_from_labels(labels, k, state.strip_w >= p)
+    return lr and bt
+
+
+@SETTINGS
+@given(worlds(), st.lists(p_grids, min_size=1, max_size=4))
+def test_csr_probe_matches_canonical_labelling(world, runs):
+    """Along ascending runs of fractions, each run after the first starting
+    below the floor more often than not, and a last probe at 0: every probe,
+    and one at the least live edge weight, answers as canonical labelling
+    of the same live edges, and every build leaves the first endpoints
+    sorted, which the probe's CSR rows assume."""
+    cfg, lambda_pool, tseed = world
+    state = _TrialState(cfg, lambda_pool, tseed)
+    builds = 0
+    for p in [p for run in runs for p in run] + [0.0]:
+        floor = state.floor
+        spans = state.spans_at(p)
+        builds += state.floor is not floor
+        assert np.all(np.diff(state.edge_a) >= 0)
+        assert state.edge_b.dtype == np.int32
+        assert spans == _canonical_probe(state, p)
+        tie = state.edge_w[state.edge_w >= p].min(initial=np.inf)
+        if tie <= 1.0:
+            assert state.spans_at(tie) == _canonical_probe(state, tie)
+    assert builds >= 1 + (min(runs[0]) > 0)
+
+
+def test_spans_from_labels_ignores_label_ids():
+    """The flags depend on which nodes share a label, never on the ids."""
+    labels = np.array([0, 0, 1, 1, 2, 2, 0])
+    strips = np.array([[1, 0, 1, 0, 0, 0, 0],   # left
+                       [0, 0, 0, 1, 0, 0, 1],   # right
+                       [0, 0, 0, 0, 1, 0, 0],   # bottom
+                       [0, 0, 0, 0, 0, 0, 1]],  # top
+                      dtype=bool)
+    # label 0 touches left and right, label 1 left and right, label 2
+    # only bottom; top is label 0's
+    cases = ((strips, (True, False)),
+             (strips[[2, 3, 0, 1]], (False, True)),
+             (strips[[0, 2, 2, 3]], (False, False)),
+             (strips[[0, 1, 0, 1]], (True, True)))
+    for rows, flags in cases:
+        for perm in ([0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]):
+            assert _spans_from_labels(np.take(perm, labels), 3, rows) == flags
+
+
 def test_pairs_enumerated_only_among_devices_above_floor():
     """Pair enumeration, and every kd-tree the package builds, sees only
     the devices a probe can still find susceptible: on the grid (1.0,), the
@@ -134,7 +188,7 @@ def test_pairs_enumerated_only_among_devices_above_floor():
 
         def recording(xy, radius):
             seen.append(len(xy))
-            return _radius_pairs(xy, radius)
+            return radius_pairs(xy, radius)
 
         class RecordingTree(cKDTree):
             def __init__(self, data, *args, **kwargs):
@@ -142,7 +196,7 @@ def test_pairs_enumerated_only_among_devices_above_floor():
                 super().__init__(data, *args, **kwargs)
 
         with ExitStack() as patches:
-            patches.enter_context(mock.patch.object(percolation, "_radius_pairs",
+            patches.enter_context(mock.patch.object(percolation, "radius_pairs",
                                                     recording))
             for module in PACKAGE_MODULES:
                 if hasattr(module, "cKDTree"):
