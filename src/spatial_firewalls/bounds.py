@@ -37,8 +37,6 @@ LC1_LOWER = 0.768
 
 # per-triangle area factor of the hexagonal construction
 _TRIANGLE_AREA = math.sqrt(3.0) / 4.0
-# rounded coefficient conventionally quoted for the sub-critical condition
-SUBCRITICAL_COEFF_ROUNDED = 3.65
 # decay base of the closed-circuit union bound on the square lattice
 CIRCUIT_BASE = (11.0 - 2.0 * math.sqrt(10.0)) / 27.0
 
@@ -119,16 +117,14 @@ def device_percolation_threshold(r_r: float, lc1: LambdaC1) -> float:
     return lc1.value / r_r ** 2
 
 
-def subcritical_sufficient_intensity(r_r: float, rounded: bool = False) -> float:
+def subcritical_sufficient_intensity(r_r: float) -> float:
     """Firewall intensity sufficient to stop percolation for any device density.
 
-    Exact root of (1 - exp(-x))^3 = 1/2 mapped onto an intensity; with
-    rounded=True returns the conventional 3.65 / r_r^2 instead.
+    Exact root of (1 - exp(-x))^3 = 1/2 mapped onto an intensity, about
+    3.645 / r_r^2 (conventionally rounded to 3.65 / r_r^2).
     """
     if not (r_r > 0):
         raise ValueError("r_r must be > 0")
-    if rounded:
-        return SUBCRITICAL_COEFF_ROUNDED / r_r ** 2
     x = -math.log1p(-0.5 ** (1.0 / 3.0))
     return x / (_TRIANGLE_AREA * r_r ** 2)
 

@@ -111,7 +111,8 @@ class ExperimentSpec:
         _check_types(self)
         if self.command not in _COMMANDS:
             raise SpecError(f"command must be one of {_COMMANDS}, got {self.command!r}")
-        for name in ("trials", "workers", "face_samples", "blocking_trials"):
+        for name in ("trials", "workers", "face_samples", "blocking_trials",
+                     "coupling_realizations"):
             if getattr(self, name) < 1:
                 raise SpecError(f"{name} must be >= 1")
         if not (0 < self.epsilon < 1):

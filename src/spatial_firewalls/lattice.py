@@ -16,18 +16,16 @@ import numpy as np
 from .bounds import _ceil_ratio
 from .network import Realization
 from .percolation import _CHUNK
-from .spatial import PointSet, open_csv
+from .spatial import open_csv
 
 __all__ = [
     "HexFace",
     "SquareEdge",
     "BlockingCounterexample",
     "PocketSurvey",
-    "hex_face_closed",
     "closed_face_mc_frequency",
     "blocking_counterexample_search",
     "pocket_pair_survey",
-    "square_edge_open",
     "OpenEdgeCheck",
     "verify_open_edge_coupling",
     "count_dependent_edges_bruteforce",
@@ -69,19 +67,6 @@ class HexFace:
         return [np.array([o, v[1], v[2]]),   # upper
                 np.array([o, v[3], v[4]]),   # lower-left
                 np.array([o, v[5], v[0]])]   # lower-right
-
-    def contains(self, xy: np.ndarray) -> np.ndarray:
-        """Boundary-inclusive membership mask for the hexagon."""
-        xy = np.atleast_2d(xy)
-        v = self.vertices()
-        tol = _EPS * self.side
-        inside = np.ones(len(xy), dtype=bool)
-        for k in range(6):
-            a, b = v[k], v[(k + 1) % 6]
-            cross = ((b[0] - a[0]) * (xy[:, 1] - a[1])
-                     - (b[1] - a[1]) * (xy[:, 0] - a[0]))
-            inside &= cross >= -tol
-        return inside
 
     def sector(self, xy: np.ndarray) -> np.ndarray:
         """Angular third of the face a point falls in (0, 1, or 2).
@@ -128,15 +113,6 @@ def _sample_hexagon(face: HexFace, n: int, rng) -> np.ndarray:
             out[m] = _sample_triangle(np.array([o, v[k], v[(k + 1) % 6]]),
                                       int(m.sum()), rng)
     return out
-
-
-def hex_face_closed(face: HexFace, firewalls) -> bool:
-    """True iff every designated triangle holds at least one firewall."""
-    xy = firewalls.points if isinstance(firewalls, PointSet) else np.atleast_2d(
-        np.asarray(firewalls, dtype=float))
-    if xy.size == 0:
-        return False
-    return all(_points_in_triangle(tri, xy).any() for tri in face.triangles())
 
 
 def closed_face_mc_frequency(lambda_f: float, r_r: float, samples: int,
@@ -300,10 +276,6 @@ class SquareEdge:
         (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = self.squares()
         return (min(ax0, bx0), min(ay0, by0), max(ax1, bx1), max(ay1, by1))
 
-    def corners(self) -> np.ndarray:
-        x0, y0, x1, y1 = self.union_rect()
-        return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
-
     def a_region(self) -> tuple[float, float, float, float]:
         """Cell-aligned dependency region containing the four corner disks of
         radius r_f. Spans (2c+1) x (2c+2) cells with c = ceil(r_f / side)."""
@@ -311,33 +283,6 @@ class SquareEdge:
         s = self.side
         x0, y0, x1, y1 = self.union_rect()
         return (x0 - c * s, y0 - c * s, x1 + c * s, y1 + c * s)
-
-
-def _in_rect(rect, xy: np.ndarray) -> np.ndarray:
-    x0, y0, x1, y1 = rect
-    xy = np.atleast_2d(xy)
-    return ((xy[:, 0] >= x0) & (xy[:, 0] <= x1)
-            & (xy[:, 1] >= y0) & (xy[:, 1] <= y1))
-
-
-def _as_xy(points) -> np.ndarray:
-    if isinstance(points, PointSet):
-        return points.points
-    arr = np.asarray(points, dtype=float)
-    return arr.reshape(0, 2) if arr.size == 0 else np.atleast_2d(arr)
-
-
-def square_edge_open(edge: SquareEdge, devices, firewalls) -> bool:
-    """Open iff both squares hold a device and the dependency region holds no
-    firewall (boundary inclusive throughout)."""
-    dev = _as_xy(devices)
-    fw = _as_xy(firewalls)
-    s1, s2 = edge.squares()
-    if len(dev) == 0 or not _in_rect(s1, dev).any() or not _in_rect(s2, dev).any():
-        return False
-    if len(fw) and _in_rect(edge.a_region(), fw).any():
-        return False
-    return True
 
 
 class OpenEdgeCheck(NamedTuple):
@@ -421,7 +366,7 @@ def verify_open_edge_coupling(realization: Realization,
     # protected device (labels are small integers, exact as floats)
     label = np.full(realization.devices.n, -1.0)
     label[realization.isg.vertices] = realization.isg.component_label
-    label[realization.classification.is_protected] = -1.0
+    label[realization.is_protected] = -1.0
     tally = np.column_stack([realization.devices.points, label]).take(binned, axis=0)
     lo = np.full((n_cols * n_rows, 3), np.inf)
     hi = -lo

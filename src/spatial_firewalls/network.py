@@ -1,5 +1,5 @@
-"""Per-trial world sampling, device graph construction, protected/susceptible
-classification, and the infection-susceptible graph (ISG).
+"""Per-trial world sampling, protected/susceptible classification, and the
+infection-susceptible graph (ISG).
 
 Devices connect when within the D2D range r_r of each other (closed ball).
 A device is protected when some firewall lies within r_f of it; the ISG is
@@ -19,12 +19,10 @@ from .spatial import PointSet, Window, sample_ppp, split_seed
 
 __all__ = [
     "NetworkConfig",
-    "Classification",
     "IsgGraph",
     "Realization",
     "classify_devices",
     "nearest_firewall_distance",
-    "build_rgg",
     "sample_world",
     "build_isg",
     "save_realization_csv",
@@ -76,32 +74,12 @@ class NetworkConfig:
 
 
 @dataclass(frozen=True)
-class Classification:
-    """Partition of device indices into protected and susceptible."""
-
-    is_protected: np.ndarray  # bool, one flag per device index
-
-    def __post_init__(self):
-        mask = np.asarray(self.is_protected, dtype=bool)
-        mask.setflags(write=False)
-        object.__setattr__(self, "is_protected", mask)
-
-    @property
-    def protected_idx(self) -> np.ndarray:
-        return np.flatnonzero(self.is_protected)
-
-    @property
-    def susceptible_idx(self) -> np.ndarray:
-        return np.flatnonzero(~self.is_protected)
-
-
-@dataclass(frozen=True)
 class IsgGraph:
-    """Graph over a subset of device indices with fixed-radius adjacency.
+    """Components of the fixed-radius graph over a subset of device indices.
 
-    `vertices[i]` is the device index of local vertex i; adjacency is stored
-    in CSR form over local vertex positions. Component labels are canonical:
-    the component containing the smallest vertex gets label 0, the component
+    `vertices[i]` is the device index of local vertex i and
+    `component_label[i]` its component. The labels are canonical: the
+    component containing the smallest vertex gets label 0, the component
     containing the smallest vertex not in it gets label 1, and so on. So the
     labels of the slow reference path (`build_isg`), which the realization
     CSV dump writes and clause (iii) of `lattice.verify_open_edge_coupling`
@@ -110,32 +88,23 @@ class IsgGraph:
     """
 
     vertices: np.ndarray
-    indptr: np.ndarray
-    adj_indices: np.ndarray
     component_label: np.ndarray
     n_components: int
 
     def __post_init__(self):
-        for name in ("vertices", "indptr", "adj_indices", "component_label"):
-            getattr(self, name).setflags(write=False)
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    def neighbors(self, local_v: int) -> np.ndarray:
-        return self.adj_indices[self.indptr[local_v]:self.indptr[local_v + 1]]
+        self.vertices.setflags(write=False)
+        self.component_label.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class Realization:
-    """One sampled world: devices, firewalls, classification and the ISG."""
+    """One sampled world: devices, firewalls, the protected flag of each
+    device (`classify_devices`) and the ISG."""
 
     config: NetworkConfig
-    trial_seed: int
     devices: PointSet
     firewalls: PointSet
-    classification: Classification
+    is_protected: np.ndarray
     isg: IsgGraph
 
 
@@ -152,9 +121,12 @@ def nearest_firewall_distance(devices: PointSet, firewalls: PointSet,
     return dist
 
 
-def classify_devices(devices: PointSet, firewalls: PointSet, r_f: float) -> Classification:
-    """Mark device i protected iff its nearest firewall is within r_f (closed)."""
-    return Classification(nearest_firewall_distance(devices, firewalls, r_f) <= r_f)
+def classify_devices(devices: PointSet, firewalls: PointSet, r_f: float) -> np.ndarray:
+    """Read-only bool flags, one per device: protected iff its nearest
+    firewall is within r_f (closed)."""
+    protected = nearest_firewall_distance(devices, firewalls, r_f) <= r_f
+    protected.setflags(write=False)
+    return protected
 
 
 def _canonical_labels(n: int, pairs: np.ndarray) -> tuple[np.ndarray, int]:
@@ -182,32 +154,6 @@ def radius_pairs(xy: np.ndarray, radius: float) -> np.ndarray:
     return cKDTree(xy, balanced_tree=False).query_pairs(radius, output_type="ndarray")
 
 
-def _graph_from_pairs(vertices: np.ndarray, n_local: int, pairs: np.ndarray) -> IsgGraph:
-    labels, k = _canonical_labels(n_local, pairs)
-    if len(pairs):
-        both = np.concatenate([pairs, pairs[:, ::-1]])
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
-        counts = np.bincount(both[:, 0], minlength=n_local)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        adj = both[:, 1]
-    else:
-        indptr = np.zeros(n_local + 1, dtype=np.int64)
-        adj = np.empty(0, dtype=np.int64)
-    return IsgGraph(vertices=np.asarray(vertices, dtype=np.int64),
-                    indptr=np.asarray(indptr, dtype=np.int64),
-                    adj_indices=np.asarray(adj, dtype=np.int64),
-                    component_label=labels, n_components=k)
-
-
-def build_rgg(points: PointSet, radius: float) -> IsgGraph:
-    """Geometric graph over all points of a set: edges at distance <= radius."""
-    if not (radius > 0):
-        raise ValueError("radius must be > 0")
-    pairs = radius_pairs(points.points, radius)
-    return _graph_from_pairs(np.arange(points.n), points.n, pairs)
-
-
 def sample_world(config: NetworkConfig, tseed: int,
                  lambda_f: float) -> tuple[PointSet, PointSet, np.ndarray]:
     """(devices, firewalls, marks) of trial seed `tseed`.
@@ -233,12 +179,13 @@ def build_isg(config: NetworkConfig, trial_seed: int) -> Realization:
     vertices together with their incident edges.
     """
     devices, firewalls, _ = sample_world(config, trial_seed, config.lambda_f)
-    classification = classify_devices(devices, firewalls, config.r_f)
-    susceptible = classification.susceptible_idx
+    is_protected = classify_devices(devices, firewalls, config.r_f)
+    susceptible = np.flatnonzero(~is_protected)
     pairs = radius_pairs(devices.points.take(susceptible, axis=0), config.r_r)
-    isg = _graph_from_pairs(susceptible, len(susceptible), pairs)
-    return Realization(config=config, trial_seed=int(trial_seed), devices=devices,
-                       firewalls=firewalls, classification=classification, isg=isg)
+    labels, k = _canonical_labels(len(susceptible), pairs)
+    return Realization(config=config, devices=devices, firewalls=firewalls,
+                       is_protected=is_protected,
+                       isg=IsgGraph(susceptible, labels, k))
 
 
 def save_realization_csv(realization: Realization, path) -> None:
@@ -249,7 +196,7 @@ def save_realization_csv(realization: Realization, path) -> None:
     """
     comp = np.full(realization.devices.n, -1, dtype=np.int64)
     comp[realization.isg.vertices] = realization.isg.component_label
-    protected = realization.classification.is_protected
+    protected = realization.is_protected
     with open(path, "w") as fh:
         fh.write("x,y,kind,component\n")
         for i, (x, y) in enumerate(realization.devices.points):

@@ -55,6 +55,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from .bounds import LC1_APPROX
 from .network import (NetworkConfig, Realization, nearest_firewall_distance,
                       radius_pairs, sample_world)
 from .spatial import open_csv, trial_seed
@@ -75,7 +76,6 @@ __all__ = [
     "write_critical_csv",
 ]
 
-_DEFAULT_LC1 = 1.44  # unit-range critical intensity used for search defaults
 _CHUNK = 1 << 18  # device pairs or candidates per pass, to bound the temporaries
 
 
@@ -434,7 +434,7 @@ def find_critical_firewall_intensity(config: NetworkConfig, *,
         if not denom > 0:
             raise ValueError("the default lambda_f_max, 1.5 * 1.44 / (4 r_f^2 - r_r^2), "
                              "needs 2 * r_f > r_r; pass lambda_f_max")
-        lambda_f_max = 1.5 * _DEFAULT_LC1 / denom
+        lambda_f_max = 1.5 * LC1_APPROX / denom
     if step is None:
         step = lambda_f_max / 9.0
     if not (lambda_f_max > 0 and step > 0):

@@ -81,9 +81,7 @@ class PointSet:
     """
 
     points: np.ndarray
-    intensity: float
     window: Window
-    seed: int
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 2)
@@ -126,7 +124,7 @@ def sample_ppp(intensity: float, window: Window, seed: int) -> PointSet:
     count = int(rng.poisson(intensity * window.area))
     xs = rng.uniform(window.x_min, window.x_max, size=count)
     ys = rng.uniform(window.y_min, window.y_max, size=count)
-    return PointSet(np.column_stack([xs, ys]), intensity, window, int(seed))
+    return PointSet(np.column_stack([xs, ys]), window)
 
 
 @contextmanager

@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from spatial_firewalls import (LambdaC1, NetworkConfig, Window, classify_regime,
-                               closed_face_probability,
-                               critical_intensity_upper_bound,
-                               critical_protected_fraction, dependency_counts,
-                               device_percolation_threshold, evaluate_all,
-                               protected_fraction, safe_d2d_range,
-                               subcritical_sufficient_intensity,
-                               supercritical_sufficient_bound)
-from spatial_firewalls.bounds import CIRCUIT_BASE
+from spatial_firewalls.bounds import (CIRCUIT_BASE, LambdaC1, classify_regime,
+                                      closed_face_probability,
+                                      critical_intensity_upper_bound,
+                                      critical_protected_fraction,
+                                      dependency_counts,
+                                      device_percolation_threshold, evaluate_all,
+                                      protected_fraction, safe_d2d_range,
+                                      subcritical_sufficient_intensity,
+                                      supercritical_sufficient_bound)
+from spatial_firewalls.network import NetworkConfig
+from spatial_firewalls.spatial import Window
 
 LC1 = LambdaC1.approximation()
 
@@ -45,13 +47,6 @@ def test_subcritical_exact_root():
     x_root = brentq(lambda x: (1 - math.exp(-x)) ** 3 - 0.5, 0.1, 10.0,
                     xtol=1e-12)
     assert exact == pytest.approx(x_root / (math.sqrt(3) / 4), rel=1e-9)
-
-
-def test_subcritical_rounded_constant():
-    assert subcritical_sufficient_intensity(2.0, rounded=True) == pytest.approx(0.9125)
-    for r in (0.5, 1.0, 2.0, 7.3):
-        assert (subcritical_sufficient_intensity(r)
-                < subcritical_sufficient_intensity(r, rounded=True))
 
 
 def test_closed_face_probability():

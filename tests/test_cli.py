@@ -257,6 +257,8 @@ _AXIS = ["--axis", "lambda_f", "--start", "0", "--stop", "0.1", "--step", "0.05"
     (["sweep", "--axis", "r_r", "--start", "0", "--stop", "2", "--step", "1"], "r_r"),
     (["sweep", "--axis", "lambda_f", "--start", "0", "--stop", "nan",
       "--step", "0.05"], "axis"),
+    (["validate", "--face-samples", "10", "--blocking-trials", "10",
+      "--coupling-realizations", "-3"], "coupling_realizations"),
 ])
 def test_malformed_model_parameters(argv, needle, capsys):
     _assert_spec_error(main(argv + ["--trials", "2"]), capsys, needle)

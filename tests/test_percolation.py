@@ -4,14 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from spatial_firewalls import (NetworkConfig, NoDevicesError, PointSet,
-                               Realization, SearchExhaustedError, Window,
-                               build_isg, build_rgg, classify_devices,
-                               detect_spanning, estimate_percolation_probability,
-                               estimate_protected_fraction,
-                               find_critical_firewall_intensity,
-                               sweep_lambda_f, trial_seed, write_critical_csv,
-                               write_sweep_csv)
+from spatial_firewalls.network import (IsgGraph, NetworkConfig, Realization,
+                                       _canonical_labels, build_isg,
+                                       classify_devices, radius_pairs)
+from spatial_firewalls.percolation import (NoDevicesError, SearchExhaustedError,
+                                          detect_spanning,
+                                          estimate_percolation_probability,
+                                          estimate_protected_fraction,
+                                          find_critical_firewall_intensity,
+                                          sweep_lambda_f, write_critical_csv,
+                                          write_sweep_csv)
+from spatial_firewalls.spatial import PointSet, Window, trial_seed
 
 
 def _chain_realization(ys=(50.0,), step=2.0, side=100.0):
@@ -23,14 +26,14 @@ def _chain_realization(ys=(50.0,), step=2.0, side=100.0):
             pts.append((x, y))
             x += step
     window = Window.square(side)
-    devices = PointSet(np.array(pts), 0.0, window, 0)
-    firewalls = PointSet(np.empty((0, 2)), 0.0, window, 0)
+    devices = PointSet(np.array(pts), window)
+    firewalls = PointSet(np.empty((0, 2)), window)
     cfg = NetworkConfig(lambda_r=0.0, r_r=step, lambda_f=0.0, r_f=step,
                         window=window, master_seed=0)
-    cls = classify_devices(devices, firewalls, cfg.r_f)
-    isg = build_rgg(devices, cfg.r_r)
-    return Realization(config=cfg, trial_seed=0, devices=devices,
-                       firewalls=firewalls, classification=cls, isg=isg)
+    labels, k = _canonical_labels(devices.n, radius_pairs(devices.points, cfg.r_r))
+    return Realization(config=cfg, devices=devices, firewalls=firewalls,
+                       is_protected=classify_devices(devices, firewalls, cfg.r_f),
+                       isg=IsgGraph(np.arange(devices.n), labels, k))
 
 
 def test_detect_spanning_empty():
@@ -139,19 +142,19 @@ def test_firewall_removal_preserves_components():
                         window=Window.square(40), master_seed=16)
     r = build_isg(cfg, trial_seed(16, 0))
     assert r.firewalls.n > 1
-    fewer = PointSet(r.firewalls.points[:-1], 0.0, cfg.window, 0)
-    cls2 = classify_devices(r.devices, fewer, cfg.r_f)
-    assert np.isin(r.classification.susceptible_idx, cls2.susceptible_idx).all()
-    g2 = build_rgg(PointSet(r.devices.points[cls2.susceptible_idx], 0.0,
-                            cfg.window, 0), cfg.r_r)
-    new_pos = {dev: i for i, dev in enumerate(cls2.susceptible_idx)}
+    fewer = PointSet(r.firewalls.points[:-1], cfg.window)
+    susceptible2 = np.flatnonzero(~classify_devices(r.devices, fewer, cfg.r_f))
+    assert np.isin(r.isg.vertices, susceptible2).all()
+    labels2, _ = _canonical_labels(len(susceptible2), radius_pairs(
+        r.devices.points[susceptible2], cfg.r_r))
+    new_pos = {dev: i for i, dev in enumerate(susceptible2)}
     new_comp_members = {}
-    for i, dev in enumerate(cls2.susceptible_idx):
-        new_comp_members.setdefault(g2.component_label[i], set()).add(dev)
+    for i, dev in enumerate(susceptible2):
+        new_comp_members.setdefault(labels2[i], set()).add(dev)
     for local, dev in enumerate(r.isg.vertices):
         old_members = {int(r.isg.vertices[u]) for u in np.flatnonzero(
             r.isg.component_label == r.isg.component_label[local])}
-        new_members = new_comp_members[g2.component_label[new_pos[dev]]]
+        new_members = new_comp_members[labels2[new_pos[dev]]]
         assert old_members <= new_members
 
 

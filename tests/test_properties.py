@@ -5,14 +5,18 @@ of pair enumeration (and of every kd-tree) to the devices above the probe
 floor, the bisected spanning-prefix worker against probing every grid
 point, the nested-thinning monotonicity it relies on, the slow reference
 path, worker-count invariance, the closed-ball distance and strip rules,
-the cell-grid `min_mark` and `classify_devices` against brute force, the
-open-edge coupling check against its per-edge reference, and the
-protected-fraction sweep over r_f against one estimate per r_f."""
+the cell-grid `min_mark` and `classify_devices` against brute force, a
+cell edge's weight when its cells' top-mark devices are not linked, the
+open-edge coupling check against its per-edge reference, the
+protected-fraction sweep over r_f against one estimate per r_f, and the
+public surface: every module's `__all__` and the README quickstart."""
 import importlib
 import math
 import pkgutil
+import re
 from contextlib import ExitStack
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,20 +26,23 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import spatial_firewalls
-from spatial_firewalls import (Classification, NetworkConfig, NoDevicesError,
-                               PointSet, ProtectedFractionEstimate, Realization,
-                               Window, build_isg, build_rgg, classify_devices,
-                               detect_spanning, estimate_protected_fraction,
-                               subcritical_sufficient_intensity, sweep_lambda_f,
-                               sweep_protected_fraction, trial_seed,
-                               verify_open_edge_coupling)
 from spatial_firewalls import lattice, percolation
-from spatial_firewalls.bounds import _ceil_ratio
-from spatial_firewalls.lattice import OpenEdgeCheck, _any_pair_beyond
-from spatial_firewalls.network import (_canonical_labels, _graph_from_pairs,
-                                       radius_pairs, sample_world)
-from spatial_firewalls.percolation import (_spans_from_labels, _strip_masks,
-                                          _TrialState, _threshold_worker)
+from spatial_firewalls.bounds import _ceil_ratio, subcritical_sufficient_intensity
+from spatial_firewalls.lattice import (OpenEdgeCheck, _any_pair_beyond,
+                                       verify_open_edge_coupling)
+from spatial_firewalls.network import (IsgGraph, NetworkConfig, Realization,
+                                       _canonical_labels, build_isg,
+                                       classify_devices, radius_pairs,
+                                       sample_world)
+from spatial_firewalls.percolation import (NoDevicesError,
+                                          ProtectedFractionEstimate,
+                                          _spans_from_labels, _strip_masks,
+                                          _TrialState, _threshold_worker,
+                                          detect_spanning,
+                                          estimate_protected_fraction,
+                                          sweep_lambda_f,
+                                          sweep_protected_fraction)
+from spatial_firewalls.spatial import PointSet, Window, trial_seed
 
 SETTINGS = settings(max_examples=40, deadline=None)
 PACKAGE_MODULES = [importlib.import_module(f"spatial_firewalls.{info.name}")
@@ -63,8 +70,8 @@ def _device_level_spans(world, cfg, p):
     """Reference for `_TrialState.spans_at`: label every susceptible device
     pair of the world at thinning fraction p."""
     devices, pool, marks = world
-    kept = PointSet(pool.points[marks < p], 0.0, pool.window, 0)
-    xy = devices.points[~classify_devices(devices, kept, cfg.r_f).is_protected]
+    kept = PointSet(pool.points[marks < p], pool.window)
+    xy = devices.points[~classify_devices(devices, kept, cfg.r_f)]
     labels, k = _canonical_labels(len(xy), radius_pairs(xy, cfg.r_r))
     lr, bt = _spans_from_labels(labels, k, _strip_masks(xy, cfg))
     return lr and bt
@@ -92,7 +99,7 @@ def edge_worlds(draw):
                                                       st.floats(0.0, 1.0)),
                                             max_size=4))]
     xy = np.concatenate([devices.points, np.reshape(on_edge, (-1, 2))])
-    return cfg, (PointSet(xy, cfg.lambda_r, window, 0), pool, marks)
+    return cfg, (PointSet(xy, window), pool, marks)
 
 
 @settings(max_examples=100, deadline=None)
@@ -178,7 +185,7 @@ def test_pairs_enumerated_only_among_devices_above_floor():
     trials = 3
     worlds = [sample_world(cfg, trial_seed(cfg.master_seed, t), cfg.lambda_f)
               for t in range(trials)]
-    unprotected = [int((~classify_devices(devices, pool, cfg.r_f).is_protected).sum())
+    unprotected = [int((~classify_devices(devices, pool, cfg.r_f)).sum())
                    for devices, pool, _ in worlds]
     every = [devices.n for devices, _, _ in worlds]
     assert all(0 < u < n for u, n in zip(unprotected, every))
@@ -231,11 +238,53 @@ def test_pair_just_beyond_range_never_links():
                 win = Window(-pad[0], -pad[1], r + g / 2, r + g / 2)
                 cfg = NetworkConfig(lambda_r=0.0, r_r=r, lambda_f=0.0, r_f=r,
                                     window=win)
-                world = (PointSet(pair, 0.0, win, 0),
-                         PointSet(np.empty((0, 2)), 0.0, win, 0), np.empty(0))
+                world = (PointSet(pair, win),
+                         PointSet(np.empty((0, 2)), win), np.empty(0))
                 with mock.patch.object(percolation, "sample_world",
                                        return_value=world):
                     assert _TrialState(cfg, 1.0, 0).spans_at(0.5) == spans
+
+
+def test_cell_edge_weight_from_best_linked_pair():
+    """The weight of a cell edge is the best min(min_mark_i, min_mark_j)
+    over its linked pairs, even when the two cells' highest-mark devices
+    are not linked.
+
+    Cells have side 0.7 at r_r = 1. Cell A holds devices at x = 0.02 (mark
+    0.9) and 0.68 (0.5); cell B at x = 1.12 (0.3) and 1.38 (0.8). The two
+    top-mark devices are 1.36 apart, so the edge weight is 0.5, from the
+    pair (0.68, 1.38), and not the bound min(0.9, 0.8). Each device has a
+    firewall of its mark on it, with r_f small enough to cover that device
+    alone. The window is 2.1 by 0.7: every device lies in the bottom and
+    top strips, cell A in the left one only and cell B in the right one
+    only, so the trial spans exactly while the edge is live.
+    """
+    r_r, r_f = 1.0, 0.01
+    xy = np.array([[0.02, 0.05], [0.68, 0.4], [1.12, 0.3], [1.38, 0.65]])
+    marks = np.array([0.9, 0.5, 0.3, 0.8])
+    window = Window(0.0, 0.0, 2.1, 0.7)
+    cfg = NetworkConfig(lambda_r=0.0, r_r=r_r, lambda_f=0.0, r_f=r_f, window=window,
+                        allow_small_firewall_range=True)
+    world = (PointSet(xy, window), PointSet(xy, window), marks)
+    with mock.patch.object(percolation, "sample_world", return_value=world):
+        state = _TrialState(cfg, 1.0, 0)
+    assert state.min_mark.tolist() == marks.tolist()  # already in cell order
+
+    in_a = xy[:, 0] < 0.7
+    d = xy[in_a][:, None, :] - xy[~in_a][None, :, :]
+    linked = (d * d).sum(axis=2) <= r_r * r_r
+    assert not linked[0, 1]  # the top-mark devices are out of range
+    best = np.where(linked, np.minimum.outer(marks[in_a], marks[~in_a]),
+                    -np.inf).max()
+    assert best == 0.5
+
+    assert state.spans_at(0.0)  # builds the edges over every device
+    assert state.edge_a.tolist() == [0] and state.edge_b.tolist() == [1]
+    assert state.edge_w.tolist() == [best]
+    assert best < min(marks[in_a].max(), marks[~in_a].max())
+    assert state.spans_at(best)
+    assert not state.spans_at(np.nextafter(best, 1.0))
+    assert not state.spans_at(0.75)  # both strips live, the edge is not
 
 
 @SETTINGS
@@ -307,11 +356,11 @@ def test_closed_ball_rule(x, y, r, offset, mark):
     window = Window(-10.0, -10.0, 20.0, 20.0)
     at_range = (x + offset[0] * r / 5, y + offset[1] * r / 5)
     assert np.hypot(at_range[0] - x, at_range[1] - y) == r
-    device = PointSet(np.array([[x, y]]), 0.0, window, 0)
-    firewall = PointSet(np.array([at_range]), 0.0, window, 0)
-    assert classify_devices(device, firewall, r).is_protected.all()
-    pair = PointSet(np.array([[x, y], at_range]), 0.0, window, 0)
-    assert build_rgg(pair, r).n_components == 1
+    device = PointSet(np.array([[x, y]]), window)
+    firewall = PointSet(np.array([at_range]), window)
+    assert classify_devices(device, firewall, r).all()
+    pair = PointSet(np.array([[x, y], at_range]), window)
+    assert _canonical_labels(2, radius_pairs(pair.points, r))[1] == 1
 
     # the trial kernel: one pool firewall on the first device, of mark
     # `mark`, is kept for p above the mark and covers both devices there
@@ -321,8 +370,8 @@ def test_closed_ball_rule(x, y, r, offset, mark):
     def kernel(pad):
         win = Window(*(lo - pad), *(hi + pad))
         cfg = NetworkConfig(lambda_r=0.0, r_r=r, lambda_f=0.0, r_f=r, window=win)
-        world = (PointSet(pair.points, 0.0, win, 0),
-                 PointSet(pair.points[:1], 0.0, win, 0), np.array([mark]))
+        world = (PointSet(pair.points, win),
+                 PointSet(pair.points[:1], win), np.array([mark]))
         with mock.patch.object(percolation, "sample_world", return_value=world):
             return _TrialState(cfg, 1.0, 0)
 
@@ -382,9 +431,8 @@ def test_min_mark_matches_brute_force(r_f, data):
                                                  min_size=len(sites),
                                                  max_size=len(sites)))])
     world = (PointSet(np.concatenate([devices.points,
-                                      at_range[window.contains(at_range)]]),
-                      0.0, window, 0),
-             PointSet(pool_xy, 0.0, fw.expand(1.0), 0), marks)
+                                      at_range[window.contains(at_range)]]), window),
+             PointSet(pool_xy, fw.expand(1.0)), marks)
     with mock.patch.object(percolation, "sample_world", return_value=world):
         state = _TrialState(cfg, 1.0, 0)
 
@@ -411,15 +459,15 @@ def test_classify_devices_matches_brute_force(r, sites, spots):
                                        np.nextafter(sites[:, 1] + r, np.inf)],
                                       axis=1)])
     xy = np.concatenate([at_range, beyond, np.reshape(spots, (-1, 2)) * 20.0 - 5.0])
-    devices = PointSet(xy, 0.0, window, 0)
-    firewalls = PointSet(sites, 0.0, window, 0)
+    devices = PointSet(xy, window)
+    firewalls = PointSet(sites, window)
 
     d = xy[:, None, :] - sites[None, :, :]
     dist = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
     assert (dist[:len(at_range)].min(axis=1) <= r).all()
     own = np.tile(np.arange(len(sites)), 2)
     assert (dist[len(at_range) + np.arange(len(beyond)), own] > r).all()
-    assert np.array_equal(classify_devices(devices, firewalls, r).is_protected,
+    assert np.array_equal(classify_devices(devices, firewalls, r),
                           dist.min(axis=1) <= r)
 
 
@@ -474,8 +522,8 @@ def _coupling_reference(realization):
 
     # local susceptible index and component label per device
     local = np.full(realization.devices.n, -1, dtype=np.int64)
-    local[realization.isg.vertices] = np.arange(realization.isg.n_vertices)
-    protected = realization.classification.is_protected
+    local[realization.isg.vertices] = np.arange(len(realization.isg.vertices))
+    protected = realization.is_protected
     labels = realization.isg.component_label
     r2 = cfg.r_r ** 2
 
@@ -543,20 +591,18 @@ def _perturbed(realization, data):
     the ISG lacks never comes from `build_isg`, and the reference reads its
     label through index -1."""
     isg = realization.isg
-    if isg.n_vertices == 0:
+    if len(isg.vertices) == 0:
         return realization
-    vertex = st.integers(0, isg.n_vertices - 1)
+    vertex = st.integers(0, len(isg.vertices) - 1)
     flagged = data.draw(st.lists(vertex, min_size=1, max_size=6))
     relabelled = data.draw(st.lists(st.tuples(vertex, st.integers(0, isg.n_components)),
                                     min_size=1, max_size=6))
-    protected = realization.classification.is_protected.copy()
+    protected = realization.is_protected.copy()
     protected[isg.vertices[flagged]] = True
     labels = isg.component_label.copy()
     for v, label in relabelled:
         labels[v] = label
-    return replace(realization,
-                   classification=replace(realization.classification,
-                                          is_protected=protected),
+    return replace(realization, is_protected=protected,
                    isg=replace(isg, component_label=labels))
 
 
@@ -586,11 +632,10 @@ def _hand_made(r_r, origin, points):
     cfg = NetworkConfig(lambda_r=1.0, r_r=r_r, lambda_f=0.0, r_f=r_r, window=window)
     n = len(points)
     star = np.column_stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)])
-    return Realization(config=cfg, trial_seed=0,
-                       devices=PointSet(points, 1.0, window, 0),
-                       firewalls=PointSet(np.empty((0, 2)), 0.0, window, 0),
-                       classification=Classification(np.zeros(n, dtype=bool)),
-                       isg=_graph_from_pairs(np.arange(n), n, star))
+    return Realization(config=cfg, devices=PointSet(points, window),
+                       firewalls=PointSet(np.empty((0, 2)), window),
+                       is_protected=np.zeros(n, dtype=bool),
+                       isg=IsgGraph(np.arange(n), *_canonical_labels(n, star)))
 
 
 def test_pair_test_decides_edges_whose_box_exceeds_range():
@@ -658,7 +703,7 @@ def _protected_reference(config, trials):
             config, trial_seed(config.master_seed, t), config.lambda_f)
         if devices.n:
             fractions.append(classify_devices(devices, firewalls,
-                                              config.r_f).is_protected.mean())
+                                              config.r_f).mean())
     if not fractions:
         raise NoDevicesError("all trials produced empty device sets")
     kept, m = np.array(fractions), len(fractions)
@@ -751,7 +796,7 @@ def test_protected_sweep_closed_ball():
     protected and one an ulp beyond as not, as classify_devices does."""
     window = Window(-20.0, -20.0, 40.0, 40.0)
     xy = np.array([(3.0, 4.0), (0.0, 2.5), (6.0, 8.0), (np.nextafter(5.0, np.inf), 0.0)])
-    world = (PointSet(xy, 0.0, window, 0), PointSet(np.zeros((1, 2)), 0.0, window, 0),
+    world = (PointSet(xy, window), PointSet(np.zeros((1, 2)), window),
              np.zeros(1))
     cfg = NetworkConfig(lambda_r=1.0, r_r=1.0, lambda_f=1.0, r_f=1.0, window=window)
     with mock.patch.object(percolation, "sample_world", return_value=world):
@@ -770,3 +815,24 @@ def test_protected_sweep_worker_count_invariant(sweep):
             sweep_protected_fraction(cfg, values, trials, workers=2)
         return
     assert sweep_protected_fraction(cfg, values, trials, workers=2) == one
+
+
+def test_module_all_names_resolve():
+    """No module's `__all__` entry outlives the name it lists."""
+    assert len(PACKAGE_MODULES) == 6
+    stale = [f"{module.__name__}.{name}" for module in PACKAGE_MODULES
+             for name in module.__all__ if not hasattr(module, name)]
+    assert stale == []
+
+
+def test_readme_quickstart_runs():
+    """The README's `python` quickstart block runs as written against the
+    package's top-level names."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    scope = {}
+    exec(compile(blocks[0], "README.md", "exec"), scope)
+    assert 0.0 <= scope["est"].theta_hat <= 1.0
+    assert scope["crit"].lambda_f_critical >= 0.0
+    assert len(scope["world"].is_protected) == scope["world"].devices.n

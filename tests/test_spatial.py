@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spatial_firewalls import Window, sample_ppp, split_seed, trial_seed
+from spatial_firewalls.spatial import Window, sample_ppp, split_seed, trial_seed
 
 
 def test_window_properties():
