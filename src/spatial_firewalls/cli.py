@@ -26,10 +26,10 @@ from .lattice import blocking_counterexample_search, closed_face_mc_frequency, \
     verify_open_edge_coupling, write_validator_csv
 from .bounds import closed_face_probability
 from .network import NetworkConfig, build_isg
-from .percolation import NoDevicesError, SearchExhaustedError, \
-    estimate_percolation_probability, find_critical_firewall_intensity, \
-    sweep_lambda_f, sweep_protected_fraction, write_critical_csv, \
-    write_sweep_csv
+from .percolation import MAX_GRID_POINTS, NoDevicesError, SearchExhaustedError, \
+    critical_grid, estimate_percolation_probability, \
+    find_critical_firewall_intensity, sweep_lambda_f, sweep_protected_fraction, \
+    write_critical_csv, write_sweep_csv
 from .spatial import Window, open_csv, trial_seed
 
 __all__ = ["AxisSpec", "ExperimentSpec", "run", "main"]
@@ -72,10 +72,17 @@ class AxisSpec:
             raise SpecError("axis.step must be > 0")
         if self.stop < self.start:
             raise SpecError("axis.stop must be >= axis.start")
+        if not self.size() <= MAX_GRID_POINTS:
+            raise SpecError(f"the axis has more than {MAX_GRID_POINTS} points; "
+                            "raise axis.step")
+
+    def size(self) -> float:
+        """Number of axis points, inf when (stop - start) / step overflows."""
+        ratio = (self.stop - self.start) / self.step + 1e-9
+        return int(ratio) + 1 if math.isfinite(ratio) else math.inf
 
     def values(self) -> list[float]:
-        count = int((self.stop - self.start) / self.step + 1e-9) + 1
-        return [self.start + k * self.step for k in range(count)]
+        return [self.start + k * self.step for k in range(self.size())]
 
 
 @dataclass
@@ -133,6 +140,9 @@ class ExperimentSpec:
             cfg = self.network_config()
             configs = [cfg] + [replace(cfg, **{self.axis.param: v})
                                for v in (self.axis.values() if self.axis else ())]
+            if self.command == "critical":
+                for c in configs:
+                    critical_grid(c, self.lambda_f_max, self.search_step)
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
         if self.command == "protected" and any(c.lambda_r <= 0 for c in configs):

@@ -10,7 +10,10 @@ intensities. Nesting makes every trial's spanning indicator non-increasing
 in the firewall intensity: on an ascending grid of thinning fractions the
 spanning points form a prefix, whose length one bisection finds exactly.
 Sweeps, point estimates and the critical search all read their counts off
-that per-trial prefix length.
+that per-trial prefix length. The bisection is warm-started from the trials
+its worker has finished (`_threshold_worker`): any first probe between the
+known bounds keeps it exact, and one placed where the trial usually spans
+spares the edge rebuild described next.
 
 Each probe of the bisection runs on a cell graph of the trial
 (`_TrialState`). Devices are binned into square cells of diagonal < r_r, so
@@ -70,6 +73,8 @@ __all__ = [
     "estimate_percolation_probability",
     "sweep_lambda_f",
     "find_critical_firewall_intensity",
+    "critical_grid",
+    "MAX_GRID_POINTS",
     "estimate_protected_fraction",
     "sweep_protected_fraction",
     "write_sweep_csv",
@@ -77,6 +82,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 18  # device pairs or candidates per pass, to bound the temporaries
+MAX_GRID_POINTS = 100_000  # largest grid a search or a sweep axis may ask for
 
 
 class SearchExhaustedError(RuntimeError):
@@ -329,19 +335,37 @@ def _threshold_worker(args) -> np.ndarray:
 
     Spanning is non-increasing in p, so the spanning points form a prefix
     of the grid and bisection over `spans_at` finds its length exactly.
+
+    The first probe of a trial is warm-started: it goes to grid index
+    min(midpoint, least - 1), where `least` is the smallest nonzero count
+    among the trials this call has already finished (the midpoint while
+    there is none). The trial usually spans there, as every earlier
+    spanning trial did, so every later probe lies above that floor and one
+    edge build serves the whole search. The first probe never goes above
+    the midpoint: a build at a higher floor is wasted whenever the trial
+    fails there, and on dense worlds that cost more than it saved. A trial
+    that never spans is left out of `least`, or it would send every later
+    first probe to p = 0, where every device is kept. Any first probe
+    inside [lo, hi) keeps the bisection's invariant, so the counts are
+    those of a plain bisection for any chunking of the trials; only the
+    probe order, and so the cost, depends on it.
     """
     config, lambda_pool, p_grid, t0, t1 = args
     out = np.zeros(t1 - t0, dtype=np.int64)
+    least = len(p_grid)  # smallest nonzero count so far; the full grid caps nothing
     for row, t in enumerate(range(t0, t1)):
         state = _TrialState(config, lambda_pool, trial_seed(config.master_seed, t))
         lo, hi = 0, len(p_grid)  # p_grid[:lo] spans, p_grid[hi:] does not
+        mid = min((lo + hi) // 2, least - 1)
         while lo < hi:
-            mid = (lo + hi) // 2
             if state.spans_at(p_grid[mid]):
                 lo = mid + 1
             else:
                 hi = mid
+            mid = (lo + hi) // 2
         out[row] = lo
+        if lo > 0:
+            least = min(least, lo)
     return out
 
 
@@ -413,6 +437,36 @@ def sweep_lambda_f(config: NetworkConfig, lambda_f_values, trials: int,
             for n, v in zip(spanning, values)]
 
 
+def critical_grid(config: NetworkConfig, lambda_f_max: float | None = None,
+                  step: float | None = None) -> tuple[float, float, int]:
+    """(lambda_f_max, step, grid_n) of a critical search: the defaults filled
+    in, and the grid j * step / 8, j = 0..grid_n, that reaches lambda_f_max
+    rounded up onto it.
+
+    Raises ValueError when the default ceiling does not exist, when the
+    ceiling or the step is not > 0, or when the grid would have more than
+    MAX_GRID_POINTS points; the size is checked before anything is built.
+    """
+    if lambda_f_max is None:
+        denom = 4.0 * config.r_f ** 2 - config.r_r ** 2
+        if not denom > 0:
+            raise ValueError("the default lambda_f_max, 1.5 * 1.44 / (4 r_f^2 - r_r^2), "
+                             "needs 2 * r_f > r_r; pass lambda_f_max")
+        lambda_f_max = 1.5 * LC1_APPROX / denom
+    if step is None:
+        step = lambda_f_max / 9.0
+    if not (lambda_f_max > 0 and step > 0):
+        raise ValueError("lambda_f_max and step must be > 0")
+    delta = step / 8.0
+    intervals = lambda_f_max / delta - 1e-9 if delta > 0 else math.inf
+    if not intervals <= MAX_GRID_POINTS - 1:  # inf and nan included
+        raise ValueError(f"the search grid step / 8 = {delta:.6g} up to lambda_f_max "
+                         f"{lambda_f_max:.6g} has more than {MAX_GRID_POINTS} points; "
+                         "raise the step or lower lambda_f_max")
+    # a ceiling below one grid step rounds up to that step, not down to 0
+    return lambda_f_max, step, max(1, int(math.ceil(intervals)))
+
+
 def find_critical_firewall_intensity(config: NetworkConfig, *,
                                      lambda_f_max: float | None = None,
                                      step: float | None = None,
@@ -429,23 +483,13 @@ def find_critical_firewall_intensity(config: NetworkConfig, *,
     percolate even without firewalls; raises SearchExhaustedError when the
     estimate stays above epsilon all the way to lambda_f_max.
     """
-    if lambda_f_max is None:
-        denom = 4.0 * config.r_f ** 2 - config.r_r ** 2
-        if not denom > 0:
-            raise ValueError("the default lambda_f_max, 1.5 * 1.44 / (4 r_f^2 - r_r^2), "
-                             "needs 2 * r_f > r_r; pass lambda_f_max")
-        lambda_f_max = 1.5 * LC1_APPROX / denom
-    if step is None:
-        step = lambda_f_max / 9.0
-    if not (lambda_f_max > 0 and step > 0):
-        raise ValueError("lambda_f_max and step must be > 0")
+    lambda_f_max, step, grid_n = critical_grid(config, lambda_f_max, step)
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must be in (0, 1)")
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
     delta = step / 8.0
-    grid_n = int(math.ceil(lambda_f_max / delta - 1e-9))
     lambda_pool = grid_n * delta  # snap the search ceiling onto the grid
     p_grid = tuple(j / grid_n for j in range(grid_n + 1))
     counts = _run_chunked(_threshold_worker, (config, lambda_pool, p_grid),

@@ -4,7 +4,10 @@ import json
 import pytest
 
 from spatial_firewalls.bounds import protected_fraction
-from spatial_firewalls.cli import main
+from spatial_firewalls.cli import AxisSpec, ExperimentSpec, SpecError, main
+from spatial_firewalls.network import NetworkConfig
+from spatial_firewalls.percolation import MAX_GRID_POINTS, critical_grid
+from spatial_firewalls.spatial import Window
 
 
 def _body(path):
@@ -279,3 +282,58 @@ def test_protected_no_devices_exit(capsys):
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "empty device sets" in err
+
+
+def test_axis_point_count_bound():
+    """An axis of MAX_GRID_POINTS points validates; one point more is
+    refused before a value list or a configuration is built."""
+    at = AxisSpec("lambda_f", 0.0, MAX_GRID_POINTS - 1.0, 1.0)
+    at.validate()
+    assert at.size() == MAX_GRID_POINTS
+    over = ExperimentSpec(command="sweep",
+                          axis=AxisSpec("lambda_f", 0.0, float(MAX_GRID_POINTS), 1.0))
+    with pytest.raises(SpecError, match="more than 100000 points"):
+        over.validate()
+    # a ratio that overflows to inf is refused too
+    with pytest.raises(SpecError, match="more than 100000 points"):
+        AxisSpec("lambda_f", 0.0, 1.0, 5e-324).validate()
+
+
+def test_critical_grid_point_count_bound():
+    """The critical search's grid j * step / 8, j = 0..n, up to lambda_f_max:
+    MAX_GRID_POINTS points pass, one more is a SpecError from the spec and
+    a ValueError from the search's own helper."""
+    cfg = NetworkConfig(lambda_r=0.8, r_r=2.0, lambda_f=0.0, r_f=2.0,
+                        window=Window.square(10.0))
+    at = 8.0 / (MAX_GRID_POINTS - 1)  # lambda_f_max 1 in MAX - 1 intervals
+    assert critical_grid(cfg, 1.0, at)[2] + 1 == MAX_GRID_POINTS
+    ExperimentSpec(command="critical", lambda_f_max=1.0, search_step=at).validate()
+
+    over = 8.0 / MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="more than 100000 points"):
+        critical_grid(cfg, 1.0, over)
+    for spec in (ExperimentSpec(command="critical", lambda_f_max=1.0, search_step=over),
+                 ExperimentSpec(command="critical", search_step=1e-320)):
+        with pytest.raises(SpecError, match="more than 100000 points"):
+            spec.validate()
+
+
+def test_ceiling_below_one_grid_step(tmp_path):
+    """A lambda_f_max far below step / 8 searches the grid (0, step / 8)
+    instead of dividing by an empty grid."""
+    cfg = NetworkConfig(lambda_r=0.8, r_r=2.0, lambda_f=0.0, r_f=2.0,
+                        window=Window.square(10.0))
+    assert critical_grid(cfg, 1e-12, 1.0) == (1e-12, 1.0, 1)
+    out = tmp_path / "crit.csv"
+    assert main(["critical", "--lambda-f-max", "1e-12", "--search-step", "1",
+                 "--lambda-r", "0.1", "--window-size", "10", "--trials", "2",
+                 "--out", str(out)]) == 0
+    assert _body(out)[1].split(",")[1] == "0.0"
+
+
+def test_tiny_step_exits_2(capsys):
+    _assert_spec_error(main(["sweep", "--axis", "lambda_f", "--start", "0", "--stop",
+                             "1", "--step", "1e-12", "--trials", "2"]),
+                       capsys, "axis")
+    _assert_spec_error(main(["critical", "--search-step", "1e-9", "--trials", "2"]),
+                       capsys, "search grid")

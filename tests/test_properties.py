@@ -290,12 +290,122 @@ def test_cell_edge_weight_from_best_linked_pair():
 @SETTINGS
 @given(worlds(), p_grids)
 def test_worker_count_equals_probing_every_point(world, p_grid):
+    """Eight trials in one call, so the later ones warm-start their search
+    from the counts of the earlier ones."""
     cfg, lambda_pool, _ = world
-    trials = 3
+    trials = 8
     counts = _threshold_worker((cfg, lambda_pool, tuple(p_grid), 0, trials))
     for t in range(trials):
         state = _TrialState(cfg, lambda_pool, trial_seed(cfg.master_seed, t))
         assert counts[t] == sum(state.spans_at(p) for p in p_grid)
+
+
+@SETTINGS
+@given(worlds(), p_grids, st.integers(1, 15))
+def test_worker_counts_do_not_depend_on_chunking(world, p_grid, cut):
+    """Trials 0..16 in one call and split at `cut` into two calls, each of
+    which warm-starts from its own history, give the same counts."""
+    cfg, lambda_pool, _ = world
+    common = (cfg, lambda_pool, tuple(p_grid))
+    whole = _threshold_worker(common + (0, 16))
+    split = np.concatenate([_threshold_worker(common + (0, cut)),
+                            _threshold_worker(common + (cut, 16))])
+    assert whole.tolist() == split.tolist()
+
+
+def test_warm_start_first_probes_with_stub_trials(monkeypatch):
+    """Each trial's first probe goes to min(midpoint, least - 1), least the
+    smallest nonzero count among the earlier trials, and every count is
+    still the trial's own.
+
+    A stub trial spans at grid index j exactly when j < its count. The
+    counts cover a trial that never spans (least stays 7), one that spans
+    at every point, and trials below every earlier count (3, 2 and 1),
+    whose first probe fails.
+    """
+    grid = tuple(j / 10 for j in range(11))  # midpoint index 5
+    counts = [7, 0, 11, 3, 5, 2, 0, 9, 1, 4]
+    seeds = {trial_seed(0, t): t for t in range(len(counts))}
+    probes = [[] for _ in counts]
+
+    class StubState:
+        def __init__(self, config, lambda_pool, tseed):
+            self.t = seeds[tseed]
+
+        def spans_at(self, p):
+            j = grid.index(p)
+            probes[self.t].append(j)
+            return j < counts[self.t]
+
+    monkeypatch.setattr(percolation, "_TrialState", StubState)
+    cfg = NetworkConfig(lambda_r=1.0, r_r=1.0, lambda_f=0.0, r_f=1.0,
+                        window=Window.square(10.0), master_seed=0)
+    out = _threshold_worker((cfg, 1.0, grid, 0, len(counts)))
+    assert out.tolist() == counts
+
+    least = None
+    for t, count in enumerate(counts):
+        expected = 5 if least is None else min(5, least - 1)
+        assert probes[t][0] == expected
+        if count:
+            least = count if least is None else min(least, count)
+    assert [probes[t][0] for t in range(len(counts))] == [5, 5, 5, 5, 2, 2, 1, 1, 1, 0]
+    # the trials whose first probe fails: below every earlier count, or never spanning
+    assert [t for t in range(len(counts)) if probes[t][0] >= counts[t]] == [1, 3, 5, 6, 8]
+
+
+def _plain_bisection(state, p_grid) -> int:
+    """The spanning prefix length by bisection from the grid's midpoint."""
+    lo, hi = 0, len(p_grid)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if state.spans_at(p_grid[mid]):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def test_warm_start_builds_fewer_edge_sets():
+    """Where every trial's threshold lies below the midpoint of a 31-point
+    grid, a plain bisection builds each trial's edges at least twice (at the
+    midpoint, then below it). The warm start gives the same counts with
+    fewer builds: the first trial probes as the plain bisection does, and a
+    later trial whose count is at least the smallest earlier one spans at
+    its first probe and builds once. Trials 1 and 4 set a new smallest
+    count; trial 5 equals it."""
+    cfg = NetworkConfig(lambda_r=0.8, r_r=2.0, lambda_f=0.15, r_f=2.0,
+                        window=Window.square(30.0), master_seed=5)
+    grid, trials = tuple(j / 30 for j in range(31)), 6
+    builds = []  # per trial, the floors of its edge builds
+    init, build_edges = _TrialState.__init__, _TrialState._build_edges
+
+    def new_trial(self, *args):
+        builds.append([])
+        init(self, *args)
+
+    def counting(self, floor):
+        builds[-1].append(floor)
+        build_edges(self, floor)
+
+    with mock.patch.object(_TrialState, "__init__", new_trial), \
+            mock.patch.object(_TrialState, "_build_edges", counting):
+        plain = [_plain_bisection(_TrialState(cfg, cfg.lambda_f,
+                                              trial_seed(cfg.master_seed, t)), grid)
+                 for t in range(trials)]
+        plain_builds = [len(b) for b in builds]
+        builds.clear()
+        warm = _threshold_worker((cfg, cfg.lambda_f, grid, 0, trials)).tolist()
+    warm_builds = [len(b) for b in builds]
+    assert plain == [12, 10, 12, 11, 8, 8]
+    assert all(0 < c <= 15 for c in plain)  # every midpoint probe fails
+    assert all(n >= 2 for n in plain_builds)
+    assert warm == plain
+    assert warm_builds[0] == plain_builds[0]
+    for t in range(1, trials):
+        if plain[t] >= min(plain[:t]):
+            assert warm_builds[t] == 1
+    assert sum(warm_builds) < sum(plain_builds)
 
 
 @SETTINGS
