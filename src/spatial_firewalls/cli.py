@@ -467,12 +467,12 @@ def _assemble_spec(args) -> ExperimentSpec:
             for k, v in axis_flags.items():
                 if v is not None:
                     setattr(spec.axis, k, v)
-    spec.validate()
     return spec
 
 
 def run(spec: ExperimentSpec, table: bool = False) -> int:
-    """Execute one experiment; returns a process exit status."""
+    """Validate the spec, then execute the experiment; returns a process exit
+    status. The one validation of a command-line run happens here."""
     spec.validate()
     if spec.command == "sweep":
         return _run_sweep(spec)

@@ -15,8 +15,9 @@ import numpy as np
 
 from .bounds import _ceil_ratio
 from .network import Realization
-from .percolation import _CHUNK
 from .spatial import open_csv
+
+_CHUNK = 1 << 18  # point pairs per pass of `_any_pair_beyond`, to bound the temporaries
 
 __all__ = [
     "HexFace",

@@ -4,6 +4,12 @@ infection-susceptible graph (ISG).
 Devices connect when within the D2D range r_r of each other (closed ball).
 A device is protected when some firewall lies within r_f of it; the ISG is
 the device graph restricted to the susceptible (unprotected) devices.
+
+Every spatial query of the package runs on one index, `CellGrid`: points
+binned into square cells and held in cell order, scanned column by column
+(cell lists, Allen & Tildesley, *Computer Simulation of Liquids*, ch. 5).
+Components come from min-label hooking with pointer jumping
+(`_component_roots`). Both are plain NumPy.
 """
 from __future__ import annotations
 
@@ -11,14 +17,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .spatial import PointSet, Window, sample_ppp, split_seed
 
 __all__ = [
     "NetworkConfig",
+    "CellGrid",
     "IsgGraph",
     "Realization",
     "classify_devices",
@@ -27,6 +31,9 @@ __all__ = [
     "build_isg",
     "save_realization_csv",
 ]
+
+_BLOCK = 1 << 10  # query points per block of a scan
+_CHUNK = 1 << 13  # candidate pairs per pass of a scan
 
 # sub-stream ids under a trial seed
 _STREAM_DEVICES = 0
@@ -108,17 +115,155 @@ class Realization:
     isg: IsgGraph
 
 
+class CellGrid:
+    """Points binned into square cells of side `side` anchored at `origin`,
+    held in cell order.
+
+    Cell (cx, cy) = floor((p - origin) / side), every point at or above
+    `origin`, has id cx * stride + cy. So the points in rows lo..hi
+    of column cx are the slice `xy[start(id(cx, lo)):start(id(cx, hi) + 1)]`.
+    `start` reads a dense table of cell starts (a `bincount` and a `cumsum`),
+    or, on a grid of far more cells than points (a huge, sparse window),
+    binary-searches the sorted cell ids; both give the same index.
+    """
+
+    __slots__ = ("origin", "side", "stride", "n_cols", "xy", "cell", "cell_id",
+                 "_x", "_y", "_table")
+
+    def __init__(self, xy, cell, origin, side, stride, n_cols):
+        """A grid over `xy` and its cells `cell`, both already in cell order."""
+        self.origin, self.side = (float(origin[0]), float(origin[1])), float(side)
+        self.stride, self.n_cols = stride, n_cols
+        self.xy, self.cell = xy, cell
+        self.cell_id = cell[:, 0] * stride + cell[:, 1]
+        self._x, self._y = xy[:, 0].copy(), xy[:, 1].copy()  # contiguous for `take`
+        n_cells = n_cols * stride
+        self._table = None
+        if n_cells <= 4 * len(xy) + 4096:
+            self._table = np.zeros(n_cells + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.cell_id, minlength=n_cells), out=self._table[1:])
+
+    @classmethod
+    def binned(cls, xy: np.ndarray, origin, side: float) -> tuple["CellGrid", np.ndarray]:
+        """The grid over points `xy` and the order that sorts them into it.
+
+        Raises ValueError when the cell ids would not fit in int64."""
+        cell = np.floor((xy - origin) / side)
+        if np.prod(cell.max(axis=0, initial=0) + 1) > 2.0 ** 62:
+            raise ValueError(f"cells of side {side:.6g} over these points number "
+                             "more than 2**62; the range is too small for the window")
+        cell = cell.astype(np.int64)
+        stride = int(cell[:, 1].max(initial=0)) + 1
+        order = np.argsort(cell[:, 0] * stride + cell[:, 1])
+        grid = cls(xy.take(order, axis=0), cell.take(order, axis=0), origin, side,
+                   stride, int(cell[:, 0].max(initial=0)) + 1)
+        return grid, order
+
+    def subset(self, kept: np.ndarray) -> "CellGrid":
+        """The grid, with the same cells, over the points of ascending indices
+        `kept`."""
+        return CellGrid(self.xy.take(kept, axis=0), self.cell.take(kept, axis=0),
+                        self.origin, self.side, self.stride, self.n_cols)
+
+    def start(self, ids: np.ndarray) -> np.ndarray:
+        """Per cell id in 0..n_cols * stride, the index of its first point
+        (of the next occupied cell's when it is empty)."""
+        if self._table is not None:
+            return self._table.take(ids)
+        return np.searchsorted(self.cell_id, ids)
+
+    def scan(self, qxy: np.ndarray, r: float, first: np.ndarray | None = None):
+        """Yield (q, j, d2) chunks over candidate pairs of a query point
+        qxy[q] and a grid point j, d2 = dx*dx + dy*dy. The candidates hold
+        every pair with d2 <= r*r and every pair with sqrt(d2) <= r.
+
+        Query q = (x, y) scans the columns that hold x -+ reach, reach =
+        r + pad, and those between, clipped to the grid. In a column whose
+        x-range lies `gap` from q, it scans the rows that hold
+        y -+ sqrt(reach**2 - gap**2). The pad, 1e-9 (r + side + the largest
+        |coordinate| of a query or of `origin`), exceeds the rounding of the
+        column edges and of q by far, so `gap` (taken pad below them) never
+        exceeds the |dx| of a point binned into that column. A pair either
+        test accepts has dx*dx + dy*dy <= r*r (1 + 5 eps) exactly, eps the
+        unit roundoff, so |dy| <= sqrt(r*r (1 + 5 eps) - gap**2). reach**2
+        exceeds r*r (1 + 5 eps) by about 2 r pad, which keeps the rounded
+        half-width about pad above that bound, more than the rounding of
+        y -+ it. The rows come from the grid's own binning, non-decreasing in
+        y, so the point's row lies in the scanned range.
+
+        With `first`, the queries are the grid's own points, and each scans
+        forward: the columns from its own on, and in its own column the
+        points from index first[q] on. With first[i] = i + 1, each pair
+        i < j then comes up once as (i, j).
+        """
+        if len(qxy) == 0 or len(self.xy) == 0:
+            return
+        x0, y0 = self.origin
+        pad = 1e-9 * (r + self.side + np.abs(qxy).max() + max(abs(x0), abs(y0)))
+        qx, qy = qxy[:, 0].copy(), qxy[:, 1].copy()
+        # blocks of queries and chunks of candidates keep every temporary
+        # small, which spares the page faults of fresh large allocations
+        for q0 in range(0, len(qxy), _BLOCK):
+            block = slice(q0, q0 + _BLOCK)
+            q, start, lens = self._slices(qx[block], qy[block], r + pad, pad,
+                                          None if first is None else first[block],
+                                          None if first is None else self.cell[block, 0])
+            q += q0
+            # each pass takes the slices whose candidates begin in one _CHUNK window
+            offset = np.cumsum(lens) - lens
+            for at in range(0, int(lens.sum()), _CHUNK):
+                a, b = np.searchsorted(offset, (at, at + _CHUNK))
+                n = lens[a:b]
+                j = np.arange(n.sum()) + np.repeat(start[a:b] - (np.cumsum(n) - n), n)
+                qq = np.repeat(q[a:b], n)
+                dx = self._x.take(j) - qx.take(qq)
+                dy = self._y.take(j) - qy.take(qq)
+                yield qq, j, dx * dx + dy * dy
+
+    def _slices(self, qx, qy, reach, pad, first, own_col):
+        """(query, start, length) of one slice per query and column of its
+        range, ordered by query: `scan`'s row windows, for queries at
+        (qx, qy) that scan forward from `own_col` when it is given."""
+        (x0, y0), side = self.origin, self.side
+        lo = own_col if own_col is not None else np.floor((qx - reach - x0) / side)
+        lo = np.maximum(lo, 0).astype(np.int64)
+        hi = np.minimum(np.floor((qx + reach - x0) / side), self.n_cols - 1).astype(np.int64)
+        n_cols = np.maximum(hi - lo + 1, 0)
+        q = np.repeat(np.arange(len(qx)), n_cols)
+        col = np.arange(len(q)) - np.repeat(np.cumsum(n_cols) - n_cols - lo, n_cols)
+        x, y = qx.take(q), qy.take(q)
+        left = x0 + col * side
+        gap = np.maximum(np.maximum(left - x, x - (left + side)) - pad, 0.0)
+        h = np.sqrt(np.maximum(reach * reach - gap * gap, 0.0))
+        row_lo = np.clip(np.floor((y - h - y0) / side).astype(np.int64), 0, self.stride)
+        row_hi = np.clip(np.floor((y + h - y0) / side).astype(np.int64), -1,
+                         self.stride - 1)
+        base = col * self.stride
+        start, stop = self.start(base + row_lo), self.start(base + row_hi + 1)
+        if first is not None:
+            own = np.flatnonzero(col == own_col.take(q))
+            start[own] = first.take(q.take(own))
+        return q, start, np.maximum(stop - start, 0)
+
+
 def nearest_firewall_distance(devices: PointSet, firewalls: PointSet,
                               r: float) -> np.ndarray:
-    """Per device, the nearest firewall's distance where it is <= r (the bound
-    only prunes), some distance > r elsewhere: `dist <= r_f` tests any r_f <= r."""
+    """Per device, the nearest firewall's distance where it is <= r, inf or
+    some distance > r elsewhere: `dist <= r_f` tests any r_f <= r.
+
+    Each firewall scans the devices' `CellGrid` (cells of side r); a device
+    keeps the smallest dx*dx + dy*dy, and its distance is that sum's sqrt.
+    """
     if not (r > 0):
         raise ValueError("r_f must be > 0")
+    best = np.full(devices.n, np.inf)
     if devices.n == 0 or firewalls.n == 0:
-        return np.full(devices.n, np.inf)
-    dist, _ = cKDTree(firewalls.points).query(devices.points, k=1,
-                                              distance_upper_bound=r * (1 + 1e-9))
-    return dist
+        return best
+    w = devices.window
+    grid, order = CellGrid.binned(devices.points, (w.x_min, w.y_min), r)
+    for _, j, d2 in grid.scan(firewalls.points, r):
+        np.minimum.at(best, order.take(j), d2)
+    return np.sqrt(best)
 
 
 def classify_devices(devices: PointSet, firewalls: PointSet, r_f: float) -> np.ndarray:
@@ -129,29 +274,54 @@ def classify_devices(devices: PointSet, firewalls: PointSet, r_f: float) -> np.n
     return protected
 
 
+def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per vertex of the undirected graph on 0..n-1 with edges (a[k], b[k]),
+    the smallest vertex of its component.
+
+    Min-label hooking with pointer jumping (Shiloach & Vishkin, J.
+    Algorithms 3, 57, 1982). Each round hooks every root onto the smallest
+    root across its edges, then jumps every pointer to its root; an edge
+    whose ends share a root is dropped for good. Pointers only decrease and
+    only follow edges, so a component's smallest vertex points nowhere else
+    and is, at the end, the root of every vertex in it.
+    """
+    parent = np.arange(n)
+    while len(a):
+        ra, rb = parent.take(a), parent.take(b)
+        split = np.flatnonzero(ra != rb)
+        a, b, ra, rb = (v.take(split) for v in (a, b, ra, rb))
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = parent.take(parent)
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    return parent
+
+
 def _canonical_labels(n: int, pairs: np.ndarray) -> tuple[np.ndarray, int]:
     """Connected-component labels over n vertices, canonicalized so label ids
     follow the order of each component's smallest vertex."""
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), 0
-    if len(pairs) == 0:
-        return np.arange(n, dtype=np.int64), n
-    ones = np.ones(len(pairs), dtype=np.int8)
-    graph = sparse.coo_matrix((ones, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    k, labels = connected_components(graph, directed=False)
-    _, first = np.unique(labels, return_index=True)
-    remap = np.empty(k, dtype=np.int64)
-    remap[np.argsort(first, kind="stable")] = np.arange(k)
-    return remap[labels], k
+    roots = _component_roots(n, pairs[:, 0], pairs[:, 1])
+    ids, labels = np.unique(roots, return_inverse=True)
+    return labels, len(ids)
 
 
 def radius_pairs(xy: np.ndarray, radius: float) -> np.ndarray:
-    """All index pairs at Euclidean distance <= radius, as an (m, 2) array."""
+    """All index pairs at Euclidean distance <= radius, dx*dx + dy*dy <=
+    radius*radius, as an (m, 2) array of rows i < j: a forward scan of the
+    points' `CellGrid`, same-cell pairs included."""
+    if not (radius > 0 and math.isfinite(radius)):
+        raise ValueError("radius must be finite and > 0")
     if len(xy) < 2:
         return np.empty((0, 2), dtype=np.int64)
-    # sliding-midpoint splits build faster than median splits on uniform
-    # points; the pairs found do not depend on the tree's shape
-    return cKDTree(xy, balanced_tree=False).query_pairs(radius, output_type="ndarray")
+    grid, order = CellGrid.binned(xy, xy.min(axis=0), 0.7 * radius)
+    ends = [(np.empty(0, dtype=np.int64),) * 2]
+    for i, j, d2 in grid.scan(grid.xy, radius, first=np.arange(1, len(xy) + 1)):
+        hit = np.flatnonzero(d2 <= radius * radius)
+        ends.append((i.take(hit), j.take(hit)))
+    a, b = (order.take(np.concatenate(e)) for e in zip(*ends))
+    return np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
 
 
 def sample_world(config: NetworkConfig, tseed: int,

@@ -23,9 +23,9 @@ when some linked device pair across them has both ends susceptible at p,
 and a cell touches a boundary strip exactly when one of its devices in the
 strip is susceptible; each of these is a threshold on one weight. A probe
 compares the weights with p and labels a graph of a few thousand nodes,
-with the same outcome as labelling every susceptible device pair. The live
-edges, stored sorted by first node, are the rows of a CSR as they stand;
-its labels are not canonical, as spanning only asks which nodes share one.
+with the same outcome as labelling every susceptible device pair. It labels
+the live edges by min-label hooking with pointer jumping
+(`network._component_roots`); spanning only asks which nodes share a root.
 
 The edge weights are computed by the first probe, and again by any probe
 below the lowest fraction probed so far (the floor), from only the devices
@@ -35,17 +35,22 @@ weights that no probe at or above the floor keeps. A trial probed once at
 p = 1 therefore enumerates pairs only among the devices with no pool
 firewall within r_f.
 
-The same cell grid gives each device its protection: the smallest mark of
-a pool firewall within r_f. Each firewall scans the device slices of the
-cell columns its disc can touch, found by binary search in the devices
-sorted by cell, and keeps the devices with dx*dx + dy*dy <= r_f*r_f. The
-scanned range is that of r_f plus a small pad, binned by the same function
-as the devices, so no device the test accepts lies outside it; the one
-kd-tree a trial builds is the pair enumeration's, over the kept devices.
+One cell grid (`network.CellGrid`) serves every spatial query of a trial,
+with no kd-tree. Pairs: each kept device scans the cell columns cx..cx+2,
+in its own column from the next cell on, over the rows within the exact
+half-width sqrt(r_r**2 - gap**2) of each column plus a rounding pad, and
+folds every linked pair straight into its cell edge's weight. Protection:
+each pool firewall scans the device cells its r_f disc can touch, with the
+same windows, and each device keeps the smallest mark among the firewalls
+with dx*dx + dy*dy <= r_f*r_f. The pad, 1e-9 (r + cell side + the largest
+|coordinate|), exceeds every rounding of the test and of the binning, and
+the windows are binned by the devices' own function, so no pair the test
+accepts lies outside them (`CellGrid.scan`).
 
 Protected fractions need no thinning. r_f enters neither the world nor the
 trial seed, so a sweep over r_f reads every fraction off one nearest-firewall
-query per trial, bounded at the largest r_f.
+scan per trial (`network.nearest_firewall_distance`), bounded at the largest
+r_f.
 """
 from __future__ import annotations
 
@@ -55,12 +60,10 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .bounds import LC1_APPROX
-from .network import (NetworkConfig, Realization, nearest_firewall_distance,
-                      radius_pairs, sample_world)
+from .network import (CellGrid, NetworkConfig, Realization, _component_roots,
+                      nearest_firewall_distance, sample_world)
 from .spatial import open_csv, trial_seed
 
 __all__ = [
@@ -81,7 +84,6 @@ __all__ = [
     "write_critical_csv",
 ]
 
-_CHUNK = 1 << 18  # device pairs or candidates per pass, to bound the temporaries
 MAX_GRID_POINTS = 100_000  # largest grid a search or a sweep axis may ask for
 
 
@@ -171,49 +173,17 @@ def detect_spanning(realization: Realization) -> tuple[bool, bool]:
                               _strip_masks(xy, realization.config))
 
 
-def _min_marks(xy, cell_id, stride, cell_of, pool_xy, marks, r_f) -> np.ndarray:
-    """Per device, the smallest mark among the pool firewalls within r_f of
-    it (closed ball), inf when there is none.
+def _min_marks(grid: CellGrid, pool_xy, marks, r_f) -> np.ndarray:
+    """Per point of `grid`, the smallest mark among the pool firewalls within
+    r_f of it (closed ball: dx*dx + dy*dy <= r_f*r_f), inf when there is none.
 
-    The devices are sorted by `cell_id = cx * stride + cy`, where (cx, cy) =
-    `cell_of(xy)`, so the devices in rows lo..hi of one column are one
-    slice. A device is within r_f of firewall f = (fx, fy) when
-    dx*dx + dy*dy <= r_f*r_f, the sum `cKDTree` compares.
-
-    f scans the cells from cell_of(f - reach) to cell_of(f + reach), clipped
-    to the grid, and that range holds every device the test accepts. Such a
-    device has |x - fx| <= r_f (1 + 4 eps), eps the unit roundoff. The pad
-    of reach over r_f, 1e-9 (r_f + the largest |coordinate| of a firewall),
-    exceeds that and the rounding of fx -+ reach together, so the device's
-    x lies between the rounded fx - reach and fx + reach, and likewise y.
-    `cell_of` is the devices' own binning and is non-decreasing in each
-    coordinate, so the device's cell lies between the two bound cells.
+    Each firewall scans the grid (`CellGrid.scan`), whose candidates hold
+    every point the test accepts.
     """
-    min_mark = np.full(len(xy), np.inf)
-    if len(xy) == 0 or len(pool_xy) == 0:
-        return min_mark
-    reach = r_f + 1e-9 * (r_f + np.abs(pool_xy).max())
-    lo = np.maximum(cell_of(pool_xy - reach), 0)
-    hi = np.minimum(cell_of(pool_xy + reach), (cell_id[-1] // stride, stride - 1))
-    # one slice per (firewall, column) of the range, ordered by firewall
-    n_cols = np.maximum(hi[:, 0] - lo[:, 0] + 1, 0)
-    fw = np.repeat(np.arange(len(pool_xy)), n_cols)
-    col = np.arange(len(fw)) - np.repeat(np.cumsum(n_cols) - n_cols - lo[:, 0], n_cols)
-    start = np.searchsorted(cell_id, col * stride + lo[fw, 1], side="left")
-    lens = np.maximum(np.searchsorted(cell_id, col * stride + hi[fw, 1],
-                                      side="right") - start, 0)
-    # each pass takes the slices whose candidates begin in one _CHUNK window
-    (x, y), (fx, fy) = xy.T.copy(), pool_xy.T.copy()  # contiguous for `take`
-    offset = np.cumsum(lens) - lens
-    for at in range(0, int(lens.sum()), _CHUNK):
-        a, b = np.searchsorted(offset, (at, at + _CHUNK))
-        n = lens[a:b]
-        idx = np.arange(n.sum()) + np.repeat(start[a:b] - (np.cumsum(n) - n), n)
-        f = np.repeat(fw[a:b], n)
-        dx = x.take(idx) - fx.take(f)
-        dy = y.take(idx) - fy.take(f)
-        hit = dx * dx + dy * dy <= r_f * r_f
-        np.minimum.at(min_mark, idx[hit], marks[f[hit]])
+    min_mark = np.full(len(grid.xy), np.inf)
+    for f, j, d2 in grid.scan(pool_xy, r_f):
+        hit = np.flatnonzero(d2 <= r_f * r_f)
+        np.minimum.at(min_mark, j.take(hit), marks.take(f.take(hit)))
     return min_mark
 
 
@@ -225,11 +195,9 @@ class _TrialState:
     uniform on [0, 1), so p = 0 keeps none and p = 1 keeps all. Device i is
     susceptible at p exactly when `min_mark[i] >= p`, where min_mark[i] is
     the smallest mark among pool firewalls within r_f of it (inf when none).
-    `_min_marks` reads it off the cell grid below, with no kd-tree: the
-    devices are sorted by cell id cx * stride + cy, so the rows one firewall
-    can reach in one column are one slice.
+    `_min_marks` reads it off the cell grid below.
 
-    The devices are binned into square cells of side 0.7 * r_r, whose
+    The devices are binned into a `CellGrid` of side 0.7 * r_r, whose
     diagonal 0.99 * r_r leaves room for rounding: any two devices of one
     cell are linked, so the susceptible devices of a cell always form one
     clique. Collapsing each occupied cell to a node therefore keeps the ISG
@@ -250,67 +218,64 @@ class _TrialState:
     its two devices, so a device below the floor only gives weights
     < floor, which no probe at p >= floor keeps. A probe at p >= floor
     reuses the edges; the first probe, and any probe below the floor,
-    builds them with floor = p. The edges are kept as endpoint arrays
-    (`edge_a` non-decreasing), so a probe's live edges form a CSR directly.
-    Its weak components are the cell graph's, numbered in no fixed order.
+    builds them with floor = p. Each kept device scans the grid of the kept
+    devices forward from the next cell (`CellGrid.scan`), whose candidates
+    hold every linked pair across cells once. A probe labels the live edges
+    with `_component_roots`; its components are numbered by their smallest
+    node, but spanning only asks which nodes share one.
     """
 
-    __slots__ = ("xy", "min_mark", "head", "tail", "cell_ids", "stride",
-                 "r_r", "strip_w", "floor", "edge_a", "edge_b", "edge_w")
+    __slots__ = ("grid", "min_mark", "head", "tail", "cell_ids", "r_r", "strip_w",
+                 "floor", "edge_a", "edge_b", "edge_w")
 
     def __init__(self, config: NetworkConfig, lambda_pool: float, tseed: int):
         devices, pool, marks = sample_world(config, tseed, lambda_pool)
-        origin, side = (config.window.x_min, config.window.y_min), 0.7 * config.r_r
-
-        def cell_of(xy):
-            return np.floor((xy - origin) / side).astype(np.int64)
-
+        w = config.window
         # node = occupied cell, numbered in (cx, cy) order; devices sorted by
         # node, so that every pair i < j of any subset has node[i] <= node[j]
-        cell = cell_of(devices.points)
-        self.stride = int(cell[:, 1].max(initial=0)) + 1
-        cell_id = cell[:, 0] * self.stride + cell[:, 1]
-        order = np.argsort(cell_id)
-        self.xy = devices.points.take(order, axis=0)
-        cell, cell_id = cell.take(order, axis=0), cell_id[order]
-        first = np.empty(len(cell_id), dtype=bool)  # first device of its node
+        grid, _ = CellGrid.binned(devices.points, (w.x_min, w.y_min), 0.7 * config.r_r)
+        self.grid = grid
+        first = np.empty(len(grid.cell_id), dtype=bool)  # first device of its node
         first[:1] = True
-        np.not_equal(cell_id[1:], cell_id[:-1], out=first[1:])
+        np.not_equal(grid.cell_id[1:], grid.cell_id[:-1], out=first[1:])
         node = np.cumsum(first) - 1
-        self.cell_ids = cell_id[first]
-        self.min_mark = _min_marks(self.xy, cell_id, self.stride, cell_of,
-                                   pool.points, marks, config.r_f)
+        self.cell_ids = grid.cell_id[first]
+        self.min_mark = _min_marks(grid, pool.points, marks, config.r_f)
         self.r_r = config.r_r
 
         # a linked pair lies at most 2 cells apart per axis, so its offset
         # (dx, dy) from the lower node has dx in 0..2 and dy in -2..2, and
         # head[i] + tail[j] = 13 * node[i] + 5 * dx + dy is unique per cell
         # pair; slot 0 of a node is its own cell, whose pairs need no edge
-        self.head = 13 * node - 5 * cell[:, 0] - cell[:, 1]
-        self.tail = 5 * cell[:, 0] + cell[:, 1]
+        self.head = 13 * node - 5 * grid.cell[:, 0] - grid.cell[:, 1]
+        self.tail = 5 * grid.cell[:, 0] + grid.cell[:, 1]
 
         self.strip_w = np.full((4, len(self.cell_ids)), -np.inf)
-        for row, mask in enumerate(_strip_masks(self.xy, config)):
+        for row, mask in enumerate(_strip_masks(grid.xy, config)):
             np.maximum.at(self.strip_w[row], node[mask], self.min_mark[mask])
         self.floor = math.nan  # no edges yet: `p >= nan` fails for every p
 
     def _build_edges(self, floor: float) -> None:
         """Cell edges and their weights among the devices with min_mark >= floor."""
-        keep = self.min_mark >= floor
-        min_mark, head, tail = self.min_mark[keep], self.head[keep], self.tail[keep]
-        pairs = radius_pairs(self.xy.compress(keep, axis=0), self.r_r)
+        keep = np.flatnonzero(self.min_mark >= floor)
+        grid = self.grid.subset(keep)
+        min_mark, head, tail = (v.take(keep) for v in (self.min_mark, self.head, self.tail))
         best = np.full(len(self.cell_ids) * 13, -np.inf)
-        for lo in range(0, len(pairs), _CHUNK):
-            i, j = pairs[lo:lo + _CHUNK].T
-            np.maximum.at(best, head[i] + tail[j],
-                          np.minimum(min_mark[i], min_mark[j]))
+        r2 = self.r_r * self.r_r
+        # the scan starts at the next cell: a same-cell pair fills only slot 0
+        for i, j, d2 in grid.scan(grid.xy, self.r_r, first=grid.start(grid.cell_id + 1)):
+            hit = np.flatnonzero(d2 <= r2)  # `take` gathers far faster than a bool mask
+            i, j = i.take(hit), j.take(hit)
+            np.maximum.at(best, head.take(i) + tail.take(j),
+                          np.minimum(min_mark.take(i), min_mark.take(j)))
         slots = np.flatnonzero(best > -np.inf)
         slots = slots[slots % 13 != 0]
         a, off = np.divmod(slots, 13)
         dx = (off + 2) // 5
         dy = off - 5 * dx
-        b = np.searchsorted(self.cell_ids, self.cell_ids[a] + dx * self.stride + dy)
-        self.edge_a, self.edge_b = a, b.astype(np.int32)  # a ascends with slots
+        self.edge_a = a
+        self.edge_b = np.searchsorted(self.cell_ids,
+                                      self.cell_ids[a] + dx * self.grid.stride + dy)
         self.edge_w = best[slots]
         self.floor = floor
 
@@ -319,13 +284,9 @@ class _TrialState:
         if not p >= self.floor:
             self._build_edges(p)
         n = len(self.cell_ids)
-        live = self.edge_w >= p
-        b = self.edge_b[live]
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(self.edge_a[live], minlength=n), out=indptr[1:])
-        graph = csr_matrix((np.ones(len(b)), b, indptr), shape=(n, n))
-        k, labels = connected_components(graph, directed=True, connection="weak")
-        lr, bt = _spans_from_labels(labels, k, self.strip_w >= p)
+        live = np.flatnonzero(self.edge_w >= p)
+        roots = _component_roots(n, self.edge_a.take(live), self.edge_b.take(live))
+        lr, bt = _spans_from_labels(roots, n, self.strip_w >= p)
         return lr and bt
 
 

@@ -1,8 +1,15 @@
 """End-to-end runs of every subcommand through the argparse entry point."""
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from spatial_firewalls import cli
 from spatial_firewalls.bounds import protected_fraction
 from spatial_firewalls.cli import AxisSpec, ExperimentSpec, SpecError, main
 from spatial_firewalls.network import NetworkConfig
@@ -337,3 +344,60 @@ def test_tiny_step_exits_2(capsys):
                        capsys, "axis")
     _assert_spec_error(main(["critical", "--search-step", "1e-9", "--trials", "2"]),
                        capsys, "search grid")
+
+
+def test_main_validates_the_spec_once(tmp_path):
+    """`main` validates the spec once, in `run`; a malformed spec still
+    exits 2 from that one check."""
+    validate = ExperimentSpec.validate
+    with mock.patch.object(ExperimentSpec, "validate", autospec=True,
+                           side_effect=validate) as calls:
+        assert main(["sweep", "--axis", "lambda_f", "--start", "0", "--stop", "0.1",
+                     "--step", "0.05", "--trials", "2", "--window-size", "10",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert calls.call_count == 1
+        assert main(["sweep", "--axis", "lambda_f", "--start", "0", "--stop", "1",
+                     "--step", "1e-12", "--trials", "2"]) == 2
+        assert calls.call_count == 2
+
+
+def test_main_calls_run_through_the_module():
+    """`main` reaches `run` through the module global, so wrapping
+    `cli.run` sees every command."""
+    with mock.patch.object(cli, "run", return_value=0) as run:
+        assert main(["bounds"]) == 0
+    assert run.call_count == 1
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    """In a fresh interpreter where importing SciPy fails, all five
+    subcommands run at tiny sizes, exit 0 and leave no SciPy module
+    loaded."""
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+        from spatial_firewalls.cli import main
+        small = ["--trials", "2", "--window-size", "10"]
+        runs = [
+            ["sweep", "--axis", "lambda_f", "--start", "0", "--stop", "0.1",
+             "--step", "0.05", "--out", "sweep.csv"] + small,
+            ["critical", "--lambda-r", "0.5", "--search-step", "0.2",
+             "--out", "critical.csv"] + small,
+            ["bounds"],
+            ["validate", "--face-samples", "50", "--blocking-trials", "100",
+             "--coupling-realizations", "2", "--out", "validate.csv"],
+            ["protected", "--out", "protected.csv"] + small,
+        ]
+        codes = [main(argv) for argv in runs]
+        loaded = sorted(name for name, module in sys.modules.items()
+                        if name.split(".")[0] == "scipy" and module is not None)
+        print(codes, loaded)
+        sys.exit(0 if codes == [0] * 5 and not loaded else 1)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"

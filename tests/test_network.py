@@ -114,6 +114,19 @@ def test_rgg_edge_at_exact_radius():
     assert _components(xy, 5.0)[1] == 1
 
 
+def test_radius_pairs_refuses_a_grid_beyond_int64():
+    """A range so small for the spread of the points that the cell ids
+    would overflow int64 is refused, not answered with wrong pairs; so is a
+    range that is not finite and > 0."""
+    xy = np.array([[0.0, 0.0], [1e6, 1e6], [1e6, 1e6]])
+    with pytest.raises(ValueError, match="2\\*\\*62"):
+        radius_pairs(xy, 1e-6)
+    assert radius_pairs(xy, 1e-3).tolist() == [[1, 2]]
+    for radius in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="radius"):
+            radius_pairs(xy, radius)
+
+
 def test_rgg_coincident_points_are_linked():
     # floating-point duplicates are tolerated: distance 0 <= radius is an edge
     assert _components(np.array([[1.0, 1.0], [1.0, 1.0]]), 0.5)[1] == 1

@@ -1,20 +1,24 @@
 """Property tests on small random worlds: the cell-graph trial kernel
-against a device-level reference along any sequence of probes, its CSR
-probe against canonical labelling of the same live edges, the pruning
-of pair enumeration (and of every kd-tree) to the devices above the probe
-floor, the bisected spanning-prefix worker against probing every grid
-point, the nested-thinning monotonicity it relies on, the slow reference
-path, worker-count invariance, the closed-ball distance and strip rules,
-the cell-grid `min_mark` and `classify_devices` against brute force, a
-cell edge's weight when its cells' top-mark devices are not linked, the
+against a device-level reference along any sequence of probes, its probe
+against SciPy's labelling of the same live edges, the pruning of pair
+enumeration to the devices above the probe floor, the bisected
+spanning-prefix worker against probing every grid point, the
+nested-thinning monotonicity it relies on, the slow reference path,
+worker-count invariance, the closed-ball distance and strip rules, the
+cell-grid `min_mark` and `classify_devices` against brute force, a cell
+edge's weight when its cells' top-mark devices are not linked, the
 open-edge coupling check against its per-edge reference, the
 protected-fraction sweep over r_f against one estimate per r_f, and the
-public surface: every module's `__all__` and the README quickstart."""
+public surface: every module's `__all__` and the README quickstart.
+
+SciPy, from the `test` extra, is the independent oracle of every NumPy
+kernel on the cell grid: `cKDTree.query_pairs` for `radius_pairs` and for
+the trial's edge weights, `cKDTree.query` for `nearest_firewall_distance`,
+and `connected_components` for `_component_roots`."""
 import importlib
 import math
 import pkgutil
 import re
-from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -23,6 +27,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 import spatial_firewalls
@@ -30,9 +36,11 @@ from spatial_firewalls import lattice, percolation
 from spatial_firewalls.bounds import _ceil_ratio, subcritical_sufficient_intensity
 from spatial_firewalls.lattice import (OpenEdgeCheck, _any_pair_beyond,
                                        verify_open_edge_coupling)
-from spatial_firewalls.network import (IsgGraph, NetworkConfig, Realization,
-                                       _canonical_labels, build_isg,
-                                       classify_devices, radius_pairs,
+from spatial_firewalls.network import (CellGrid, IsgGraph, NetworkConfig,
+                                       Realization, _canonical_labels,
+                                       _component_roots, build_isg,
+                                       classify_devices,
+                                       nearest_firewall_distance, radius_pairs,
                                        sample_world)
 from spatial_firewalls.percolation import (NoDevicesError,
                                           ProtectedFractionEstimate,
@@ -122,12 +130,18 @@ def test_cell_graph_matches_device_level_reference(world, data):
         assert state.spans_at(p) == _device_level_spans(sampled, cfg, p)
 
 
-def _canonical_probe(state, p):
-    """Reference for `spans_at` on the state's current edges: canonical
-    labels over the live ones, then the spanning flags."""
+def _scipy_labels(n, a, b):
+    """SciPy's component labels of the undirected graph on 0..n-1 with
+    edges (a[k], b[k])."""
+    graph = sparse.coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    return connected_components(graph, directed=False)
+
+
+def _scipy_probe(state, p):
+    """Reference for `spans_at` on the state's current edges: SciPy's
+    labels of the live ones, then the spanning flags."""
     live = state.edge_w >= p
-    edges = np.stack([state.edge_a[live], state.edge_b[live]], axis=1)
-    labels, k = _canonical_labels(len(state.cell_ids), edges)
+    k, labels = _scipy_labels(len(state.cell_ids), state.edge_a[live], state.edge_b[live])
     lr, bt = _spans_from_labels(labels, k, state.strip_w >= p)
     return lr and bt
 
@@ -137,9 +151,9 @@ def _canonical_probe(state, p):
 def test_csr_probe_matches_canonical_labelling(world, runs):
     """Along ascending runs of fractions, each run after the first starting
     below the floor more often than not, and a last probe at 0: every probe,
-    and one at the least live edge weight, answers as canonical labelling
-    of the same live edges, and every build leaves the first endpoints
-    sorted, which the probe's CSR rows assume."""
+    and one at the least live edge weight, answers as SciPy's
+    `connected_components` on the same live edges, and every build leaves
+    the first endpoints sorted, ahead of their second."""
     cfg, lambda_pool, tseed = world
     state = _TrialState(cfg, lambda_pool, tseed)
     builds = 0
@@ -148,12 +162,34 @@ def test_csr_probe_matches_canonical_labelling(world, runs):
         spans = state.spans_at(p)
         builds += state.floor is not floor
         assert np.all(np.diff(state.edge_a) >= 0)
-        assert state.edge_b.dtype == np.int32
-        assert spans == _canonical_probe(state, p)
+        assert np.all(state.edge_a < state.edge_b)
+        assert spans == _scipy_probe(state, p)
         tie = state.edge_w[state.edge_w >= p].min(initial=np.inf)
         if tie <= 1.0:
-            assert state.spans_at(tie) == _canonical_probe(state, tie)
+            assert state.spans_at(tie) == _scipy_probe(state, tie)
     assert builds >= 1 + (min(runs[0]) > 0)
+
+
+@SETTINGS
+@given(st.integers(0, 60), st.data())
+def test_component_roots_partition_matches_scipy(n, data):
+    """`_component_roots` gives each vertex its component's smallest vertex,
+    and so SciPy's partition, on random graphs with self-loops, repeated
+    edges and edges in either orientation; `_canonical_labels` numbers the
+    components in the order of their smallest vertex."""
+    edges = data.draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                         st.integers(0, max(n - 1, 0))),
+                               max_size=3 * n if n else 0))
+    a, b = np.reshape(np.array(edges, dtype=np.int64), (-1, 2)).T
+    roots = _component_roots(n, a, b)
+    k, labels = _scipy_labels(n, a, b)
+    smallest = np.full(k, n)
+    np.minimum.at(smallest, labels, np.arange(n))
+    assert roots.tolist() == smallest[labels].tolist()
+    canonical, k2 = _canonical_labels(n, np.stack([a, b], axis=1))
+    assert k2 == k
+    assert canonical.tolist() == canonical[roots].tolist()  # one label per component
+    assert [canonical[v] for v in sorted(set(roots.tolist()))] == list(range(k))
 
 
 def test_spans_from_labels_ignores_label_ids():
@@ -176,10 +212,11 @@ def test_spans_from_labels_ignores_label_ids():
 
 
 def test_pairs_enumerated_only_among_devices_above_floor():
-    """Pair enumeration, and every kd-tree the package builds, sees only
-    the devices a probe can still find susceptible: on the grid (1.0,), the
-    devices with no pool firewall within r_f; on the grid (0.0,), every
-    device."""
+    """Pair enumeration, the grid's forward scan, sees only the devices a
+    probe can still find susceptible: on the grid (1.0,), the devices with
+    no pool firewall within r_f; on the grid (0.0,), every device. The
+    other scans of a trial, one per trial for protection, query the
+    firewall pool."""
     cfg = NetworkConfig(lambda_r=1.0, r_r=1.0, lambda_f=0.3, r_f=1.0,
                         window=Window.square(12.0), master_seed=5)
     trials = 3
@@ -190,30 +227,22 @@ def test_pairs_enumerated_only_among_devices_above_floor():
     every = [devices.n for devices, _, _ in worlds]
     assert all(0 < u < n for u, n in zip(unprotected, every))
 
+    scan = CellGrid.scan
     for grid, expected in (((1.0,), unprotected), ((0.0,), every)):
-        seen, trees = [], []
+        forward, queries = [], []
 
-        def recording(xy, radius):
-            seen.append(len(xy))
-            return radius_pairs(xy, radius)
+        def recording(self, qxy, r, first=None):
+            if first is None:
+                queries.append(len(qxy))
+            else:
+                assert qxy is self.xy
+                forward.append(len(self.xy))
+            return scan(self, qxy, r, first)
 
-        class RecordingTree(cKDTree):
-            def __init__(self, data, *args, **kwargs):
-                trees.append(len(data))
-                super().__init__(data, *args, **kwargs)
-
-        with ExitStack() as patches:
-            patches.enter_context(mock.patch.object(percolation, "radius_pairs",
-                                                    recording))
-            for module in PACKAGE_MODULES:
-                if hasattr(module, "cKDTree"):
-                    patches.enter_context(mock.patch.object(module, "cKDTree",
-                                                            RecordingTree))
+        with mock.patch.object(CellGrid, "scan", recording):
             _threshold_worker((cfg, cfg.lambda_f, grid, 0, trials))
-        assert seen == expected
-        # protection reads the cell grid: the one kd-tree of a trial is the
-        # pair enumeration's, over the kept devices
-        assert trees == expected
+        assert forward == expected
+        assert queries == [pool.n for _, pool, _ in worlds]
 
 
 def test_pair_just_beyond_range_never_links():
@@ -243,6 +272,32 @@ def test_pair_just_beyond_range_never_links():
                 with mock.patch.object(percolation, "sample_world",
                                        return_value=world):
                     assert _TrialState(cfg, 1.0, 0).spans_at(0.5) == spans
+
+
+def test_scan_pad_covers_binning_rounding():
+    """A linked pair that only the scan's pad keeps in view.
+
+    At r_r = 1 the cells have side 0.7. Device b sits one ulp left of
+    24.5, the rounded left edge of column 35, yet b / 0.7 rounds to 35, so
+    the binning puts b in column 35, two columns right of device a's 33.
+    The x-gap to that edge then exceeds the pair's true dx, and the pair's
+    dy reaches b's row, 2, only through the pad: with the pad at 0, the row
+    window ends in row 1 and both the pair and the cell edge are lost.
+    """
+    a, b = (23.630405554356944, 0.9062333546028525), (24.499999999999996, 1.4)
+    assert b[0] < 35 * 0.7 and np.floor(b[0] / 0.7) == 35 and np.floor(a[0] / 0.7) == 33
+    d = np.subtract(b, a)
+    assert d[0] * d[0] + d[1] * d[1] <= 1.0
+    assert radius_pairs(np.array([(0.0, 0.0), a, b]), 1.0).tolist() == [[1, 2]]
+
+    window = Window(0.0, 0.0, 30.0, 3.0)
+    cfg = NetworkConfig(lambda_r=0.0, r_r=1.0, lambda_f=0.0, r_f=1.0, window=window)
+    world = (PointSet(np.array([a, b]), window), PointSet(np.empty((0, 2)), window),
+             np.empty(0))
+    with mock.patch.object(percolation, "sample_world", return_value=world):
+        state = _TrialState(cfg, 1.0, 0)
+    state._build_edges(0.0)
+    assert state.edge_a.tolist() == [0] and state.edge_b.tolist() == [1]
 
 
 def test_cell_edge_weight_from_best_linked_pair():
@@ -546,7 +601,7 @@ def test_min_mark_matches_brute_force(r_f, data):
     with mock.patch.object(percolation, "sample_world", return_value=world):
         state = _TrialState(cfg, 1.0, 0)
 
-    d = state.xy[:, None, :] - pool_xy[None, :, :]
+    d = state.grid.xy[:, None, :] - pool_xy[None, :, :]
     d2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
     expected = np.where(d2 <= r_f * r_f, marks, np.inf).min(axis=1, initial=np.inf)
     assert np.array_equal(state.min_mark, expected)
@@ -579,6 +634,113 @@ def test_classify_devices_matches_brute_force(r, sites, spots):
     assert (dist[len(at_range) + np.arange(len(beyond)), own] > r).all()
     assert np.array_equal(classify_devices(devices, firewalls, r),
                           dist.min(axis=1) <= r)
+
+
+def _boundary_points(r, x0, y0, w, h, spots):
+    """Sites on the 1/8 grid inside the box (x0, y0, w, h), the 12 points
+    exactly r from each (r / 5 a power of two keeps every coordinate and
+    squared distance exact) and the next double past r on each axis."""
+    sites = np.round(np.reshape([(x0 + u * w, y0 + v * h) for u, v in spots],
+                                (-1, 2)) * 8) / 8
+    at_range = (sites[:, None, :] + turns * (r / 5)).reshape(-1, 2)
+    beyond = np.concatenate([np.stack([np.nextafter(sites[:, 0] + r, np.inf),
+                                       sites[:, 1]], axis=1),
+                             np.stack([sites[:, 0],
+                                       np.nextafter(sites[:, 1] + r, np.inf)],
+                                      axis=1)])
+    return sites, at_range, beyond
+
+
+@SETTINGS
+@given(ranges, st.data())
+def test_radius_pairs_match_kdtree(r, data):
+    """`radius_pairs` finds the pair set of `cKDTree.query_pairs`, each pair
+    once as i < j, on offset non-square clouds with pairs exactly r apart,
+    pairs one ulp beyond r and coincident points. Clouds up to 2000 r wide
+    have far more cells than points, so the grid finds its cell starts by
+    binary search instead of a dense table."""
+    draw = data.draw
+    x0, y0 = draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0))
+    w, h = r * draw(st.one_of(st.floats(0.5, 12.0), st.floats(500.0, 2000.0))), \
+        r * draw(st.floats(0.5, 12.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    n = draw(st.integers(0, 300))
+    cloud = np.column_stack([x0 + w * rng.random(n), y0 + h * rng.random(n)])
+    sites, at_range, beyond = _boundary_points(r, x0, y0, w, h,
+                                               draw(st.lists(units, max_size=4)))
+    xy = np.concatenate([cloud, sites, at_range, beyond,
+                         cloud[:draw(st.integers(0, 5))], sites[:1]])
+    xy = xy[rng.permutation(len(xy))]
+    pairs = radius_pairs(xy, r)
+    assert np.all(pairs[:, 0] < pairs[:, 1])
+    expected = cKDTree(xy).query_pairs(r)
+    assert len(pairs) == len(expected)
+    assert set(map(tuple, pairs.tolist())) == expected
+
+
+@SETTINGS
+@given(ranges, st.data())
+def test_nearest_firewall_distance_matches_kdtree(r, data):
+    """Wherever the nearest firewall lies within r, its distance is
+    `cKDTree.query`'s at the bound r (1 + 1e-9) bit for bit; elsewhere both
+    read > r. Devices sit exactly r from firewall sites and one ulp beyond,
+    on an offset non-square window with firewalls in a margin around it;
+    windows up to 2000 r wide make the devices' grid a sparse one."""
+    draw = data.draw
+    x0, y0 = draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0))
+    window = Window(x0, y0, x0 + r * draw(st.one_of(st.floats(0.5, 12.0),
+                                                    st.floats(500.0, 2000.0))),
+                    y0 + r * draw(st.floats(0.5, 12.0)))
+    fw = window.expand(r * draw(st.floats(0.0, 2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    n, m = draw(st.integers(0, 300)), draw(st.integers(0, 40))
+    sites, at_range, beyond = _boundary_points(r, window.x_min, window.y_min,
+                                               window.width, window.height,
+                                               draw(st.lists(units, max_size=4)))
+    xy = np.concatenate([np.column_stack([window.x_min + window.width * rng.random(n),
+                                          window.y_min + window.height * rng.random(n)]),
+                         at_range, beyond])
+    devices = PointSet(xy[window.contains(xy)], window)
+    firewalls = PointSet(np.concatenate([np.column_stack(
+        [fw.x_min + fw.width * rng.random(m), fw.y_min + fw.height * rng.random(m)]),
+        sites[fw.contains(sites)]]), fw)
+    dist = nearest_firewall_distance(devices, firewalls, r)
+    if firewalls.n == 0 or devices.n == 0:
+        assert np.isinf(dist).all() and len(dist) == devices.n
+        return
+    kd, _ = cKDTree(firewalls.points).query(devices.points, k=1,
+                                            distance_upper_bound=r * (1 + 1e-9))
+    within = kd <= r
+    assert np.array_equal(dist <= r, within)
+    assert dist[within].tobytes() == kd[within].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_worlds(), st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+def test_edge_weights_match_kdtree_pair_fold(world, floor):
+    """The cell edges built at any floor are those of a fold, computed here,
+    of `cKDTree.query_pairs` over the devices with min_mark >= floor: per
+    pair of distinct cells, the max over linked pairs of the smaller
+    min_mark."""
+    cfg, sampled = world
+    with mock.patch.object(percolation, "sample_world", return_value=sampled):
+        state = _TrialState(cfg, 1.0, 0)
+    state._build_edges(floor)
+    xy, min_mark = state.grid.xy, state.min_mark
+    node = np.searchsorted(state.cell_ids, state.grid.cell_id)
+    keep = np.flatnonzero(min_mark >= floor)
+    pairs = cKDTree(xy[keep]).query_pairs(cfg.r_r, output_type="ndarray")
+    i, j = keep[pairs[:, 0]], keep[pairs[:, 1]]
+    fold = {}
+    for a, b, weight in zip(node[i].tolist(), node[j].tolist(),
+                            np.minimum(min_mark[i], min_mark[j]).tolist()):
+        if a != b:
+            key = (min(a, b), max(a, b))
+            fold[key] = max(fold.get(key, -np.inf), weight)
+    built = dict(zip(zip(state.edge_a.tolist(), state.edge_b.tolist()),
+                     state.edge_w.tolist()))
+    assert len(built) == len(state.edge_w)
+    assert built == fold
 
 
 def _coupling_reference(realization):
