@@ -22,7 +22,6 @@ from .spatial import PointSet, Window, sample_ppp, split_seed
 
 __all__ = [
     "NetworkConfig",
-    "CellGrid",
     "IsgGraph",
     "Realization",
     "classify_devices",
@@ -34,6 +33,11 @@ __all__ = [
 
 _BLOCK = 1 << 10  # query points per block of a scan
 _CHUNK = 1 << 13  # candidate pairs per pass of a scan
+# Above this many cells per point, building a grid's dense start table costs
+# more than the binary searches it saves. Timed on a grid build and full scan
+# of 2 k to 30 k uniform points, the table was faster at every size up to 12
+# cells per point, and binary search from 16-24 at 2 k and 64 at 30 k.
+_TABLE_CELLS_PER_POINT = 16
 
 # sub-stream ids under a trial seed
 _STREAM_DEVICES = 0
@@ -122,9 +126,10 @@ class CellGrid:
     Cell (cx, cy) = floor((p - origin) / side), every point at or above
     `origin`, has id cx * stride + cy. So the points in rows lo..hi
     of column cx are the slice `xy[start(id(cx, lo)):start(id(cx, hi) + 1)]`.
-    `start` reads a dense table of cell starts (a `bincount` and a `cumsum`),
-    or, on a grid of far more cells than points (a huge, sparse window),
-    binary-searches the sorted cell ids; both give the same index.
+    `start` reads a dense table of cell starts (a `bincount` and a `cumsum`)
+    on a grid of at most `_TABLE_CELLS_PER_POINT` cells per point, and
+    binary-searches the sorted cell ids on a sparser one; both give the
+    same index.
     """
 
     __slots__ = ("origin", "side", "stride", "n_cols", "xy", "cell", "cell_id",
@@ -139,7 +144,7 @@ class CellGrid:
         self._x, self._y = xy[:, 0].copy(), xy[:, 1].copy()  # contiguous for `take`
         n_cells = n_cols * stride
         self._table = None
-        if n_cells <= 4 * len(xy) + 4096:
+        if n_cells <= _TABLE_CELLS_PER_POINT * len(xy):
             self._table = np.zeros(n_cells + 1, dtype=np.int64)
             np.cumsum(np.bincount(self.cell_id, minlength=n_cells), out=self._table[1:])
 
@@ -246,12 +251,20 @@ class CellGrid:
         return q, start, np.maximum(stop - start, 0)
 
 
+def _query_side(xy: np.ndarray, origin, side: float) -> float:
+    """`side`, or the least side that bins `xy` into at most 2**30 + 1 cells
+    per axis: the scans are exact on cells of any side, and a range tiny
+    for the window then keeps the cell ids within int64."""
+    return max(side, float((xy - origin).max(initial=0.0)) * 2.0 ** -30)
+
+
 def nearest_firewall_distance(devices: PointSet, firewalls: PointSet,
                               r: float) -> np.ndarray:
     """Per device, the nearest firewall's distance where it is <= r, inf or
     some distance > r elsewhere: `dist <= r_f` tests any r_f <= r.
 
-    Each firewall scans the devices' `CellGrid` (cells of side r); a device
+    Each firewall scans the devices' `CellGrid` (cells of side r, or
+    `_query_side`'s when r is tiny for the window); a device
     keeps the smallest dx*dx + dy*dy, and its distance is that sum's sqrt.
     """
     if not (r > 0):
@@ -259,8 +272,9 @@ def nearest_firewall_distance(devices: PointSet, firewalls: PointSet,
     best = np.full(devices.n, np.inf)
     if devices.n == 0 or firewalls.n == 0:
         return best
-    w = devices.window
-    grid, order = CellGrid.binned(devices.points, (w.x_min, w.y_min), r)
+    origin = (devices.window.x_min, devices.window.y_min)
+    grid, order = CellGrid.binned(devices.points, origin,
+                                  _query_side(devices.points, origin, r))
     for _, j, d2 in grid.scan(firewalls.points, r):
         np.minimum.at(best, order.take(j), d2)
     return np.sqrt(best)
@@ -315,7 +329,8 @@ def radius_pairs(xy: np.ndarray, radius: float) -> np.ndarray:
         raise ValueError("radius must be finite and > 0")
     if len(xy) < 2:
         return np.empty((0, 2), dtype=np.int64)
-    grid, order = CellGrid.binned(xy, xy.min(axis=0), 0.7 * radius)
+    origin = xy.min(axis=0)
+    grid, order = CellGrid.binned(xy, origin, _query_side(xy, origin, 0.7 * radius))
     ends = [(np.empty(0, dtype=np.int64),) * 2]
     for i, j, d2 in grid.scan(grid.xy, radius, first=np.arange(1, len(xy) + 1)):
         hit = np.flatnonzero(d2 <= radius * radius)

@@ -4,7 +4,8 @@ import pytest
 
 from spatial_firewalls.bounds import protected_fraction
 from spatial_firewalls.network import (NetworkConfig, _canonical_labels,
-                                       build_isg, classify_devices, radius_pairs,
+                                       build_isg, classify_devices,
+                                       nearest_firewall_distance, radius_pairs,
                                        save_realization_csv)
 from spatial_firewalls.spatial import PointSet, Window, sample_ppp, trial_seed
 
@@ -114,17 +115,33 @@ def test_rgg_edge_at_exact_radius():
     assert _components(xy, 5.0)[1] == 1
 
 
-def test_radius_pairs_refuses_a_grid_beyond_int64():
-    """A range so small for the spread of the points that the cell ids
-    would overflow int64 is refused, not answered with wrong pairs; so is a
-    range that is not finite and > 0."""
+def test_radius_pairs_answer_a_tiny_range_and_refuse_a_bad_one():
+    """A range a trillionth of the points' spread still finds the coincident
+    pair, and a range that is not finite and > 0 is refused."""
     xy = np.array([[0.0, 0.0], [1e6, 1e6], [1e6, 1e6]])
-    with pytest.raises(ValueError, match="2\\*\\*62"):
-        radius_pairs(xy, 1e-6)
+    assert radius_pairs(xy, 1e-6).tolist() == [[1, 2]]
     assert radius_pairs(xy, 1e-3).tolist() == [[1, 2]]
     for radius in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="radius"):
             radius_pairs(xy, radius)
+
+
+def test_tiny_range_on_a_normal_window():
+    """A range of 1e-8 on a 100 m window, some 2**33 cells of side r per
+    axis: each device with a firewall r/2 away is protected at that
+    distance, one with a firewall 2r away is not, and the pairs within r
+    are exactly the device-firewall pairs r/2 apart."""
+    r = 1e-8
+    dev = 1.0 + 98.0 * np.random.default_rng(5).random((200, 2))
+    near, far = dev[:50] + [r / 2, 0.0], dev[50:100] + [0.0, 2 * r]
+    devices, firewalls = _pset(dev), _pset(np.concatenate([near, far]))
+    dist = nearest_firewall_distance(devices, firewalls, r)
+    d2 = ((dev[:50] - near) ** 2).sum(axis=1)
+    assert dist[:50].tobytes() == np.sqrt(d2).tobytes()
+    assert np.all(dist[50:] > r)
+    assert classify_devices(devices, firewalls, r).tolist() == [True] * 50 + [False] * 150
+    pairs = radius_pairs(np.concatenate([dev, near]), r)
+    assert sorted(pairs.tolist()) == [[i, 200 + i] for i in range(50)]
 
 
 def test_rgg_coincident_points_are_linked():

@@ -8,7 +8,7 @@ from spatial_firewalls.network import (IsgGraph, NetworkConfig, Realization,
                                        _canonical_labels, build_isg,
                                        classify_devices, radius_pairs)
 from spatial_firewalls.percolation import (NoDevicesError, SearchExhaustedError,
-                                          detect_spanning,
+                                          _TrialState, detect_spanning,
                                           estimate_percolation_probability,
                                           estimate_protected_fraction,
                                           find_critical_firewall_intensity,
@@ -34,6 +34,16 @@ def _chain_realization(ys=(50.0,), step=2.0, side=100.0):
     return Realization(config=cfg, devices=devices, firewalls=firewalls,
                        is_protected=classify_devices(devices, firewalls, cfg.r_f),
                        isg=IsgGraph(np.arange(devices.n), labels, k))
+
+
+def test_trial_refuses_a_cell_grid_beyond_int64():
+    """A D2D range so small for the window that the trial's cell ids
+    (cells of side 0.7 r_r, which the cell graph needs) would overflow int64
+    is refused, not answered with wrong edges."""
+    cfg = NetworkConfig(lambda_r=0.01, r_r=1e-9, lambda_f=0.0, r_f=1e-9,
+                        window=Window.square(100.0))
+    with pytest.raises(ValueError, match="2\\*\\*62"):
+        _TrialState(cfg, 0.0, 0)
 
 
 def test_detect_spanning_empty():
