@@ -27,7 +27,7 @@ from .lattice import blocking_counterexample_search, closed_face_mc_frequency, \
 from .bounds import closed_face_probability
 from .network import NetworkConfig, build_isg
 from .percolation import MAX_GRID_POINTS, NoDevicesError, SearchExhaustedError, \
-    critical_grid, estimate_percolation_probability, \
+    check_cell_grid, critical_grid, estimate_percolation_probability, \
     find_critical_firewall_intensity, sweep_lambda_f, sweep_protected_fraction, \
     write_critical_csv, write_sweep_csv
 from .spatial import Window, open_csv, trial_seed
@@ -140,8 +140,9 @@ class ExperimentSpec:
             cfg = self.network_config()
             configs = [cfg] + [replace(cfg, **{self.axis.param: v})
                                for v in (self.axis.values() if self.axis else ())]
-            if self.command == "critical":
-                for c in configs:
+            for c in configs if self.command in ("sweep", "critical") else ():
+                check_cell_grid(c)
+                if self.command == "critical":
                     critical_grid(c, self.lambda_f_max, self.search_step)
         except ValueError as exc:
             raise SpecError(str(exc)) from exc

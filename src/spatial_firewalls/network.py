@@ -5,9 +5,9 @@ Devices connect when within the D2D range r_r of each other (closed ball).
 A device is protected when some firewall lies within r_f of it; the ISG is
 the device graph restricted to the susceptible (unprotected) devices.
 
-Every spatial query of the package runs on one index, `CellGrid`: points
-binned into square cells and held in cell order, scanned column by column
-(cell lists, Allen & Tildesley, *Computer Simulation of Liquids*, ch. 5).
+Every spatial query runs on one index, `CellGrid`: points binned into square
+cells, held as x, y and cell-id columns in cell order and scanned column by
+column (cell lists, Allen & Tildesley, *Computer Simulation of Liquids*, ch. 5).
 Components come from min-label hooking with pointer jumping
 (`_component_roots`). Both are plain NumPy.
 """
@@ -38,6 +38,11 @@ _CHUNK = 1 << 13  # candidate pairs per pass of a scan
 # of 2 k to 30 k uniform points, the table was faster at every size up to 12
 # cells per point, and binary search from 16-24 at 2 k and 64 at 30 k.
 _TABLE_CELLS_PER_POINT = 16
+# Cell side of the nearest-firewall scan per unit of its range. On
+# `protected`'s worlds (lambda_r = 2, r = 4) a side of 0.4 r scans 157 k
+# candidates per trial where r scans 262 k, 7.0 ms against 9.8; 0.35-0.5 r
+# were as fast within the noise at lambda_r = 0.8-7 and r = 2-4.
+_NEAREST_SIDE = 0.4
 
 # sub-stream ids under a trial seed
 _STREAM_DEVICES = 0
@@ -121,53 +126,50 @@ class Realization:
 
 class CellGrid:
     """Points binned into square cells of side `side` anchored at `origin`,
-    held in cell order.
+    held in cell order as the columns `x`, `y` and `cell_id`.
 
     Cell (cx, cy) = floor((p - origin) / side), every point at or above
-    `origin`, has id cx * stride + cy. So the points in rows lo..hi
-    of column cx are the slice `xy[start(id(cx, lo)):start(id(cx, hi) + 1)]`.
-    `start` reads a dense table of cell starts (a `bincount` and a `cumsum`)
-    on a grid of at most `_TABLE_CELLS_PER_POINT` cells per point, and
-    binary-searches the sorted cell ids on a sparser one; both give the
-    same index.
+    `origin`, has id cx * stride + cy (so cx = cell_id // stride), and the
+    points in rows lo..hi of column cx are rows start(id(cx, lo)) up to
+    start(id(cx, hi) + 1). `start` reads a dense table of cell starts (a
+    `bincount` and a `cumsum`) on a grid of at most `_TABLE_CELLS_PER_POINT`
+    cells per point, and binary-searches the sorted cell ids on a sparser
+    one; both give the same index.
     """
 
-    __slots__ = ("origin", "side", "stride", "n_cols", "xy", "cell", "cell_id",
-                 "_x", "_y", "_table")
+    __slots__ = ("origin", "side", "stride", "n_cols", "x", "y", "cell_id", "_table")
 
-    def __init__(self, xy, cell, origin, side, stride, n_cols):
-        """A grid over `xy` and its cells `cell`, both already in cell order."""
+    def __init__(self, x, y, cell_id, origin, side, stride, n_cols):
+        """A grid over the points (x, y) of cells `cell_id`, in cell order."""
         self.origin, self.side = (float(origin[0]), float(origin[1])), float(side)
         self.stride, self.n_cols = stride, n_cols
-        self.xy, self.cell = xy, cell
-        self.cell_id = cell[:, 0] * stride + cell[:, 1]
-        self._x, self._y = xy[:, 0].copy(), xy[:, 1].copy()  # contiguous for `take`
+        self.x, self.y, self.cell_id = x, y, cell_id
         n_cells = n_cols * stride
         self._table = None
-        if n_cells <= _TABLE_CELLS_PER_POINT * len(xy):
+        if n_cells <= _TABLE_CELLS_PER_POINT * len(x):
             self._table = np.zeros(n_cells + 1, dtype=np.int64)
-            np.cumsum(np.bincount(self.cell_id, minlength=n_cells), out=self._table[1:])
+            np.cumsum(np.bincount(cell_id, minlength=n_cells), out=self._table[1:])
 
     @classmethod
-    def binned(cls, xy: np.ndarray, origin, side: float) -> tuple["CellGrid", np.ndarray]:
-        """The grid over points `xy` and the order that sorts them into it.
+    def binned(cls, x, y, origin, side: float) -> tuple["CellGrid", np.ndarray]:
+        """The grid over the points (x, y) and the order that sorts them into it.
 
         Raises ValueError when the cell ids would not fit in int64."""
-        cell = np.floor((xy - origin) / side)
-        if np.prod(cell.max(axis=0, initial=0) + 1) > 2.0 ** 62:
+        cx, cy = np.floor((x - origin[0]) / side), np.floor((y - origin[1]) / side)
+        n_cols, stride = cx.max(initial=0) + 1, cy.max(initial=0) + 1
+        if n_cols * stride > 2.0 ** 62:
             raise ValueError(f"cells of side {side:.6g} over these points number "
                              "more than 2**62; the range is too small for the window")
-        cell = cell.astype(np.int64)
-        stride = int(cell[:, 1].max(initial=0)) + 1
-        order = np.argsort(cell[:, 0] * stride + cell[:, 1])
-        grid = cls(xy.take(order, axis=0), cell.take(order, axis=0), origin, side,
-                   stride, int(cell[:, 0].max(initial=0)) + 1)
+        cell_id = cx.astype(np.int64) * int(stride) + cy.astype(np.int64)
+        order = np.argsort(cell_id)
+        grid = cls(x.take(order), y.take(order), cell_id.take(order), origin, side,
+                   int(stride), int(n_cols))
         return grid, order
 
     def subset(self, kept: np.ndarray) -> "CellGrid":
         """The grid, with the same cells, over the points of ascending indices
         `kept`."""
-        return CellGrid(self.xy.take(kept, axis=0), self.cell.take(kept, axis=0),
+        return CellGrid(self.x.take(kept), self.y.take(kept), self.cell_id.take(kept),
                         self.origin, self.side, self.stride, self.n_cols)
 
     def start(self, ids: np.ndarray) -> np.ndarray:
@@ -177,10 +179,10 @@ class CellGrid:
             return self._table.take(ids)
         return np.searchsorted(self.cell_id, ids)
 
-    def scan(self, qxy: np.ndarray, r: float, first: np.ndarray | None = None):
+    def scan(self, qx: np.ndarray, qy: np.ndarray, r: float, first=None):
         """Yield (q, j, d2) chunks over candidate pairs of a query point
-        qxy[q] and a grid point j, d2 = dx*dx + dy*dy. The candidates hold
-        every pair with d2 <= r*r and every pair with sqrt(d2) <= r.
+        (qx[q], qy[q]) and a grid point j, d2 = dx*dx + dy*dy. The candidates
+        hold every pair with d2 <= r*r and every pair with sqrt(d2) <= r.
 
         Query q = (x, y) scans the columns that hold x -+ reach, reach =
         r + pad, and those between, clipped to the grid. In a column whose
@@ -201,18 +203,19 @@ class CellGrid:
         points from index first[q] on. With first[i] = i + 1, each pair
         i < j then comes up once as (i, j).
         """
-        if len(qxy) == 0 or len(self.xy) == 0:
+        if len(qx) == 0 or len(self.x) == 0:
             return
         x0, y0 = self.origin
-        pad = 1e-9 * (r + self.side + np.abs(qxy).max() + max(abs(x0), abs(y0)))
-        qx, qy = qxy[:, 0].copy(), qxy[:, 1].copy()
+        pad = 1e-9 * (r + self.side + max(np.abs(qx).max(), np.abs(qy).max())
+                      + max(abs(x0), abs(y0)))
         # blocks of queries and chunks of candidates keep every temporary
         # small, which spares the page faults of fresh large allocations
-        for q0 in range(0, len(qxy), _BLOCK):
+        for q0 in range(0, len(qx), _BLOCK):
             block = slice(q0, q0 + _BLOCK)
             q, start, lens = self._slices(qx[block], qy[block], r + pad, pad,
                                           None if first is None else first[block],
-                                          None if first is None else self.cell[block, 0])
+                                          None if first is None
+                                          else self.cell_id[block] // self.stride)
             q += q0
             # each pass takes the slices whose candidates begin in one _CHUNK window
             offset = np.cumsum(lens) - lens
@@ -221,8 +224,8 @@ class CellGrid:
                 n = lens[a:b]
                 j = np.arange(n.sum()) + np.repeat(start[a:b] - (np.cumsum(n) - n), n)
                 qq = np.repeat(q[a:b], n)
-                dx = self._x.take(j) - qx.take(qq)
-                dy = self._y.take(j) - qy.take(qq)
+                dx = self.x.take(j) - qx.take(qq)
+                dy = self.y.take(j) - qy.take(qq)
                 yield qq, j, dx * dx + dy * dy
 
     def _slices(self, qx, qy, reach, pad, first, own_col):
@@ -240,22 +243,22 @@ class CellGrid:
         left = x0 + col * side
         gap = np.maximum(np.maximum(left - x, x - (left + side)) - pad, 0.0)
         h = np.sqrt(np.maximum(reach * reach - gap * gap, 0.0))
-        row_lo = np.clip(np.floor((y - h - y0) / side).astype(np.int64), 0, self.stride)
-        row_hi = np.clip(np.floor((y + h - y0) / side).astype(np.int64), -1,
-                         self.stride - 1)
+        row_lo = np.minimum(np.maximum(np.floor((y - h - y0) / side), 0), self.stride)
+        row_hi = np.minimum(np.maximum(np.floor((y + h - y0) / side), -1), self.stride - 1)
         base = col * self.stride
-        start, stop = self.start(base + row_lo), self.start(base + row_hi + 1)
+        start, stop = (self.start(base + k.astype(np.int64)) for k in (row_lo, row_hi + 1))
         if first is not None:
             own = np.flatnonzero(col == own_col.take(q))
             start[own] = first.take(q.take(own))
         return q, start, np.maximum(stop - start, 0)
 
 
-def _query_side(xy: np.ndarray, origin, side: float) -> float:
-    """`side`, or the least side that bins `xy` into at most 2**30 + 1 cells
-    per axis: the scans are exact on cells of any side, and a range tiny
-    for the window then keeps the cell ids within int64."""
-    return max(side, float((xy - origin).max(initial=0.0)) * 2.0 ** -30)
+def _query_side(x: np.ndarray, y: np.ndarray, origin, side: float) -> float:
+    """`side`, or the least side that bins (x, y) into at most 2**30 + 1
+    cells per axis: the scans are exact on cells of any side, and a range
+    tiny for the window then keeps the cell ids within int64."""
+    x0, y0 = origin
+    return max(side, float(max(x.max(initial=x0) - x0, y.max(initial=y0) - y0)) * 2.0 ** -30)
 
 
 def nearest_firewall_distance(devices: PointSet, firewalls: PointSet,
@@ -263,9 +266,10 @@ def nearest_firewall_distance(devices: PointSet, firewalls: PointSet,
     """Per device, the nearest firewall's distance where it is <= r, inf or
     some distance > r elsewhere: `dist <= r_f` tests any r_f <= r.
 
-    Each firewall scans the devices' `CellGrid` (cells of side r, or
-    `_query_side`'s when r is tiny for the window); a device
-    keeps the smallest dx*dx + dy*dy, and its distance is that sum's sqrt.
+    Each firewall scans the devices' `CellGrid` (cells of side
+    `_NEAREST_SIDE` * r, or `_query_side`'s when r is tiny for the window);
+    a device keeps the smallest dx*dx + dy*dy, and its distance is that
+    sum's sqrt.
     """
     if not (r > 0):
         raise ValueError("r_f must be > 0")
@@ -273,9 +277,10 @@ def nearest_firewall_distance(devices: PointSet, firewalls: PointSet,
     if devices.n == 0 or firewalls.n == 0:
         return best
     origin = (devices.window.x_min, devices.window.y_min)
-    grid, order = CellGrid.binned(devices.points, origin,
-                                  _query_side(devices.points, origin, r))
-    for _, j, d2 in grid.scan(firewalls.points, r):
+    x, y = devices.points.T.copy()
+    grid, order = CellGrid.binned(x, y, origin,
+                                  _query_side(x, y, origin, _NEAREST_SIDE * r))
+    for _, j, d2 in grid.scan(*firewalls.points.T.copy(), r):
         np.minimum.at(best, order.take(j), d2)
     return np.sqrt(best)
 
@@ -329,10 +334,11 @@ def radius_pairs(xy: np.ndarray, radius: float) -> np.ndarray:
         raise ValueError("radius must be finite and > 0")
     if len(xy) < 2:
         return np.empty((0, 2), dtype=np.int64)
-    origin = xy.min(axis=0)
-    grid, order = CellGrid.binned(xy, origin, _query_side(xy, origin, 0.7 * radius))
+    x, y = xy.T.copy()
+    origin = (x.min(), y.min())
+    grid, order = CellGrid.binned(x, y, origin, _query_side(x, y, origin, 0.7 * radius))
     ends = [(np.empty(0, dtype=np.int64),) * 2]
-    for i, j, d2 in grid.scan(grid.xy, radius, first=np.arange(1, len(xy) + 1)):
+    for i, j, d2 in grid.scan(grid.x, grid.y, radius, first=np.arange(1, len(xy) + 1)):
         hit = np.flatnonzero(d2 <= radius * radius)
         ends.append((i.take(hit), j.take(hit)))
     a, b = (order.take(np.concatenate(e)) for e in zip(*ends))

@@ -39,7 +39,9 @@ One cell grid (`network.CellGrid`) serves every spatial query of a trial,
 with no kd-tree. Pairs: each kept device scans the cell columns cx..cx+2,
 in its own column from the next cell on, over the rows within the exact
 half-width sqrt(r_r**2 - gap**2) of each column plus a rounding pad, and
-folds every linked pair straight into its cell edge's weight. Protection:
+folds every linked pair straight into its cell edge's weight. An edge's far
+cell is occupied, so its node is that of the device at the cell's start
+(`CellGrid.start`), one lookup per edge. Protection:
 each pool firewall scans the device cells its r_f disc can touch, with the
 same windows, and each device keeps the smallest mark among the firewalls
 with dx*dx + dy*dy <= r_f*r_f. The pad, 1e-9 (r + cell side + the largest
@@ -85,6 +87,7 @@ __all__ = [
 ]
 
 MAX_GRID_POINTS = 100_000  # largest grid a search or a sweep axis may ask for
+_CELL_SIDE = 0.7  # a trial's cell side per unit of r_r: diagonal 0.99 r_r
 
 
 class SearchExhaustedError(RuntimeError):
@@ -137,14 +140,12 @@ class ProtectedFractionEstimate(NamedTuple):
     trials_skipped: int
 
 
-def _strip_masks(xy: np.ndarray, config: NetworkConfig) -> np.ndarray:
-    """(4, n) masks of the points within r_r of the left, right, bottom and
-    top window edges (boundary inclusive)."""
+def _strip_masks(x: np.ndarray, y: np.ndarray, config: NetworkConfig) -> np.ndarray:
+    """(4, n) masks of the points (x, y) within r_r of the left, right,
+    bottom and top window edges (boundary inclusive)."""
     w = config.window
-    return np.stack([xy[:, 0] <= w.x_min + config.r_r,
-                     xy[:, 0] >= w.x_max - config.r_r,
-                     xy[:, 1] <= w.y_min + config.r_r,
-                     xy[:, 1] >= w.y_max - config.r_r])
+    return np.stack([x <= w.x_min + config.r_r, x >= w.x_max - config.r_r,
+                     y <= w.y_min + config.r_r, y >= w.y_max - config.r_r])
 
 
 def _spans_from_labels(labels, k, strips) -> tuple[bool, bool]:
@@ -170,7 +171,7 @@ def detect_spanning(realization: Realization) -> tuple[bool, bool]:
     xy = realization.devices.points.take(realization.isg.vertices, axis=0)
     return _spans_from_labels(realization.isg.component_label,
                               realization.isg.n_components,
-                              _strip_masks(xy, realization.config))
+                              _strip_masks(xy[:, 0], xy[:, 1], realization.config))
 
 
 def _min_marks(grid: CellGrid, pool_xy, marks, r_f) -> np.ndarray:
@@ -180,8 +181,8 @@ def _min_marks(grid: CellGrid, pool_xy, marks, r_f) -> np.ndarray:
     Each firewall scans the grid (`CellGrid.scan`), whose candidates hold
     every point the test accepts.
     """
-    min_mark = np.full(len(grid.xy), np.inf)
-    for f, j, d2 in grid.scan(pool_xy, r_f):
+    min_mark = np.full(len(grid.x), np.inf)
+    for f, j, d2 in grid.scan(*pool_xy.T.copy(), r_f):
         hit = np.flatnonzero(d2 <= r_f * r_f)
         np.minimum.at(min_mark, j.take(hit), marks.take(f.take(hit)))
     return min_mark
@@ -220,25 +221,27 @@ class _TrialState:
     reuses the edges; the first probe, and any probe below the floor,
     builds them with floor = p. Each kept device scans the grid of the kept
     devices forward from the next cell (`CellGrid.scan`), whose candidates
-    hold every linked pair across cells once. A probe labels the live edges
+    hold every linked pair across cells once; an edge's far node is `node`
+    of the first device in its cell. A probe labels the live edges
     with `_component_roots`; its components are numbered by their smallest
     node, but spanning only asks which nodes share one.
     """
 
-    __slots__ = ("grid", "min_mark", "head", "tail", "cell_ids", "r_r", "strip_w",
-                 "floor", "edge_a", "edge_b", "edge_w")
+    __slots__ = ("grid", "node", "min_mark", "head", "tail", "cell_ids", "r_r",
+                 "strip_w", "floor", "edge_a", "edge_b", "edge_w")
 
     def __init__(self, config: NetworkConfig, lambda_pool: float, tseed: int):
         devices, pool, marks = sample_world(config, tseed, lambda_pool)
         w = config.window
         # node = occupied cell, numbered in (cx, cy) order; devices sorted by
         # node, so that every pair i < j of any subset has node[i] <= node[j]
-        grid, _ = CellGrid.binned(devices.points, (w.x_min, w.y_min), 0.7 * config.r_r)
+        grid, _ = CellGrid.binned(*devices.points.T.copy(), (w.x_min, w.y_min),
+                                  _CELL_SIDE * config.r_r)
         self.grid = grid
         first = np.empty(len(grid.cell_id), dtype=bool)  # first device of its node
         first[:1] = True
         np.not_equal(grid.cell_id[1:], grid.cell_id[:-1], out=first[1:])
-        node = np.cumsum(first) - 1
+        self.node = node = np.cumsum(first) - 1
         self.cell_ids = grid.cell_id[first]
         self.min_mark = _min_marks(grid, pool.points, marks, config.r_f)
         self.r_r = config.r_r
@@ -247,11 +250,11 @@ class _TrialState:
         # (dx, dy) from the lower node has dx in 0..2 and dy in -2..2, and
         # head[i] + tail[j] = 13 * node[i] + 5 * dx + dy is unique per cell
         # pair; slot 0 of a node is its own cell, whose pairs need no edge
-        self.head = 13 * node - 5 * grid.cell[:, 0] - grid.cell[:, 1]
-        self.tail = 5 * grid.cell[:, 0] + grid.cell[:, 1]
+        self.tail = 5 * (grid.cell_id // grid.stride) + grid.cell_id % grid.stride
+        self.head = 13 * node - self.tail
 
         self.strip_w = np.full((4, len(self.cell_ids)), -np.inf)
-        for row, mask in enumerate(_strip_masks(grid.xy, config)):
+        for row, mask in enumerate(_strip_masks(grid.x, grid.y, config)):
             np.maximum.at(self.strip_w[row], node[mask], self.min_mark[mask])
         self.floor = math.nan  # no edges yet: `p >= nan` fails for every p
 
@@ -263,7 +266,8 @@ class _TrialState:
         best = np.full(len(self.cell_ids) * 13, -np.inf)
         r2 = self.r_r * self.r_r
         # the scan starts at the next cell: a same-cell pair fills only slot 0
-        for i, j, d2 in grid.scan(grid.xy, self.r_r, first=grid.start(grid.cell_id + 1)):
+        for i, j, d2 in grid.scan(grid.x, grid.y, self.r_r,
+                                  first=grid.start(grid.cell_id + 1)):
             hit = np.flatnonzero(d2 <= r2)  # `take` gathers far faster than a bool mask
             i, j = i.take(hit), j.take(hit)
             np.maximum.at(best, head.take(i) + tail.take(j),
@@ -274,8 +278,9 @@ class _TrialState:
         dx = (off + 2) // 5
         dy = off - 5 * dx
         self.edge_a = a
-        self.edge_b = np.searchsorted(self.cell_ids,
-                                      self.cell_ids[a] + dx * self.grid.stride + dy)
+        # the far cell is occupied: its first device's node
+        self.edge_b = self.node.take(self.grid.start(
+            self.cell_ids.take(a) + dx * self.grid.stride + dy))
         self.edge_w = best[slots]
         self.floor = floor
 
@@ -396,6 +401,16 @@ def sweep_lambda_f(config: NetworkConfig, lambda_f_values, trials: int,
     spanning = (counts[:, None] > np.searchsorted(p_grid, p_values)).sum(axis=0)
     return [PercolationEstimate.from_counts(int(n), trials, replace(config, lambda_f=v))
             for n, v in zip(spanning, values)]
+
+
+def check_cell_grid(config: NetworkConfig) -> None:
+    """Raise ValueError when a trial's cells of side 0.7 r_r over the window
+    would number more than 2**62, which `CellGrid.binned` refuses: every
+    device lies in the window, so its cells never outnumber the window's."""
+    w, side = config.window, _CELL_SIDE * config.r_r
+    if (math.floor(w.width / side) + 1.0) * (math.floor(w.height / side) + 1.0) > 2.0 ** 62:
+        raise ValueError(f"cells of side 0.7 r_r = {side:.6g} over the window number "
+                         "more than 2**62; raise r_r or shrink the window")
 
 
 def critical_grid(config: NetworkConfig, lambda_f_max: float | None = None,

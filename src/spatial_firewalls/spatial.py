@@ -7,6 +7,7 @@ execution order or parallelism.
 """
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -95,11 +96,14 @@ class PointSet:
         return len(self.points)
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def split_seed(seed: int, *key: int) -> int:
     """Derive a child seed from (seed, key) with a counter-based mixer.
 
     Identical inputs give identical outputs on every platform, which makes
-    per-trial streams reproducible under any scheduling of the trials.
+    per-trial streams reproducible under any scheduling of the trials. The
+    result is cached: a sweep over lambda_r derives the same trial and
+    stream seeds at every axis point.
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")

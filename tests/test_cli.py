@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from spatial_firewalls import cli
+from spatial_firewalls import cli, percolation
 from spatial_firewalls.bounds import protected_fraction
 from spatial_firewalls.cli import AxisSpec, ExperimentSpec, SpecError, main
 from spatial_firewalls.network import NetworkConfig
@@ -344,6 +344,29 @@ def test_tiny_step_exits_2(capsys):
                        capsys, "axis")
     _assert_spec_error(main(["critical", "--search-step", "1e-9", "--trials", "2"]),
                        capsys, "search grid")
+
+
+def test_trial_cell_grid_beyond_int64_exits_2(tmp_path, capsys):
+    """A D2D range whose trial cells (side 0.7 r_r) over the window would
+    number more than 2**62 is refused by the spec check, at any axis point
+    of a sweep or a critical search: exit 2, one error line, no trial run
+    and no CSV written."""
+    out = tmp_path / "out.csv"
+    tiny = ["--r-r", "1e-9", "--r-f", "1e-9", "--lambda-r", "0.01", "--trials", "2",
+            "--out", str(out)]
+    with mock.patch.object(percolation, "_TrialState", side_effect=AssertionError):
+        for argv in (["sweep", *tiny, *_AXIS],
+                     ["critical", *tiny, "--lambda-f-max", "1", "--search-step", "0.5"],
+                     ["sweep", "--r-f", "2", "--axis", "r_r", "--start", "1e-9",
+                      "--stop", "1", "--step", "0.5", "--trials", "2", "--out", str(out)],
+                     ["critical", "--r-f", "2", "--axis", "r_r", "--start", "1e-9",
+                      "--stop", "1", "--step", "0.5", "--trials", "2",
+                      "--lambda-f-max", "1", "--out", str(out)]):
+            _assert_spec_error(main(argv), capsys, "2**62")
+            assert not out.exists()
+    # the cells of a 1 m window at r_r = 1e-9 fit, and the sweep runs
+    assert main(["sweep", *tiny, *_AXIS, "--window-size", "1"]) == 0
+    assert len(_body(out)) == 4
 
 
 def test_main_validates_the_spec_once(tmp_path):

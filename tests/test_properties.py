@@ -5,7 +5,9 @@ enumeration to the devices above the probe floor, the bisected
 spanning-prefix worker against probing every grid point, the
 nested-thinning monotonicity it relies on, the slow reference path,
 worker-count invariance, the closed-ball distance and strip rules, the
-cell-grid `min_mark` and `classify_devices` against brute force, a cell
+cell-grid `min_mark` and `classify_devices` against brute force, the
+columnar binning against row binning, each cell edge's far node against a
+binary search of the node cell ids, a cell
 edge's weight when its cells' top-mark devices are not linked, the
 open-edge coupling check against its per-edge reference, the
 protected-fraction sweep over r_f against one estimate per r_f, and the
@@ -81,7 +83,7 @@ def _device_level_spans(world, cfg, p):
     kept = PointSet(pool.points[marks < p], pool.window)
     xy = devices.points[~classify_devices(devices, kept, cfg.r_f)]
     labels, k = _canonical_labels(len(xy), radius_pairs(xy, cfg.r_r))
-    lr, bt = _spans_from_labels(labels, k, _strip_masks(xy, cfg))
+    lr, bt = _spans_from_labels(labels, k, _strip_masks(xy[:, 0], xy[:, 1], cfg))
     return lr and bt
 
 
@@ -231,13 +233,13 @@ def test_pairs_enumerated_only_among_devices_above_floor():
     for grid, expected in (((1.0,), unprotected), ((0.0,), every)):
         forward, queries = [], []
 
-        def recording(self, qxy, r, first=None):
+        def recording(self, qx, qy, r, first=None):
             if first is None:
-                queries.append(len(qxy))
+                queries.append(len(qx))
             else:
-                assert qxy is self.xy
-                forward.append(len(self.xy))
-            return scan(self, qxy, r, first)
+                assert qx is self.x and qy is self.y
+                forward.append(len(self.x))
+            return scan(self, qx, qy, r, first)
 
         with mock.patch.object(CellGrid, "scan", recording):
             _threshold_worker((cfg, cfg.lambda_f, grid, 0, trials))
@@ -552,8 +554,8 @@ def test_closed_ball_rule(x, y, r, offset, mark):
     cfg = NetworkConfig(lambda_r=0.0, r_r=r, lambda_f=0.0, r_f=r, window=window)
     corners = np.array([[window.x_min + r, window.y_max - r],
                         [window.x_max - r, window.y_min + r]])
-    assert _strip_masks(corners, cfg).tolist() == [[True, False], [False, True],
-                                                   [False, True], [True, False]]
+    assert _strip_masks(*corners.T, cfg).tolist() == [[True, False], [False, True],
+                                                      [False, True], [True, False]]
 
 
 # the offsets above with every sign and turn: 12 points exactly r from a site
@@ -601,8 +603,9 @@ def test_min_mark_matches_brute_force(r_f, data):
     with mock.patch.object(percolation, "sample_world", return_value=world):
         state = _TrialState(cfg, 1.0, 0)
 
-    d = state.grid.xy[:, None, :] - pool_xy[None, :, :]
-    d2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    dx = state.grid.x[:, None] - pool_xy[None, :, 0]
+    dy = state.grid.y[:, None] - pool_xy[None, :, 1]
+    d2 = dx * dx + dy * dy
     expected = np.where(d2 <= r_f * r_f, marks, np.inf).min(axis=1, initial=np.inf)
     assert np.array_equal(state.min_mark, expected)
 
@@ -726,7 +729,7 @@ def test_edge_weights_match_kdtree_pair_fold(world, floor):
     with mock.patch.object(percolation, "sample_world", return_value=sampled):
         state = _TrialState(cfg, 1.0, 0)
     state._build_edges(floor)
-    xy, min_mark = state.grid.xy, state.min_mark
+    xy, min_mark = np.column_stack([state.grid.x, state.grid.y]), state.min_mark
     node = np.searchsorted(state.cell_ids, state.grid.cell_id)
     keep = np.flatnonzero(min_mark >= floor)
     pairs = cKDTree(xy[keep]).query_pairs(cfg.r_r, output_type="ndarray")
@@ -741,6 +744,90 @@ def test_edge_weights_match_kdtree_pair_fold(world, floor):
                      state.edge_w.tolist()))
     assert len(built) == len(state.edge_w)
     assert built == fold
+
+
+@st.composite
+def binning_clouds(draw):
+    """(x, y, origin, side): points at random offsets into their cells and
+    exactly on cell edges, over a non-square block of cells above an
+    offset origin."""
+    side = draw(st.floats(0.05, 5.0))
+    origin = (draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3)))
+    n = draw(st.integers(0, 60))
+    ks = [st.lists(st.integers(0, draw(st.integers(0, 40))), min_size=n, max_size=n)
+          for _ in range(2)]
+    fs = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+                  min_size=n, max_size=n)
+    x, y = ((o + (np.array(draw(k), dtype=float) + draw(fs)) * side).reshape(-1)
+            for o, k in zip(origin, ks))
+    return x, y, origin, side
+
+
+@SETTINGS
+@given(binning_clouds())
+def test_columnar_binning_matches_row_binning(cloud):
+    """`CellGrid.binned` on the x and y columns gives the cell ids, the
+    order and the columns that floor((xy - origin) / side) gives on the
+    (n, 2) array."""
+    x, y, origin, side = cloud
+    cell = np.floor((np.column_stack([x, y]) - origin) / side).astype(np.int64)
+    stride = int(cell[:, 1].max(initial=0)) + 1
+    ids = cell[:, 0] * stride + cell[:, 1]
+    order = np.argsort(ids)
+    grid, got = CellGrid.binned(x, y, origin, side)
+    assert np.array_equal(got, order)
+    assert (grid.stride, grid.n_cols) == (stride, int(cell[:, 0].max(initial=0)) + 1)
+    assert np.array_equal(grid.cell_id, ids[order])
+    assert np.array_equal(grid.x, x[order]) and np.array_equal(grid.y, y[order])
+
+
+def _searchsorted_edges(state, floor):
+    """The cell edges `_TrialState._build_edges` builds at `floor`, with each
+    far node found by a binary search of the node cell ids."""
+    keep = np.flatnonzero(state.min_mark >= floor)
+    grid = state.grid.subset(keep)
+    min_mark, head, tail = (v[keep] for v in (state.min_mark, state.head, state.tail))
+    best = np.full(len(state.cell_ids) * 13, -np.inf)
+    for i, j, d2 in grid.scan(grid.x, grid.y, state.r_r,
+                              first=grid.start(grid.cell_id + 1)):
+        i, j = i[d2 <= state.r_r ** 2], j[d2 <= state.r_r ** 2]
+        np.maximum.at(best, head[i] + tail[j], np.minimum(min_mark[i], min_mark[j]))
+    slots = np.flatnonzero(best > -np.inf)
+    slots = slots[slots % 13 != 0]
+    a, off = np.divmod(slots, 13)
+    dx = (off + 2) // 5
+    far = state.cell_ids[a] + dx * state.grid.stride + off - 5 * dx
+    return a, np.searchsorted(state.cell_ids, far), best[slots]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.floats(0.3, 3.0), st.floats(2.0, 8.0),
+       st.integers(0, 2 ** 32), st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+def test_far_nodes_match_binary_search(sparse, r_r, degree, seed, floor):
+    """The edges built at any floor, far nodes included, equal those of a
+    binary search of the node cell ids, on a dense world whose grid reads
+    the start table and on a sparse one, a cluster in a window 60 r_r wide
+    (above 16 cells per point), whose grid binary-searches."""
+    rng = np.random.default_rng(seed)
+    x0, y0 = rng.uniform(-5.0, 5.0, 2)
+    width = r_r * (60.0 if sparse else 8.0)
+    window = Window(x0, y0, x0 + width, y0 + 0.75 * width)
+    cluster = 5.0 * r_r  # devices and firewalls fill this lower-left square
+    n = rng.poisson(degree / (np.pi * r_r ** 2) * cluster ** 2)
+    devices, pool = (PointSet((x0, y0) + rng.uniform(0.0, cluster, (m, 2)), window)
+                     for m in (n, rng.integers(0, 12)))
+    cfg = NetworkConfig(lambda_r=1.0, r_r=r_r, lambda_f=0.0, r_f=1.5 * r_r,
+                        window=window)
+    # a device at the far corner spreads the grid over the whole window
+    corner = PointSet(np.vstack([devices.points, (window.x_max, window.y_max)]), window)
+    world = (corner, pool, rng.random(pool.n))
+    with mock.patch.object(percolation, "sample_world", return_value=world):
+        state = _TrialState(cfg, 1.0, 0)
+    assert (state.grid._table is None) == sparse
+    state._build_edges(floor)
+    a, b, w = _searchsorted_edges(state, floor)
+    assert np.array_equal(state.edge_a, a) and np.array_equal(state.edge_w, w)
+    assert np.array_equal(state.edge_b, b)
 
 
 def _coupling_reference(realization):

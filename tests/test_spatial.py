@@ -93,3 +93,16 @@ def test_split_seed_deterministic_and_distinct():
     assert trial_seed(7, 3) == split_seed(7, 3)
     with pytest.raises(ValueError):
         split_seed(-1, 0)
+
+
+def test_split_seed_cache_matches_a_fresh_derivation():
+    """Cached seeds are those a fresh SeedSequence derives, on the first call
+    and on every repeat, and a negative seed raises every time."""
+    keys = [(s, *k) for s in (0, 7, 2**63) for k in ((), (0,), (3, 1), (11, 2))]
+    for _ in range(3):
+        for seed, *key in keys:
+            fresh = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
+            assert split_seed(seed, *key) == int(fresh.generate_state(1, np.uint64)[0])
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                split_seed(-1, 0)
