@@ -179,15 +179,26 @@ def _uncovered_close_pairs(face: HexFace, trials: int, pairs_per_trial: int,
     side = face.side
     fw = np.stack([_sample_triangle(t, trials, rng) for t in face.triangles()],
                   axis=1)
+
+    def clearance(pt, idx):  # distance from each pt[idx] to its nearest firewall
+        dx = fw[idx, :, 0] - pt[idx, None, 0]
+        dy = fw[idx, :, 1] - pt[idx, None, 1]
+        return np.sqrt(dx * dx + dy * dy).min(axis=1)
+
     for _ in range(pairs_per_trial):
         p = _sample_hexagon(face, trials, rng)
         q = _sample_hexagon(face, trials, rng)
-        dp = np.linalg.norm(fw - p[:, None, :], axis=2).min(axis=1)
-        dq = np.linalg.norm(fw - q[:, None, :], axis=2).min(axis=1)
-        dist = np.linalg.norm(p - q, axis=1)
-        hit = (dp > side) & (dq > side) & (dist <= side)
-        for i in np.flatnonzero(hit):
-            yield (p[i], q[i], fw[i], float(dp[i]), float(dq[i]), float(dist[i]),
+        # cheapest test first: most pairs are farther apart than the range
+        dx, dy = p[:, 0] - q[:, 0], p[:, 1] - q[:, 1]
+        dist = np.sqrt(dx * dx + dy * dy)
+        idx = np.flatnonzero(dist <= side)
+        dp = clearance(p, idx)
+        keep = dp > side
+        idx, dp = idx[keep], dp[keep]
+        dq = clearance(q, idx)
+        keep = dq > side
+        for i, di, ei in zip(idx[keep], dp[keep], dq[keep]):
+            yield (p[i], q[i], fw[i], float(di), float(ei), float(dist[i]),
                    (int(face.sector(p[i])[0]), int(face.sector(q[i])[0])))
 
 

@@ -57,7 +57,6 @@ r_f.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -352,9 +351,11 @@ def _protected_worker(args) -> np.ndarray:
 
 def _run_chunked(worker, common, trials: int, workers: int) -> np.ndarray:
     """Run `worker` over trial ranges, deterministically in trial order."""
+    workers = min(workers, trials)
     if workers <= 1:
         return worker(common + (0, trials))
-    workers = min(workers, trials)
+    # only a fan-out pays for the pool's import (multiprocessing, ~25 ms)
+    from concurrent.futures import ProcessPoolExecutor
     bounds = np.linspace(0, trials, workers + 1, dtype=int)
     chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     with ProcessPoolExecutor(max_workers=workers) as pool:

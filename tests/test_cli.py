@@ -4,9 +4,11 @@ import os
 import subprocess
 import sys
 import textwrap
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from spatial_firewalls import cli, percolation
@@ -392,6 +394,15 @@ def test_main_calls_run_through_the_module():
     assert run.call_count == 1
 
 
+def _run_fresh(script, cwd):
+    """Run `script` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def test_every_subcommand_runs_without_scipy(tmp_path):
     """In a fresh interpreter where importing SciPy fails, all five
     subcommands run at tiny sizes, exit 0 and leave no SciPy module
@@ -417,10 +428,50 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
         print(codes, loaded)
         sys.exit(0 if codes == [0] * 5 and not loaded else 1)
     """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = _run_fresh(script, tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+
+
+def test_single_worker_commands_never_import_the_pool(tmp_path):
+    """In a fresh interpreter, all five subcommands at tiny sizes and
+    `--workers 1` exit 0 without importing the process pool; a sweep at
+    `--workers 2` then fans out and writes the same CSV body."""
+    script = textwrap.dedent("""
+        import sys
+        from spatial_firewalls.cli import main
+        small = ["--trials", "2", "--window-size", "10"]
+        sweep = ["sweep", "--axis", "lambda_f", "--start", "0", "--stop", "0.1",
+                 "--step", "0.05"] + small
+        runs = [
+            sweep + ["--out", "sweep1.csv"],
+            ["critical", "--lambda-r", "0.5", "--search-step", "0.2",
+             "--out", "critical.csv"] + small,
+            ["bounds"],
+            ["validate", "--face-samples", "50", "--blocking-trials", "100",
+             "--coupling-realizations", "2", "--out", "validate.csv"],
+            ["protected", "--out", "protected.csv"] + small,
+        ]
+        codes = [main(argv + ["--workers", "1"]) for argv in runs]
+        pool = [name for name in ("concurrent.futures.process", "multiprocessing")
+                if name in sys.modules]
+        fanned = main(sweep + ["--out", "sweep2.csv", "--workers", "2"])
+        print(codes, pool, fanned, "multiprocessing" in sys.modules)
+    """)
+    proc = _run_fresh(script, tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] [] 0 True"
+    assert _body(tmp_path / "sweep2.csv") == _body(tmp_path / "sweep1.csv")
+
+
+def test_one_trial_stays_in_process():
+    """With one trial there is one chunk, so `workers=2` runs it in this
+    process, without constructing a pool, and counts as `workers=1` does."""
+    cfg = NetworkConfig(lambda_r=0.8, r_r=2.0, lambda_f=0.1, r_f=2.0,
+                        window=Window.square(10.0))
+    common = (cfg, cfg.lambda_f, (0.25, 0.5, 1.0))
+    with mock.patch.object(ProcessPoolExecutor, "__init__",
+                           side_effect=AssertionError("pool constructed")):
+        two = percolation._run_chunked(percolation._threshold_worker, common, 1, 2)
+    one = percolation._run_chunked(percolation._threshold_worker, common, 1, 1)
+    assert np.array_equal(two, one)

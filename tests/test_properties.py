@@ -9,7 +9,8 @@ cell-grid `min_mark` and `classify_devices` against brute force, the
 columnar binning against row binning, each cell edge's far node against a
 binary search of the node cell ids, a cell
 edge's weight when its cells' top-mark devices are not linked, the
-open-edge coupling check against its per-edge reference, the
+open-edge coupling check against its per-edge reference, the staged
+blocking search against its `np.linalg.norm` reference, the
 protected-fraction sweep over r_f against one estimate per r_f, and the
 public surface: every module's `__all__` and the README quickstart.
 
@@ -27,7 +28,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
@@ -982,6 +983,54 @@ def test_open_edge_coupling_matches_per_edge_reference():
 
     check()
     assert any(violations)
+
+
+def _uncovered_close_pairs_reference(face, trials, pairs_per_trial, seed):
+    """The blocking search's generator as first written: every distance of
+    every pair by `np.linalg.norm` over (trials, 3, 2) arrays, then one
+    joint mask. Draws the same random stream as `_uncovered_close_pairs`."""
+    rng = np.random.default_rng(seed)
+    side = face.side
+    fw = np.stack([lattice._sample_triangle(t, trials, rng)
+                   for t in face.triangles()], axis=1)
+    for _ in range(pairs_per_trial):
+        p = lattice._sample_hexagon(face, trials, rng)
+        q = lattice._sample_hexagon(face, trials, rng)
+        dp = np.linalg.norm(fw - p[:, None, :], axis=2).min(axis=1)
+        dq = np.linalg.norm(fw - q[:, None, :], axis=2).min(axis=1)
+        dist = np.linalg.norm(p - q, axis=1)
+        hit = (dp > side) & (dq > side) & (dist <= side)
+        for i in np.flatnonzero(hit):
+            yield (p[i], q[i], fw[i], float(dp[i]), float(dq[i]), float(dist[i]),
+                   (int(face.sector(p[i])[0]), int(face.sector(q[i])[0])))
+
+
+def test_blocking_search_matches_norm_reference():
+    """The staged blocking search (pair distance first, clearances only
+    where still needed) yields the reference's tuples bit for bit, and
+    `pocket_pair_survey` counts them as the reference does; some searches
+    yield same-sector pocket pairs."""
+    pockets = []
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.01, 100.0), st.integers(0, 2 ** 32 - 1))
+    @example(2.0, 7)  # a same-sector pocket pair among 2000 x 4 pairs
+    @example(0.3, 7)
+    def check(side, seed):
+        face = lattice.HexFace(side=side)
+        got = list(lattice._uncovered_close_pairs(face, 2000, 4, seed))
+        want = list(_uncovered_close_pairs_reference(face, 2000, 4, seed))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert all(np.array_equal(a, b) for a, b in zip(g[:3], w[:3]))
+            assert g[3:] == w[3:]
+        same = sum(s[0] == s[1] for *_, s in want)
+        survey = lattice.pocket_pair_survey(side, 2000, seed)
+        assert (survey.same_sector_pairs, survey.crossing_pairs) == (same, len(want) - same)
+        pockets.append(same)
+
+    check()
+    assert any(pockets)
 
 
 def _hand_made(r_r, origin, points):
