@@ -25,7 +25,7 @@ from .lattice import blocking_counterexample_search, closed_face_mc_frequency, \
     count_dependent_edges_bruteforce, independence_offsets, \
     verify_open_edge_coupling, write_validator_csv
 from .bounds import closed_face_probability
-from .network import NetworkConfig, build_isg
+from .network import NetworkConfig, build_isg, check_sample_means
 from .percolation import MAX_GRID_POINTS, NoDevicesError, SearchExhaustedError, \
     check_cell_grid, critical_grid, estimate_percolation_probability, \
     find_critical_firewall_intensity, sweep_lambda_f, sweep_protected_fraction, \
@@ -142,8 +142,15 @@ class ExperimentSpec:
                                for v in (self.axis.values() if self.axis else ())]
             for c in configs if self.command in ("sweep", "critical") else ():
                 check_cell_grid(c)
+            # each axis point samples its own world (a critical search's pool
+            # at its ceiling); an axis overrides the base configuration
+            sampled = configs[1:] or configs
+            for c in sampled if self.command in ("sweep", "critical", "protected") else ():
+                pool = c.lambda_f
                 if self.command == "critical":
-                    critical_grid(c, self.lambda_f_max, self.search_step)
+                    _, step, grid_n = critical_grid(c, self.lambda_f_max, self.search_step)
+                    pool = grid_n * (step / 8.0)
+                check_sample_means(c, pool)
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
         if self.command == "protected" and any(c.lambda_r <= 0 for c in configs):

@@ -44,6 +44,9 @@ _TABLE_CELLS_PER_POINT = 16
 # were as fast within the noise at lambda_r = 0.8-7 and r = 2-4.
 _NEAREST_SIDE = 0.4
 
+# NumPy's Poisson sampler refuses a larger mean ("lam value too large")
+_POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
 # sub-stream ids under a trial seed
 _STREAM_DEVICES = 0
 _STREAM_FIREWALLS = 1
@@ -361,6 +364,20 @@ def sample_world(config: NetworkConfig, tseed: int,
     marks = np.random.default_rng(
         split_seed(tseed, _STREAM_THINNING_MARKS)).random(firewalls.n)
     return devices, firewalls, marks
+
+
+def check_sample_means(config: NetworkConfig, lambda_f: float) -> None:
+    """Raise ValueError when `sample_world(config, _, lambda_f)` would ask
+    NumPy's Poisson sampler for a mean at or above the largest it takes:
+    lambda_r times the window area for the devices, lambda_f times the
+    firewall window area for the pool."""
+    for what, mean in (("device count lambda_r", config.lambda_r * config.window.area),
+                       ("firewall-pool count lambda_f",
+                        lambda_f * config.firewall_window().area)):
+        if not mean < _POISSON_MEAN_MAX:
+            raise ValueError(f"the mean {what} * area = {mean:.6g} is at or above "
+                             f"NumPy's Poisson limit {_POISSON_MEAN_MAX:.6g}; "
+                             "lower the intensity or the window")
 
 
 def build_isg(config: NetworkConfig, trial_seed: int) -> Realization:

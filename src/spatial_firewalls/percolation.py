@@ -35,6 +35,19 @@ weights that no probe at or above the floor keeps. A trial probed once at
 p = 1 therefore enumerates pairs only among the devices with no pool
 firewall within r_f.
 
+A probe below the floor at the top of the bisection's remaining interval
+is the last that could use its build: spanning there ends the search, and
+after a failure every later probe lies below p. Such a probe first tries a
+certificate (`_TrialState.certified`), a subgraph of the ISG that links each
+device kept at p to the first kept device of each of its cell's four
+forward neighbour cells when the two lie within r_r. Spanning is an
+increasing event: links only merge clusters (Meester & Roy, *Continuum
+Percolation*, ch. 2). So when the subgraph spans, the ISG does, and the
+probe answers with no build; otherwise it builds as before. A sweep over
+lambda_r probes each trial once, at p = 1, where the certificate decides
+most trials. Tried at a probe whose build later probes reuse, it would
+defer that build and multiply builds, so it is not.
+
 One cell grid (`network.CellGrid`) serves every spatial query of a trial,
 with no kd-tree. Pairs: each kept device scans the cell columns cx..cx+2,
 in its own column from the next cell on, over the rows within the exact
@@ -283,9 +296,45 @@ class _TrialState:
         self.edge_w = best[slots]
         self.floor = floor
 
-    def spans_at(self, p: float) -> bool:
-        """Does the ISG at thinning fraction p span both axes?"""
+    def certified(self, p: float) -> bool:
+        """Does a subgraph of the ISG at p already span both axes?
+
+        Each device kept at p is paired with the first kept device of each
+        of its cell's forward neighbour cells (1, 0), (0, 1), (1, 1) and
+        (1, -1), one `CellGrid.start` lookup each, and a pair within r_r
+        (dx*dx + dy*dy <= r_r*r_r, the build's test) links their nodes.
+        Every such link is an ISG link, and spanning only grows with links,
+        so True proves `spans_at(p)`; False proves nothing.
+        """
+        keep = np.flatnonzero(self.min_mark >= p)
+        grid = self.grid.subset(keep)
+        node, top, r2 = self.node.take(keep), grid.n_cols * grid.stride, self.r_r * self.r_r
+        ends = []
+        for off in (grid.stride, 1, grid.stride + 1, grid.stride - 1):
+            # a lookup past the grid, or off its column, finds some later
+            # device or none; the range test keeps only true links
+            j = grid.start(np.minimum(grid.cell_id + off, top))
+            i = np.flatnonzero(j < len(keep))
+            j = j.take(i)
+            dx, dy = grid.x.take(j) - grid.x.take(i), grid.y.take(j) - grid.y.take(i)
+            hit = np.flatnonzero(dx * dx + dy * dy <= r2)
+            ends.append((node.take(i.take(hit)), node.take(j.take(hit))))
+        n = len(self.cell_ids)
+        roots = _component_roots(n, *(np.concatenate(e) for e in zip(*ends)))
+        lr, bt = _spans_from_labels(roots, n, self.strip_w >= p)
+        return lr and bt
+
+    def spans_at(self, p: float, last: bool = False) -> bool:
+        """Does the ISG at thinning fraction p span both axes?
+
+        `last` says that no later probe can reuse edges built at p. A probe
+        below the floor then first tries `certified(p)`, and builds the
+        edges only when the certificate does not decide; a certified probe
+        returns True with the edges and the floor as they were.
+        """
         if not p >= self.floor:
+            if last and self.certified(p):
+                return True
             self._build_edges(p)
         n = len(self.cell_ids)
         live = np.flatnonzero(self.edge_w >= p)
@@ -314,6 +363,11 @@ def _threshold_worker(args) -> np.ndarray:
     inside [lo, hi) keeps the bisection's invariant, so the counts are
     those of a plain bisection for any chunking of the trials; only the
     probe order, and so the cost, depends on it.
+
+    A probe at the top of [lo, hi) (mid == hi - 1) tells `spans_at` that it
+    is the last that could use an edge build at its p, which lets a probe
+    below the floor try the certificate first. The certificate only ever
+    answers True where the build would, so the counts do not depend on it.
     """
     config, lambda_pool, p_grid, t0, t1 = args
     out = np.zeros(t1 - t0, dtype=np.int64)
@@ -323,7 +377,7 @@ def _threshold_worker(args) -> np.ndarray:
         lo, hi = 0, len(p_grid)  # p_grid[:lo] spans, p_grid[hi:] does not
         mid = min((lo + hi) // 2, least - 1)
         while lo < hi:
-            if state.spans_at(p_grid[mid]):
+            if state.spans_at(p_grid[mid], mid == hi - 1):
                 lo = mid + 1
             else:
                 hi = mid

@@ -371,6 +371,37 @@ def test_trial_cell_grid_beyond_int64_exits_2(tmp_path, capsys):
     assert len(_body(out)) == 4
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["sweep", "--lambda-f", "1e300", "--axis", "lambda_r", "--start", "1",
+      "--stop", "1", "--step", "1"], "firewall-pool count"),
+    (["critical", "--lambda-f-max", "1e300", "--search-step", "1e300"],
+     "firewall-pool count"),
+    (["protected", "--lambda-f", "1e300"], "firewall-pool count"),
+    (["sweep", "--lambda-r", "1e300"] + _AXIS, "device count"),
+])
+def test_intensity_beyond_poisson_limit_exits_2(argv, needle, tmp_path, capsys):
+    """A device or firewall-pool mean count (intensity times window area)
+    beyond NumPy's Poisson sampler is refused by the spec check: exit 2,
+    one error line, no world sampled and no CSV written, where the run
+    used to exit 1 after its progress lines. For a critical search the pool
+    is its ceiling."""
+    out = tmp_path / "out.csv"
+    with mock.patch.object(percolation, "sample_world", side_effect=AssertionError):
+        _assert_spec_error(main(argv + ["--trials", "2", "--out", str(out)]), capsys,
+                           needle)
+    assert not out.exists()
+
+
+def test_base_intensity_overridden_by_axis_is_not_sampled(tmp_path):
+    """Only the worlds a run samples are checked: a base lambda_r beyond the
+    Poisson limit that a lambda_r axis replaces at every point runs."""
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--lambda-r", "1e300", "--axis", "lambda_r", "--start",
+                 "0.1", "--stop", "0.1", "--step", "1", "--window-size", "10",
+                 "--trials", "2", "--out", str(out)]) == 0
+    assert len(_body(out)) == 2
+
+
 def test_main_validates_the_spec_once(tmp_path):
     """`main` validates the spec once, in `run`; a malformed spec still
     exits 2 from that one check."""

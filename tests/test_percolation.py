@@ -1,14 +1,20 @@
-"""Spanning detection, Monte Carlo estimation, and the critical search."""
+"""Spanning detection, Monte Carlo estimation, the spanning certificate of a
+one-probe trial, and the critical search."""
+import contextlib
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from spatial_firewalls import cli, percolation
 from spatial_firewalls.network import (IsgGraph, NetworkConfig, Realization,
                                        _canonical_labels, build_isg,
                                        classify_devices, radius_pairs)
 from spatial_firewalls.percolation import (NoDevicesError, SearchExhaustedError,
-                                          _TrialState, detect_spanning,
+                                          _threshold_worker, _TrialState,
+                                          detect_spanning,
                                           estimate_percolation_probability,
                                           estimate_protected_fraction,
                                           find_critical_firewall_intensity,
@@ -286,3 +292,84 @@ def test_spanning_crosses_half_at_continuum_threshold():
                                master_seed=2026), 200).theta_hat
              for mult in (0.95, 1.05)]
     assert theta[0] < 0.5 < theta[1], theta
+
+
+def _two_cell_world(b_first):
+    """Three devices on a 2.1 m by 0.7 m window at r_r = 1 (cells of side
+    0.7), no firewalls: device a at x = 0.2 in cell A, and in cell B the
+    devices 1.12 (0.92 from a, linked) and 1.38 (1.18 from a, not linked),
+    the one at x = `b_first` first in cell order. Every device lies in the
+    bottom and top strips, a alone in the left strip and B's devices alone
+    in the right one, so the trial spans exactly through the link of a and
+    1.12."""
+    window = Window(0.0, 0.0, 2.1, 0.7)
+    b = [b_first, 1.12 + 1.38 - b_first]
+    xy = np.array([(0.2, 0.35), (b[0], 0.35), (b[1], 0.35)])
+    cfg = NetworkConfig(lambda_r=0.0, r_r=1.0, lambda_f=0.0, r_f=1.0, window=window)
+    world = (PointSet(xy, window), PointSet(np.empty((0, 2)), window), np.empty(0))
+    with mock.patch.object(percolation, "sample_world", return_value=world):
+        state = _TrialState(cfg, 1.0, 0)
+    assert state.grid.x.tolist() == xy[:, 0].tolist()  # cell order is a, B's first, B's other
+    return cfg, world, state
+
+
+def _recording(calls, fn):
+    """`fn`, appending the result of each call to `calls`."""
+    def recorded(*args):
+        calls.append(fn(*args))
+        return calls[-1]
+    return recorded
+
+
+def _count_builds(cfg, world):
+    """(counts, edge builds) of one trial of `world` on the grid (1.0,)."""
+    builds = []
+    with mock.patch.object(percolation, "sample_world", return_value=world), \
+            mock.patch.object(_TrialState, "_build_edges",
+                              _recording(builds, _TrialState._build_edges)):
+        counts = _threshold_worker((cfg, 1.0, (1.0,), 0, 1)).tolist()
+    return counts, len(builds)
+
+
+def test_certificate_falls_back_to_the_build():
+    """The certificate pairs a with B's first device, 1.38, which is out of
+    range, and so finds no link across the two cells; the trial still spans
+    through the build, which finds the pair (a, 1.12)."""
+    cfg, world, state = _two_cell_world(1.38)
+    assert not state.certified(1.0)
+    assert _count_builds(cfg, world) == ([1], 1)
+
+
+def test_certified_trial_builds_no_edges():
+    """With 1.12 first in cell B the certificate links a to it, and the
+    trial counts as spanning without an edge build."""
+    cfg, world, state = _two_cell_world(1.12)
+    assert state.certified(1.0)
+    assert _count_builds(cfg, world) == ([1], 0)
+
+
+def test_certificate_decides_lambda_r_sweep_trials():
+    """On a reduced `sweep --axis lambda_r` (one probe per trial), the
+    certificate decides some trials, so edge builds number fewer than the
+    trials, and the CSV body is the one without the certificate."""
+    argv = ["sweep", "--lambda-f", "0.05", "--axis", "lambda_r", "--start", "0.8",
+            "--stop", "2.0", "--step", "0.6", "--trials", "4", "--seed", "2"]
+
+    def run(certify):
+        calls = {"trials": [], "certified": [], "builds": []}
+        out = io.StringIO()
+        with mock.patch.object(_TrialState, "__init__",
+                               _recording(calls["trials"], _TrialState.__init__)), \
+                mock.patch.object(_TrialState, "certified",
+                                  _recording(calls["certified"], certify)), \
+                mock.patch.object(_TrialState, "_build_edges",
+                                  _recording(calls["builds"], _TrialState._build_edges)), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0
+        body = [line for line in out.getvalue().splitlines() if not line.startswith("#")]
+        return body, len(calls["trials"]), sum(calls["certified"]), len(calls["builds"])
+
+    body, trials, decided, builds = run(_TrialState.certified)
+    assert trials == 12 and decided > 0 and builds < trials
+    assert decided + builds == trials  # one probe per trial
+    assert run(lambda self, p: False) == (body, trials, 0, trials)

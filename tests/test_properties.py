@@ -6,7 +6,9 @@ spanning-prefix worker against probing every grid point, the
 nested-thinning monotonicity it relies on, the slow reference path,
 worker-count invariance, the closed-ball distance and strip rules, the
 cell-grid `min_mark` and `classify_devices` against brute force, the
-columnar binning against row binning, each cell edge's far node against a
+columnar binning against row binning, the spanning certificate of a
+one-probe trial against a full probe and the device-level reference, the
+worker's counts with and without it, each cell edge's far node against a
 binary search of the node cell ids, a cell
 edge's weight when its cells' top-mark devices are not linked, the
 open-edge coupling check against its per-edge reference, the staged
@@ -390,7 +392,7 @@ def test_warm_start_first_probes_with_stub_trials(monkeypatch):
         def __init__(self, config, lambda_pool, tseed):
             self.t = seeds[tseed]
 
-        def spans_at(self, p):
+        def spans_at(self, p, last=False):
             j = grid.index(p)
             probes[self.t].append(j)
             return j < counts[self.t]
@@ -464,6 +466,74 @@ def test_warm_start_builds_fewer_edge_sets():
         if plain[t] >= min(plain[:t]):
             assert warm_builds[t] == 1
     assert sum(warm_builds) < sum(plain_builds)
+
+
+@SETTINGS
+@given(worlds(), p_grids)
+def test_certificate_is_sound(world, p_grid):
+    """Wherever the certificate of a state says it spans, a fresh state of
+    the same world spans at that p, through a probe that builds every
+    edge."""
+    cfg, lambda_pool, tseed = world
+    state = _TrialState(cfg, lambda_pool, tseed)
+    for p in p_grid:
+        if state.certified(p):
+            assert _TrialState(cfg, lambda_pool, tseed).spans_at(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_worlds(), st.floats(0.0, 1.0))
+def test_certificate_implies_device_level_spanning(world, p):
+    """The certificate against the device-level reference, on windows from
+    narrower than r_r to ten r_r per side with devices on their max edges."""
+    cfg, sampled = world
+    with mock.patch.object(percolation, "sample_world", return_value=sampled):
+        state = _TrialState(cfg, 1.0, 0)
+    for q in (p, 0.0, 1.0):
+        if state.certified(q):
+            assert _device_level_spans(sampled, cfg, q)
+
+
+# grids of one point (the sweep over lambda_r probes (1.0,)), two and K
+sized_p_grids = st.one_of(st.just([1.0]), p_grids.map(lambda g: g[:1]),
+                          p_grids.map(lambda g: g[:2]), p_grids)
+
+
+@SETTINGS
+@given(worlds(), sized_p_grids, st.integers(0, 16))
+def test_worker_counts_do_not_depend_on_the_certificate(world, p_grid, cut):
+    """Trials 0..16, split at `cut` into two calls, give the same counts
+    with the certificate disabled. The certificate is tried only at probes
+    below the floor, and each trial it decides spares exactly one edge
+    build: it changes no other build."""
+    cfg, lambda_pool, _ = world
+    common = (cfg, lambda_pool, tuple(p_grid))
+    certified, build_edges = _TrialState.certified, _TrialState._build_edges
+
+    def checked(self, p):
+        assert not p >= self.floor
+        return certified(self, p)
+
+    runs = []
+    for certify in (checked, lambda self, p: False):
+        decided, builds = [], []
+
+        def recording(self, p):
+            decided.append(certify(self, p))
+            return decided[-1]
+
+        def counting(self, floor):
+            builds.append(floor)
+            build_edges(self, floor)
+
+        with mock.patch.object(_TrialState, "certified", recording), \
+                mock.patch.object(_TrialState, "_build_edges", counting):
+            counts = np.concatenate([_threshold_worker(common + (0, cut)),
+                                     _threshold_worker(common + (cut, 16))])
+        runs.append((counts.tolist(), sum(decided), len(builds)))
+    (on, decided, builds_on), (off, _, builds_off) = runs
+    assert on == off
+    assert builds_on + decided == builds_off
 
 
 @SETTINGS
