@@ -10,8 +10,8 @@ restricted to unprotected devices.
 __version__ = "0.1.0"
 
 from .spatial import Window, trial_seed
-from .network import NetworkConfig, build_isg
-from .percolation import (estimate_percolation_probability, sweep_lambda_f,
+from .network import NetworkConfig
+from .percolation import (build_isg, estimate_percolation_probability, sweep_lambda_f,
                           find_critical_firewall_intensity,
                           estimate_protected_fraction, write_sweep_csv,
                           write_critical_csv)

@@ -25,9 +25,9 @@ from .lattice import blocking_counterexample_search, closed_face_mc_frequency, \
     count_dependent_edges_bruteforce, independence_offsets, \
     verify_open_edge_coupling, write_validator_csv
 from .bounds import closed_face_probability
-from .network import NetworkConfig, build_isg, check_sample_means
+from .network import NetworkConfig, check_sample_means
 from .percolation import MAX_GRID_POINTS, NoDevicesError, SearchExhaustedError, \
-    check_cell_grid, critical_grid, estimate_percolation_probability, \
+    build_isg, check_cell_grid, critical_grid, estimate_percolation_probability, \
     find_critical_firewall_intensity, sweep_lambda_f, sweep_protected_fraction, \
     write_critical_csv, write_sweep_csv
 from .spatial import Window, open_csv, trial_seed
@@ -502,7 +502,7 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, NoDevicesError) as exc:
+    except (ValueError, OSError, MemoryError, NoDevicesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,10 @@
-"""Per-trial world sampling, protected/susceptible classification, and the
-infection-susceptible graph (ISG).
+"""Per-trial world sampling, nearest-firewall distances, and the types of
+the infection-susceptible graph (ISG).
 
 Devices connect when within the D2D range r_r of each other (closed ball).
 A device is protected when some firewall lies within r_f of it; the ISG is
 the device graph restricted to the susceptible (unprotected) devices.
+`percolation.build_isg` reads one realization's ISG off the trial kernel.
 
 Every spatial query runs on one index, `CellGrid`: points binned into square
 cells, held as x, y and cell-id columns in cell order and scanned column by
@@ -24,10 +25,8 @@ __all__ = [
     "NetworkConfig",
     "IsgGraph",
     "Realization",
-    "classify_devices",
     "nearest_firewall_distance",
     "sample_world",
-    "build_isg",
     "save_realization_csv",
 ]
 
@@ -100,10 +99,10 @@ class IsgGraph:
     `component_label[i]` its component. The labels are canonical: the
     component containing the smallest vertex gets label 0, the component
     containing the smallest vertex not in it gets label 1, and so on. So the
-    labels of the slow reference path (`build_isg`), which the realization
-    CSV dump writes and clause (iii) of `lattice.verify_open_edge_coupling`
-    compares, depend only on the partition. (The trial kernel's probes label
-    their cell graphs without this relabel: spanning needs only equality.)
+    labels, which the realization CSV dump writes and clause (iii) of
+    `lattice.verify_open_edge_coupling` compares, depend only on the
+    partition. (The trial kernel's probes label their cell graphs without
+    this relabel: spanning needs only equality.)
     """
 
     vertices: np.ndarray
@@ -118,7 +117,7 @@ class IsgGraph:
 @dataclass(frozen=True)
 class Realization:
     """One sampled world: devices, firewalls, the protected flag of each
-    device (`classify_devices`) and the ISG."""
+    device and the ISG."""
 
     config: NetworkConfig
     devices: PointSet
@@ -203,8 +202,8 @@ class CellGrid:
 
         With `first`, the queries are the grid's own points, and each scans
         forward: the columns from its own on, and in its own column the
-        points from index first[q] on. With first[i] = i + 1, each pair
-        i < j then comes up once as (i, j).
+        points from index first[q] on. With first[i] = start(cell_id[i] + 1),
+        each pair in two cells then comes up once as (i, j), i < j.
         """
         if len(qx) == 0 or len(self.x) == 0:
             return
@@ -256,44 +255,30 @@ class CellGrid:
         return q, start, np.maximum(stop - start, 0)
 
 
-def _query_side(x: np.ndarray, y: np.ndarray, origin, side: float) -> float:
-    """`side`, or the least side that bins (x, y) into at most 2**30 + 1
-    cells per axis: the scans are exact on cells of any side, and a range
-    tiny for the window then keeps the cell ids within int64."""
-    x0, y0 = origin
-    return max(side, float(max(x.max(initial=x0) - x0, y.max(initial=y0) - y0)) * 2.0 ** -30)
-
-
 def nearest_firewall_distance(devices: PointSet, firewalls: PointSet,
                               r: float) -> np.ndarray:
     """Per device, the nearest firewall's distance where it is <= r, inf or
     some distance > r elsewhere: `dist <= r_f` tests any r_f <= r.
 
     Each firewall scans the devices' `CellGrid` (cells of side
-    `_NEAREST_SIDE` * r, or `_query_side`'s when r is tiny for the window);
-    a device keeps the smallest dx*dx + dy*dy, and its distance is that
-    sum's sqrt.
+    `_NEAREST_SIDE` * r, or the least side that bins the devices into at
+    most 2**30 + 1 cells per axis when r is tiny for the window: the scan is
+    exact on cells of any side, and the cell ids then fit in int64); a
+    device keeps the smallest dx*dx + dy*dy, and its distance is that sum's
+    sqrt.
     """
     if not (r > 0):
         raise ValueError("r_f must be > 0")
     best = np.full(devices.n, np.inf)
     if devices.n == 0 or firewalls.n == 0:
         return best
-    origin = (devices.window.x_min, devices.window.y_min)
+    x0, y0 = devices.window.x_min, devices.window.y_min
     x, y = devices.points.T.copy()
-    grid, order = CellGrid.binned(x, y, origin,
-                                  _query_side(x, y, origin, _NEAREST_SIDE * r))
+    side = max(_NEAREST_SIDE * r, float(max(x.max() - x0, y.max() - y0)) * 2.0 ** -30)
+    grid, order = CellGrid.binned(x, y, (x0, y0), side)
     for _, j, d2 in grid.scan(*firewalls.points.T.copy(), r):
         np.minimum.at(best, order.take(j), d2)
     return np.sqrt(best)
-
-
-def classify_devices(devices: PointSet, firewalls: PointSet, r_f: float) -> np.ndarray:
-    """Read-only bool flags, one per device: protected iff its nearest
-    firewall is within r_f (closed)."""
-    protected = nearest_firewall_distance(devices, firewalls, r_f) <= r_f
-    protected.setflags(write=False)
-    return protected
 
 
 def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -319,33 +304,6 @@ def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 break
             parent = up
     return parent
-
-
-def _canonical_labels(n: int, pairs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Connected-component labels over n vertices, canonicalized so label ids
-    follow the order of each component's smallest vertex."""
-    roots = _component_roots(n, pairs[:, 0], pairs[:, 1])
-    ids, labels = np.unique(roots, return_inverse=True)
-    return labels, len(ids)
-
-
-def radius_pairs(xy: np.ndarray, radius: float) -> np.ndarray:
-    """All index pairs at Euclidean distance <= radius, dx*dx + dy*dy <=
-    radius*radius, as an (m, 2) array of rows i < j: a forward scan of the
-    points' `CellGrid`, same-cell pairs included."""
-    if not (radius > 0 and math.isfinite(radius)):
-        raise ValueError("radius must be finite and > 0")
-    if len(xy) < 2:
-        return np.empty((0, 2), dtype=np.int64)
-    x, y = xy.T.copy()
-    origin = (x.min(), y.min())
-    grid, order = CellGrid.binned(x, y, origin, _query_side(x, y, origin, 0.7 * radius))
-    ends = [(np.empty(0, dtype=np.int64),) * 2]
-    for i, j, d2 in grid.scan(grid.x, grid.y, radius, first=np.arange(1, len(xy) + 1)):
-        hit = np.flatnonzero(d2 <= radius * radius)
-        ends.append((i.take(hit), j.take(hit)))
-    a, b = (order.take(np.concatenate(e)) for e in zip(*ends))
-    return np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
 
 
 def sample_world(config: NetworkConfig, tseed: int,
@@ -378,22 +336,6 @@ def check_sample_means(config: NetworkConfig, lambda_f: float) -> None:
             raise ValueError(f"the mean {what} * area = {mean:.6g} is at or above "
                              f"NumPy's Poisson limit {_POISSON_MEAN_MAX:.6g}; "
                              "lower the intensity or the window")
-
-
-def build_isg(config: NetworkConfig, trial_seed: int) -> Realization:
-    """Sample one realization and build its infection-susceptible graph.
-
-    Equivalent to building the full device graph and deleting the protected
-    vertices together with their incident edges.
-    """
-    devices, firewalls, _ = sample_world(config, trial_seed, config.lambda_f)
-    is_protected = classify_devices(devices, firewalls, config.r_f)
-    susceptible = np.flatnonzero(~is_protected)
-    pairs = radius_pairs(devices.points.take(susceptible, axis=0), config.r_r)
-    labels, k = _canonical_labels(len(susceptible), pairs)
-    return Realization(config=config, devices=devices, firewalls=firewalls,
-                       is_protected=is_protected,
-                       isg=IsgGraph(susceptible, labels, k))
 
 
 def save_realization_csv(realization: Realization, path) -> None:

@@ -1,5 +1,6 @@
-"""Spanning-cluster detection, percolation probability estimation, the
-search for the critical firewall intensity, and protected fractions.
+"""Spanning-cluster detection, one realization's ISG (`build_isg`),
+percolation probability estimation, the search for the critical firewall
+intensity, and protected fractions.
 
 A trial percolates when one ISG component touches boundary strips of width
 r_r on both axes (left-right and bottom-top). Estimates over multiple trials
@@ -76,8 +77,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import LC1_APPROX
-from .network import (CellGrid, NetworkConfig, Realization, _component_roots,
-                      nearest_firewall_distance, sample_world)
+from .network import (CellGrid, IsgGraph, NetworkConfig, Realization,
+                      _component_roots, nearest_firewall_distance, sample_world)
 from .spatial import open_csv, trial_seed
 
 __all__ = [
@@ -86,7 +87,7 @@ __all__ = [
     "ProtectedFractionEstimate",
     "SearchExhaustedError",
     "NoDevicesError",
-    "detect_spanning",
+    "build_isg",
     "estimate_percolation_probability",
     "sweep_lambda_f",
     "find_critical_firewall_intensity",
@@ -173,19 +174,6 @@ def _spans_from_labels(labels, k, strips) -> tuple[bool, bool]:
     return (spans_lr, spans_bt)
 
 
-def detect_spanning(realization: Realization) -> tuple[bool, bool]:
-    """(spans left-right, spans bottom-top) for one realization's ISG.
-
-    A component spans left-right when it holds a susceptible device with
-    x <= x_min + r_r and another with x >= x_max - r_r; bottom-top likewise
-    on y. Percolation for the trial is declared when both flags hold.
-    """
-    xy = realization.devices.points.take(realization.isg.vertices, axis=0)
-    return _spans_from_labels(realization.isg.component_label,
-                              realization.isg.n_components,
-                              _strip_masks(xy[:, 0], xy[:, 1], realization.config))
-
-
 def _min_marks(grid: CellGrid, pool_xy, marks, r_f) -> np.ndarray:
     """Per point of `grid`, the smallest mark among the pool firewalls within
     r_f of it (closed ball: dx*dx + dy*dy <= r_f*r_f), inf when there is none.
@@ -201,8 +189,8 @@ def _min_marks(grid: CellGrid, pool_xy, marks, r_f) -> np.ndarray:
 
 
 class _TrialState:
-    """One trial's world, probed at any thinning fraction p through a cell
-    graph.
+    """One trial's world (devices, firewall pool and marks, as `sample_world`
+    gives them), probed at any thinning fraction p through a cell graph.
 
     A pool firewall is kept at fraction p when its mark is < p; marks are
     uniform on [0, 1), so p = 0 keeps none and p = 1 keeps all. Device i is
@@ -239,16 +227,16 @@ class _TrialState:
     node, but spanning only asks which nodes share one.
     """
 
-    __slots__ = ("grid", "node", "min_mark", "head", "tail", "cell_ids", "r_r",
+    __slots__ = ("grid", "order", "node", "min_mark", "head", "tail", "cell_ids", "r_r",
                  "strip_w", "floor", "edge_a", "edge_b", "edge_w")
 
-    def __init__(self, config: NetworkConfig, lambda_pool: float, tseed: int):
-        devices, pool, marks = sample_world(config, tseed, lambda_pool)
+    def __init__(self, config: NetworkConfig, devices, pool, marks):
         w = config.window
         # node = occupied cell, numbered in (cx, cy) order; devices sorted by
-        # node, so that every pair i < j of any subset has node[i] <= node[j]
-        grid, _ = CellGrid.binned(*devices.points.T.copy(), (w.x_min, w.y_min),
-                                  _CELL_SIDE * config.r_r)
+        # node (row i is devices[order[i]]), so that every pair i < j of any
+        # subset has node[i] <= node[j]
+        grid, self.order = CellGrid.binned(*devices.points.T.copy(), (w.x_min, w.y_min),
+                                           _CELL_SIDE * config.r_r)
         self.grid = grid
         first = np.empty(len(grid.cell_id), dtype=bool)  # first device of its node
         first[:1] = True
@@ -332,15 +320,41 @@ class _TrialState:
         edges only when the certificate does not decide; a certified probe
         returns True with the edges and the floor as they were.
         """
-        if not p >= self.floor:
-            if last and self.certified(p):
-                return True
-            self._build_edges(p)
-        n = len(self.cell_ids)
-        live = np.flatnonzero(self.edge_w >= p)
-        roots = _component_roots(n, self.edge_a.take(live), self.edge_b.take(live))
-        lr, bt = _spans_from_labels(roots, n, self.strip_w >= p)
+        if last and not p >= self.floor and self.certified(p):
+            return True
+        lr, bt = _spans_from_labels(self.roots(p), len(self.cell_ids), self.strip_w >= p)
         return lr and bt
+
+    def roots(self, p: float) -> np.ndarray:
+        """Per node, its component's root among the edges live at p; builds
+        the edges when p is below the floor."""
+        if not p >= self.floor:
+            self._build_edges(p)
+        live = np.flatnonzero(self.edge_w >= p)
+        return _component_roots(len(self.cell_ids), self.edge_a.take(live),
+                                self.edge_b.take(live))
+
+
+def build_isg(config: NetworkConfig, tseed: int) -> Realization:
+    """Sample trial seed `tseed`'s world at config.lambda_f and read its ISG
+    off the trial kernel at p = 1, where every firewall is kept: a device is
+    protected when min_mark < 1, and its component is its node's."""
+    devices, firewalls, marks = sample_world(config, tseed, config.lambda_f)
+    state = _TrialState(config, devices, firewalls, marks)
+    root = np.empty(devices.n, dtype=np.int64)
+    root[state.order] = state.roots(1.0).take(state.node)
+    is_protected = np.empty(devices.n, dtype=bool)
+    is_protected[state.order] = state.min_mark < 1.0
+    is_protected.setflags(write=False)
+    vertices = np.flatnonzero(~is_protected)
+    # label k is the component of the k-th smallest vertex that opens one
+    _, first, labels = np.unique(root.take(vertices), return_index=True,
+                                 return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return Realization(config=config, devices=devices, firewalls=firewalls,
+                       is_protected=is_protected,
+                       isg=IsgGraph(vertices, rank.take(labels), len(first)))
 
 
 def _threshold_worker(args) -> np.ndarray:
@@ -373,7 +387,8 @@ def _threshold_worker(args) -> np.ndarray:
     out = np.zeros(t1 - t0, dtype=np.int64)
     least = len(p_grid)  # smallest nonzero count so far; the full grid caps nothing
     for row, t in enumerate(range(t0, t1)):
-        state = _TrialState(config, lambda_pool, trial_seed(config.master_seed, t))
+        state = _TrialState(config, *sample_world(
+            config, trial_seed(config.master_seed, t), lambda_pool))
         lo, hi = 0, len(p_grid)  # p_grid[:lo] spans, p_grid[hi:] does not
         mid = min((lo + hi) // 2, least - 1)
         while lo < hi:

@@ -130,6 +130,23 @@ def test_validate_small(tmp_path):
     assert any("tool:" in l for l in meta) and any("spec:" in l for l in meta)
 
 
+def test_validate_default_body_unchanged(tmp_path):
+    """`validate` at its default sizes, whose 100 coupling worlds come from
+    `build_isg`, writes the body pinned here."""
+    out = tmp_path / "validate.csv"
+    assert main(["validate", "--out", str(out)]) == 0
+    assert _body(out) == [
+        "check_name,trials,violations,details",
+        "closed_face_mc_x0.5,2000,0,freq=0.1550 formula=0.1626 se=0.0083",
+        "closed_face_mc_x1,2000,0,freq=0.5150 formula=0.5000 se=0.0112",
+        "closed_face_mc_x2,2000,0,freq=0.8865 formula=0.8777 se=0.0073",
+        "hex_blocking_search,100000,0,none",
+        "open_edge_coupling,100,0,sub+super-critical mix; 47143 open edges",
+        "dependent_edge_count,49,0,a,b in [2,8]^2",
+        "independence_offsets,1,0,dx=5.3666 dy=7.1554",
+    ]
+
+
 def test_protected_rows(tmp_path):
     out = tmp_path / "prot.csv"
     rc = main(["protected", "--lambda-r", "0.5", "--window-size", "40",
@@ -291,6 +308,18 @@ def test_protected_no_devices_exit(capsys):
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "empty device sets" in err
+
+
+def test_run_too_large_for_memory_exits_1(capsys):
+    """A firewall pool below NumPy's Poisson limit but far beyond memory
+    (1e16 firewalls) fails at its first allocation, before any byte is
+    touched: exit 1 with one error line, not a traceback."""
+    rc = main(["protected", "--lambda-f", "1e12", "--window-size", "100",
+               "--trials", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "allocate" in err
 
 
 def test_axis_point_count_bound():

@@ -12,7 +12,8 @@ from spatial_firewalls.lattice import (HexFace, SquareEdge, _points_in_triangle,
                                        count_dependent_edges_bruteforce,
                                        independence_offsets, pocket_pair_survey,
                                        verify_open_edge_coupling)
-from spatial_firewalls.network import NetworkConfig, build_isg
+from spatial_firewalls.network import NetworkConfig
+from spatial_firewalls.percolation import build_isg
 from spatial_firewalls.spatial import Window, trial_seed
 
 

@@ -1,23 +1,31 @@
 """Classification, geometric graph components, and ISG invariants."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from oracles import components, covered
 
+from spatial_firewalls import percolation
 from spatial_firewalls.bounds import protected_fraction
-from spatial_firewalls.network import (NetworkConfig, _canonical_labels,
-                                       build_isg, classify_devices,
-                                       nearest_firewall_distance, radius_pairs,
+from spatial_firewalls.network import (NetworkConfig, nearest_firewall_distance,
                                        save_realization_csv)
+from spatial_firewalls.percolation import build_isg
 from spatial_firewalls.spatial import PointSet, Window, sample_ppp, trial_seed
 
 
 def _pset(points, side=100.0):
-    return PointSet(np.asarray(points, dtype=float), Window.square(side))
+    return PointSet(np.reshape(np.asarray(points, dtype=float), (-1, 2)),
+                    Window.square(side))
 
 
-def _components(xy, radius):
-    """(labels, count) of the geometric graph over xy: edges at distance
-    <= radius, labels in canonical order."""
-    return _canonical_labels(len(xy), radius_pairs(xy, radius))
+def _isg_of(xy, r, firewalls=()):
+    """`build_isg` of a hand-made world on a 100 m window: devices xy and
+    firewalls, every firewall kept, r_r = r_f = r."""
+    cfg = NetworkConfig(lambda_r=0.0, r_r=r, lambda_f=0.0, r_f=r,
+                        window=Window.square(100.0))
+    world = (_pset(xy), _pset(firewalls), np.zeros(len(firewalls)))
+    with mock.patch.object(percolation, "sample_world", return_value=world):
+        return build_isg(cfg, 0)
 
 
 def _bfs_partition(xy, radius):
@@ -72,26 +80,29 @@ def test_config_validation():
 
 def test_classify_no_firewalls():
     devices = sample_ppp(0.5, Window.square(20), 3)
-    protected = classify_devices(devices, _pset(np.empty((0, 2))), 2.0)
-    assert len(protected) == devices.n
-    assert not protected.any()
+    dist = nearest_firewall_distance(devices, _pset(np.empty((0, 2))), 2.0)
+    assert len(dist) == devices.n
+    assert np.isinf(dist).all()
 
 
 def test_classify_boundary_inclusive():
-    devices = _pset([[2.0, 0.0], [2.0 + 1e-9, 0.0]])
-    firewalls = _pset([[0.0, 0.0]])
-    protected = classify_devices(devices, firewalls, 2.0)
-    assert protected[0]          # exactly at r_f: protected
-    assert not protected[1]
+    """A device exactly r_f from a firewall is protected, by the nearest
+    distance of `protected` and by `build_isg`'s squared test alike."""
+    xy = [[2.0, 0.0], [2.0 + 1e-9, 0.0]]
+    dist = nearest_firewall_distance(_pset(xy), _pset([[0.0, 0.0]]), 2.0)
+    assert dist[0] <= 2.0        # exactly at r_f: protected
+    assert not dist[1] <= 2.0
+    assert _isg_of(xy, 2.0, [[0.0, 0.0]]).is_protected.tolist() == [True, False]
 
 
 def test_classify_partition():
-    devices = sample_ppp(0.8, Window.square(40), 11)
-    firewalls = sample_ppp(0.05, Window.square(40), 12)
-    protected = classify_devices(devices, firewalls, 2.0)
+    cfg = NetworkConfig(lambda_r=0.8, r_r=2, lambda_f=0.05, r_f=2,
+                        window=Window.square(40), master_seed=11)
+    r = build_isg(cfg, trial_seed(11, 0))
+    protected = r.is_protected
     # one read-only flag per device index
-    assert protected.shape == (devices.n,) and protected.dtype == bool
-    assert 0 < protected.sum() < devices.n
+    assert protected.shape == (r.devices.n,) and protected.dtype == bool
+    assert 0 < protected.sum() < r.devices.n
     assert not protected.flags.writeable
 
 
@@ -103,34 +114,26 @@ def test_classify_matches_coverage_formula():
     for t in range(60):
         devices = sample_ppp(0.5, w, trial_seed(21, 2 * t))
         firewalls = sample_ppp(lf, w.expand(rf), trial_seed(21, 2 * t + 1))
-        fractions.append(classify_devices(devices, firewalls, rf).mean())
+        fractions.append((nearest_firewall_distance(devices, firewalls, rf) <= rf).mean())
     fractions = np.array(fractions)
     se = fractions.std(ddof=1) / np.sqrt(len(fractions))
     assert abs(fractions.mean() - protected_fraction(lf, rf)) <= 3 * se
 
 
 def test_rgg_edge_at_exact_radius():
-    xy = np.array([[0.0, 0.0], [3.0, 4.0]])
-    assert radius_pairs(xy, 5.0).tolist() == [[0, 1]]
-    assert _components(xy, 5.0)[1] == 1
-
-
-def test_radius_pairs_answer_a_tiny_range_and_refuse_a_bad_one():
-    """A range a trillionth of the points' spread still finds the coincident
-    pair, and a range that is not finite and > 0 is refused."""
-    xy = np.array([[0.0, 0.0], [1e6, 1e6], [1e6, 1e6]])
-    assert radius_pairs(xy, 1e-6).tolist() == [[1, 2]]
-    assert radius_pairs(xy, 1e-3).tolist() == [[1, 2]]
-    for radius in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="radius"):
-            radius_pairs(xy, radius)
+    """Without firewalls the ISG is the device graph: two devices exactly
+    r_r apart (offsets 3, 4 at r_r = 5) are linked, and a third one ulp
+    beyond r_r of the second is not."""
+    r = _isg_of([[10.0, 10.0], [13.0, 14.0], [13.0, np.nextafter(19.0, np.inf)]], 5.0)
+    assert r.isg.vertices.tolist() == [0, 1, 2]
+    assert r.isg.component_label.tolist() == [0, 0, 1] and r.isg.n_components == 2
 
 
 def test_tiny_range_on_a_normal_window():
     """A range of 1e-8 on a 100 m window, some 2**33 cells of side r per
-    axis: each device with a firewall r/2 away is protected at that
-    distance, one with a firewall 2r away is not, and the pairs within r
-    are exactly the device-firewall pairs r/2 apart."""
+    axis, which the nearest-firewall scan coarsens: each device with a
+    firewall r/2 away reads that distance, and one with a firewall 2r away
+    reads more than r."""
     r = 1e-8
     dev = 1.0 + 98.0 * np.random.default_rng(5).random((200, 2))
     near, far = dev[:50] + [r / 2, 0.0], dev[50:100] + [0.0, 2 * r]
@@ -139,35 +142,36 @@ def test_tiny_range_on_a_normal_window():
     d2 = ((dev[:50] - near) ** 2).sum(axis=1)
     assert dist[:50].tobytes() == np.sqrt(d2).tobytes()
     assert np.all(dist[50:] > r)
-    assert classify_devices(devices, firewalls, r).tolist() == [True] * 50 + [False] * 150
-    pairs = radius_pairs(np.concatenate([dev, near]), r)
-    assert sorted(pairs.tolist()) == [[i, 200 + i] for i in range(50)]
 
 
 def test_rgg_coincident_points_are_linked():
     # floating-point duplicates are tolerated: distance 0 <= radius is an edge
-    assert _components(np.array([[1.0, 1.0], [1.0, 1.0]]), 0.5)[1] == 1
+    r = _isg_of([[1.0, 1.0], [50.0, 50.0], [1.0, 1.0]], 0.5)
+    assert r.isg.component_label.tolist() == [0, 1, 0] and r.isg.n_components == 2
 
 
 def test_rgg_all_singletons():
-    xy = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
-    assert len(radius_pairs(xy, 5.0)) == 0
-    labels, k = _components(xy, 5.0)
-    assert k == 4 and labels.tolist() == [0, 1, 2, 3]
+    r = _isg_of([[10.0, 10.0], [20.0, 10.0], [10.0, 20.0], [20.0, 20.0]], 5.0)
+    assert r.isg.n_components == 4 and r.isg.component_label.tolist() == [0, 1, 2, 3]
 
 
 def test_rgg_components_match_bfs():
     for seed in range(10):
-        ps = sample_ppp(0.6, Window.square(22), 400 + seed)  # ~290 points
-        assert ps.n <= 500
-        labels, _ = _components(ps.points, 1.5)
-        assert _same_partition(labels, _bfs_partition(ps.points, 1.5))
+        cfg = NetworkConfig(lambda_r=0.6, r_r=1.5, lambda_f=0, r_f=1.5,
+                            window=Window.square(22), master_seed=400 + seed)
+        r = build_isg(cfg, trial_seed(cfg.master_seed, 0))  # ~290 devices
+        assert r.devices.n <= 500 and len(r.isg.vertices) == r.devices.n
+        assert _same_partition(r.isg.component_label,
+                               _bfs_partition(r.devices.points, 1.5))
 
 
 def test_component_labels_canonical():
     # label k is the component of the smallest vertex not in labels < k
-    ps = sample_ppp(0.5, Window.square(20), 8)
-    labels, k = _components(ps.points, 1.2)
+    cfg = NetworkConfig(lambda_r=0.5, r_r=1.2, lambda_f=0.05, r_f=1.2,
+                        window=Window.square(20), master_seed=8)
+    isg = build_isg(cfg, trial_seed(8, 0)).isg
+    labels, k = isg.component_label, isg.n_components
+    assert k > 1
     first_of_label = [np.flatnonzero(labels == j)[0] for j in range(k)]
     assert first_of_label == sorted(first_of_label)
 
@@ -179,7 +183,7 @@ def test_isg_equals_rgg_without_firewalls():
     assert r.firewalls.n == 0
     assert not r.is_protected.any()
     assert np.array_equal(r.isg.vertices, np.arange(r.devices.n))
-    labels, k = _components(r.devices.points, cfg.r_r)
+    labels, k = components(r.devices.points, cfg.r_r)
     assert np.array_equal(r.isg.component_label, labels) and r.isg.n_components == k
 
 
@@ -208,11 +212,11 @@ def test_adding_firewalls_only_shrinks_components():
     r = build_isg(cfg, trial_seed(14, 0))
     extra = sample_ppp(0.03, cfg.window, 999)
     grown = PointSet(np.vstack([r.firewalls.points, extra.points]), cfg.window)
-    susceptible2 = np.flatnonzero(~classify_devices(r.devices, grown, cfg.r_f))
+    susceptible2 = np.flatnonzero(~covered(r.devices.points, grown.points, cfg.r_f))
     assert len(susceptible2) <= len(r.isg.vertices)
     assert np.isin(susceptible2, r.isg.vertices).all()
 
-    labels2, _ = _components(r.devices.points[susceptible2], cfg.r_r)
+    labels2, _ = components(r.devices.points[susceptible2], cfg.r_r)
     comp_before = {}
     for local, dev in enumerate(r.isg.vertices):
         comp_before.setdefault(r.isg.component_label[local], set()).add(dev)

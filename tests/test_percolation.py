@@ -7,14 +7,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from oracles import components, covered, spans, world_spans
 
 from spatial_firewalls import cli, percolation
-from spatial_firewalls.network import (IsgGraph, NetworkConfig, Realization,
-                                       _canonical_labels, build_isg,
-                                       classify_devices, radius_pairs)
+from spatial_firewalls.network import NetworkConfig, sample_world
 from spatial_firewalls.percolation import (NoDevicesError, SearchExhaustedError,
-                                          _threshold_worker, _TrialState,
-                                          detect_spanning,
+                                          _spans_from_labels, _threshold_worker,
+                                          _TrialState, build_isg,
                                           estimate_percolation_probability,
                                           estimate_protected_fraction,
                                           find_critical_firewall_intensity,
@@ -23,23 +22,9 @@ from spatial_firewalls.percolation import (NoDevicesError, SearchExhaustedError,
 from spatial_firewalls.spatial import PointSet, Window, trial_seed
 
 
-def _chain_realization(ys=(50.0,), step=2.0, side=100.0):
-    """Hand-built world: susceptible chains across the window at given heights."""
-    pts = []
-    for y in ys:
-        x = 0.0
-        while x <= side:
-            pts.append((x, y))
-            x += step
-    window = Window.square(side)
-    devices = PointSet(np.array(pts), window)
-    firewalls = PointSet(np.empty((0, 2)), window)
-    cfg = NetworkConfig(lambda_r=0.0, r_r=step, lambda_f=0.0, r_f=step,
-                        window=window, master_seed=0)
-    labels, k = _canonical_labels(devices.n, radius_pairs(devices.points, cfg.r_r))
-    return Realization(config=cfg, devices=devices, firewalls=firewalls,
-                       is_protected=classify_devices(devices, firewalls, cfg.r_f),
-                       isg=IsgGraph(np.arange(devices.n), labels, k))
+def _flags(state, p):
+    """(spans left-right, spans bottom-top) of a trial state at p."""
+    return _spans_from_labels(state.roots(p), len(state.cell_ids), state.strip_w >= p)
 
 
 def test_trial_refuses_a_cell_grid_beyond_int64():
@@ -48,20 +33,29 @@ def test_trial_refuses_a_cell_grid_beyond_int64():
     is refused, not answered with wrong edges."""
     cfg = NetworkConfig(lambda_r=0.01, r_r=1e-9, lambda_f=0.0, r_f=1e-9,
                         window=Window.square(100.0))
+    world = sample_world(cfg, 0, 0.0)
+    assert world[0].n > 0
     with pytest.raises(ValueError, match="2\\*\\*62"):
-        _TrialState(cfg, 0.0, 0)
+        _TrialState(cfg, *world)
 
 
 def test_detect_spanning_empty():
     cfg = NetworkConfig(lambda_r=0.0, r_r=2, lambda_f=0, r_f=2,
                         window=Window.square(50), master_seed=0)
-    r = build_isg(cfg, trial_seed(0, 0))
-    assert detect_spanning(r) == (False, False)
+    world = sample_world(cfg, trial_seed(0, 0), 0.0)
+    assert world[0].n == 0
+    assert _flags(_TrialState(cfg, *world), 1.0) == (False, False)
 
 
 def test_detect_spanning_horizontal_chain_only():
-    r = _chain_realization()
-    assert detect_spanning(r) == (True, False)
+    """A chain of devices 2 m apart (r_r = 2) across the window at mid
+    height spans left-right but not bottom-top."""
+    window = Window.square(100.0)
+    xy = np.column_stack([np.arange(0.0, 101.0, 2.0), np.full(51, 50.0)])
+    cfg = NetworkConfig(lambda_r=0.0, r_r=2.0, lambda_f=0.0, r_f=2.0, window=window)
+    assert spans(xy, components(xy, 2.0)[0], window, 2.0) == (True, False)
+    world = (PointSet(xy, window), PointSet(np.empty((0, 2)), window), np.empty(0))
+    assert _flags(_TrialState(cfg, *world), 1.0) == (True, False)
 
 
 def test_deep_supercritical_spans():
@@ -113,17 +107,20 @@ def test_estimate_deterministic_and_worker_invariant():
 
 
 def test_engine_matches_realization_path():
-    # the sweep engine at a single intensity reproduces build_isg trials exactly
+    """The engine at a single intensity counts the trials whose realization
+    (`build_isg` at the same trial seed) spans, by a brute-force ISG of its
+    devices and firewalls; both outcomes occur."""
     cfg = NetworkConfig(lambda_r=0.6, r_r=2, lambda_f=0.04, r_f=2,
                         window=Window.square(60), master_seed=3)
     trials = 12
-    manual = 0
+    manual = []
     for t in range(trials):
         r = build_isg(cfg, trial_seed(cfg.master_seed, t))
-        lr, bt = detect_spanning(r)
-        manual += int(lr and bt)
+        kept = np.zeros(r.firewalls.n)
+        manual.append(world_spans(cfg, r.devices, r.firewalls, kept, 1.0))
+    assert 0 < sum(manual) < trials
     est = estimate_percolation_probability(cfg, trials)
-    assert est.n_spanning == manual
+    assert est.n_spanning == sum(manual)
 
 
 def test_sweep_monotone_in_lambda_f():
@@ -159,10 +156,9 @@ def test_firewall_removal_preserves_components():
     r = build_isg(cfg, trial_seed(16, 0))
     assert r.firewalls.n > 1
     fewer = PointSet(r.firewalls.points[:-1], cfg.window)
-    susceptible2 = np.flatnonzero(~classify_devices(r.devices, fewer, cfg.r_f))
+    susceptible2 = np.flatnonzero(~covered(r.devices.points, fewer.points, cfg.r_f))
     assert np.isin(r.isg.vertices, susceptible2).all()
-    labels2, _ = _canonical_labels(len(susceptible2), radius_pairs(
-        r.devices.points[susceptible2], cfg.r_r))
+    labels2, _ = components(r.devices.points[susceptible2], cfg.r_r)
     new_pos = {dev: i for i, dev in enumerate(susceptible2)}
     new_comp_members = {}
     for i, dev in enumerate(susceptible2):
@@ -307,8 +303,7 @@ def _two_cell_world(b_first):
     xy = np.array([(0.2, 0.35), (b[0], 0.35), (b[1], 0.35)])
     cfg = NetworkConfig(lambda_r=0.0, r_r=1.0, lambda_f=0.0, r_f=1.0, window=window)
     world = (PointSet(xy, window), PointSet(np.empty((0, 2)), window), np.empty(0))
-    with mock.patch.object(percolation, "sample_world", return_value=world):
-        state = _TrialState(cfg, 1.0, 0)
+    state = _TrialState(cfg, *world)
     assert state.grid.x.tolist() == xy[:, 0].tolist()  # cell order is a, B's first, B's other
     return cfg, world, state
 

@@ -3,9 +3,10 @@ against a device-level reference along any sequence of probes, its probe
 against SciPy's labelling of the same live edges, the pruning of pair
 enumeration to the devices above the probe floor, the bisected
 spanning-prefix worker against probing every grid point, the
-nested-thinning monotonicity it relies on, the slow reference path,
-worker-count invariance, the closed-ball distance and strip rules, the
-cell-grid `min_mark` and `classify_devices` against brute force, the
+nested-thinning monotonicity it relies on, `build_isg` against a
+brute-force ISG, worker-count invariance, the closed-ball distance and
+strip rules, the cell-grid `min_mark` and the nearest-firewall
+classification against brute force, the
 columnar binning against row binning, the spanning certificate of a
 one-probe trial against a full probe and the device-level reference, the
 worker's counts with and without it, each cell edge's far node against a
@@ -17,9 +18,12 @@ protected-fraction sweep over r_f against one estimate per r_f, and the
 public surface: every module's `__all__` and the README quickstart.
 
 SciPy, from the `test` extra, is the independent oracle of every NumPy
-kernel on the cell grid: `cKDTree.query_pairs` for `radius_pairs` and for
-the trial's edge weights, `cKDTree.query` for `nearest_firewall_distance`,
-and `connected_components` for `_component_roots`."""
+kernel on the cell grid: `cKDTree.query_pairs` for the trial's edge
+weights, `cKDTree.query` for `nearest_firewall_distance`, and
+`connected_components` for `_component_roots`. The device-level
+references (`oracles`) take every distance from a full dx*dx + dy*dy
+matrix and every component from `connected_components`, so none runs the
+cell grid, the nearest-firewall scan, `_min_marks` or `_component_roots`."""
 import importlib
 import math
 import pkgutil
@@ -32,6 +36,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import covered, isg, within_distance, world_spans
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
@@ -42,17 +47,13 @@ from spatial_firewalls.bounds import _ceil_ratio, subcritical_sufficient_intensi
 from spatial_firewalls.lattice import (OpenEdgeCheck, _any_pair_beyond,
                                        verify_open_edge_coupling)
 from spatial_firewalls.network import (CellGrid, IsgGraph, NetworkConfig,
-                                       Realization, _canonical_labels,
-                                       _component_roots, build_isg,
-                                       classify_devices,
-                                       nearest_firewall_distance, radius_pairs,
-                                       sample_world)
+                                       Realization, _component_roots,
+                                       nearest_firewall_distance, sample_world)
 from spatial_firewalls.percolation import (NoDevicesError,
                                           ProtectedFractionEstimate,
                                           _spans_from_labels, _strip_masks,
                                           _TrialState, _threshold_worker,
-                                          detect_spanning,
-                                          estimate_protected_fraction,
+                                          build_isg, estimate_protected_fraction,
                                           sweep_lambda_f,
                                           sweep_protected_fraction)
 from spatial_firewalls.spatial import PointSet, Window, trial_seed
@@ -79,15 +80,9 @@ def worlds(draw):
 p_grids = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12, unique=True).map(sorted)
 
 
-def _device_level_spans(world, cfg, p):
-    """Reference for `_TrialState.spans_at`: label every susceptible device
-    pair of the world at thinning fraction p."""
-    devices, pool, marks = world
-    kept = PointSet(pool.points[marks < p], pool.window)
-    xy = devices.points[~classify_devices(devices, kept, cfg.r_f)]
-    labels, k = _canonical_labels(len(xy), radius_pairs(xy, cfg.r_r))
-    lr, bt = _spans_from_labels(labels, k, _strip_masks(xy[:, 0], xy[:, 1], cfg))
-    return lr and bt
+def _state(cfg, lambda_pool, tseed):
+    """The trial state of the world that trial seed `tseed` samples."""
+    return _TrialState(cfg, *sample_world(cfg, tseed, lambda_pool))
 
 
 @st.composite
@@ -129,10 +124,26 @@ def test_cell_graph_matches_device_level_reference(world, data):
     p = st.floats(0.0, 1.0)
     ps = data.draw(st.lists(st.one_of(p, st.sampled_from(exact)) if exact else p,
                             min_size=1, max_size=8))
-    with mock.patch.object(percolation, "sample_world", return_value=sampled):
-        state = _TrialState(cfg, 1.0, 0)
+    state = _TrialState(cfg, *sampled)
     for p in ps + sorted(ps, reverse=True) + sorted(ps) + [0.0, 1.0] + exact[::-1]:
-        assert state.spans_at(p) == _device_level_spans(sampled, cfg, p)
+        assert state.spans_at(p) == world_spans(cfg, *sampled, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_worlds())
+def test_build_isg_matches_brute_force(world):
+    """`build_isg` on an edge world, every pool firewall kept, against the
+    brute-force ISG: the protected flags by the squared test over the whole
+    pool, the vertices, the canonical labels and the component count."""
+    cfg, sampled = world
+    with mock.patch.object(percolation, "sample_world", return_value=sampled):
+        r = build_isg(cfg, 0)
+    devices, pool, _ = sampled
+    protected, vertices, labels, k = isg(devices.points, pool.points, cfg.r_r, cfg.r_f)
+    assert r.is_protected.tolist() == protected.tolist()
+    assert r.isg.vertices.tolist() == vertices.tolist()
+    assert r.isg.component_label.tolist() == labels.tolist()
+    assert r.isg.n_components == k
 
 
 def _scipy_labels(n, a, b):
@@ -160,7 +171,7 @@ def test_csr_probe_matches_canonical_labelling(world, runs):
     `connected_components` on the same live edges, and every build leaves
     the first endpoints sorted, ahead of their second."""
     cfg, lambda_pool, tseed = world
-    state = _TrialState(cfg, lambda_pool, tseed)
+    state = _state(cfg, lambda_pool, tseed)
     builds = 0
     for p in [p for run in runs for p in run] + [0.0]:
         floor = state.floor
@@ -180,8 +191,7 @@ def test_csr_probe_matches_canonical_labelling(world, runs):
 def test_component_roots_partition_matches_scipy(n, data):
     """`_component_roots` gives each vertex its component's smallest vertex,
     and so SciPy's partition, on random graphs with self-loops, repeated
-    edges and edges in either orientation; `_canonical_labels` numbers the
-    components in the order of their smallest vertex."""
+    edges and edges in either orientation."""
     edges = data.draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
                                          st.integers(0, max(n - 1, 0))),
                                max_size=3 * n if n else 0))
@@ -191,10 +201,6 @@ def test_component_roots_partition_matches_scipy(n, data):
     smallest = np.full(k, n)
     np.minimum.at(smallest, labels, np.arange(n))
     assert roots.tolist() == smallest[labels].tolist()
-    canonical, k2 = _canonical_labels(n, np.stack([a, b], axis=1))
-    assert k2 == k
-    assert canonical.tolist() == canonical[roots].tolist()  # one label per component
-    assert [canonical[v] for v in sorted(set(roots.tolist()))] == list(range(k))
 
 
 def test_spans_from_labels_ignores_label_ids():
@@ -227,7 +233,7 @@ def test_pairs_enumerated_only_among_devices_above_floor():
     trials = 3
     worlds = [sample_world(cfg, trial_seed(cfg.master_seed, t), cfg.lambda_f)
               for t in range(trials)]
-    unprotected = [int((~classify_devices(devices, pool, cfg.r_f)).sum())
+    unprotected = [int((~covered(devices.points, pool.points, cfg.r_f)).sum())
                    for devices, pool, _ in worlds]
     every = [devices.n for devices, _, _ in worlds]
     assert all(0 < u < n for u, n in zip(unprotected, every))
@@ -274,9 +280,7 @@ def test_pair_just_beyond_range_never_links():
                                     window=win)
                 world = (PointSet(pair, win),
                          PointSet(np.empty((0, 2)), win), np.empty(0))
-                with mock.patch.object(percolation, "sample_world",
-                                       return_value=world):
-                    assert _TrialState(cfg, 1.0, 0).spans_at(0.5) == spans
+                assert _TrialState(cfg, *world).spans_at(0.5) == spans
 
 
 def test_scan_pad_covers_binning_rounding():
@@ -293,14 +297,12 @@ def test_scan_pad_covers_binning_rounding():
     assert b[0] < 35 * 0.7 and np.floor(b[0] / 0.7) == 35 and np.floor(a[0] / 0.7) == 33
     d = np.subtract(b, a)
     assert d[0] * d[0] + d[1] * d[1] <= 1.0
-    assert radius_pairs(np.array([(0.0, 0.0), a, b]), 1.0).tolist() == [[1, 2]]
 
     window = Window(0.0, 0.0, 30.0, 3.0)
     cfg = NetworkConfig(lambda_r=0.0, r_r=1.0, lambda_f=0.0, r_f=1.0, window=window)
     world = (PointSet(np.array([a, b]), window), PointSet(np.empty((0, 2)), window),
              np.empty(0))
-    with mock.patch.object(percolation, "sample_world", return_value=world):
-        state = _TrialState(cfg, 1.0, 0)
+    state = _TrialState(cfg, *world)
     state._build_edges(0.0)
     assert state.edge_a.tolist() == [0] and state.edge_b.tolist() == [1]
 
@@ -326,8 +328,7 @@ def test_cell_edge_weight_from_best_linked_pair():
     cfg = NetworkConfig(lambda_r=0.0, r_r=r_r, lambda_f=0.0, r_f=r_f, window=window,
                         allow_small_firewall_range=True)
     world = (PointSet(xy, window), PointSet(xy, window), marks)
-    with mock.patch.object(percolation, "sample_world", return_value=world):
-        state = _TrialState(cfg, 1.0, 0)
+    state = _TrialState(cfg, *world)
     assert state.min_mark.tolist() == marks.tolist()  # already in cell order
 
     in_a = xy[:, 0] < 0.7
@@ -356,7 +357,7 @@ def test_worker_count_equals_probing_every_point(world, p_grid):
     trials = 8
     counts = _threshold_worker((cfg, lambda_pool, tuple(p_grid), 0, trials))
     for t in range(trials):
-        state = _TrialState(cfg, lambda_pool, trial_seed(cfg.master_seed, t))
+        state = _state(cfg, lambda_pool, trial_seed(cfg.master_seed, t))
         assert counts[t] == sum(state.spans_at(p) for p in p_grid)
 
 
@@ -389,8 +390,8 @@ def test_warm_start_first_probes_with_stub_trials(monkeypatch):
     probes = [[] for _ in counts]
 
     class StubState:
-        def __init__(self, config, lambda_pool, tseed):
-            self.t = seeds[tseed]
+        def __init__(self, config, devices, pool, marks):
+            self.t = seeds[devices]
 
         def spans_at(self, p, last=False):
             j = grid.index(p)
@@ -398,6 +399,9 @@ def test_warm_start_first_probes_with_stub_trials(monkeypatch):
             return j < counts[self.t]
 
     monkeypatch.setattr(percolation, "_TrialState", StubState)
+    # the stub's "world" is its trial seed
+    monkeypatch.setattr(percolation, "sample_world",
+                        lambda config, tseed, lambda_pool: (tseed, None, None))
     cfg = NetworkConfig(lambda_r=1.0, r_r=1.0, lambda_f=0.0, r_f=1.0,
                         window=Window.square(10.0), master_seed=0)
     out = _threshold_worker((cfg, 1.0, grid, 0, len(counts)))
@@ -450,8 +454,8 @@ def test_warm_start_builds_fewer_edge_sets():
 
     with mock.patch.object(_TrialState, "__init__", new_trial), \
             mock.patch.object(_TrialState, "_build_edges", counting):
-        plain = [_plain_bisection(_TrialState(cfg, cfg.lambda_f,
-                                              trial_seed(cfg.master_seed, t)), grid)
+        plain = [_plain_bisection(_state(cfg, cfg.lambda_f,
+                                         trial_seed(cfg.master_seed, t)), grid)
                  for t in range(trials)]
         plain_builds = [len(b) for b in builds]
         builds.clear()
@@ -475,10 +479,10 @@ def test_certificate_is_sound(world, p_grid):
     the same world spans at that p, through a probe that builds every
     edge."""
     cfg, lambda_pool, tseed = world
-    state = _TrialState(cfg, lambda_pool, tseed)
+    state = _state(cfg, lambda_pool, tseed)
     for p in p_grid:
         if state.certified(p):
-            assert _TrialState(cfg, lambda_pool, tseed).spans_at(p)
+            assert _state(cfg, lambda_pool, tseed).spans_at(p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -487,11 +491,10 @@ def test_certificate_implies_device_level_spanning(world, p):
     """The certificate against the device-level reference, on windows from
     narrower than r_r to ten r_r per side with devices on their max edges."""
     cfg, sampled = world
-    with mock.patch.object(percolation, "sample_world", return_value=sampled):
-        state = _TrialState(cfg, 1.0, 0)
+    state = _TrialState(cfg, *sampled)
     for q in (p, 0.0, 1.0):
         if state.certified(q):
-            assert _device_level_spans(sampled, cfg, q)
+            assert world_spans(cfg, *sampled, q)
 
 
 # grids of one point (the sweep over lambda_r probes (1.0,)), two and K
@@ -540,7 +543,7 @@ def test_worker_counts_do_not_depend_on_the_certificate(world, p_grid, cut):
 @given(worlds(), p_grids)
 def test_spans_at_monotone_along_grid(world, p_grid):
     cfg, lambda_pool, tseed = world
-    state = _TrialState(cfg, lambda_pool, tseed)
+    state = _state(cfg, lambda_pool, tseed)
     flags = [state.spans_at(p) for p in p_grid]
     assert all(a >= b for a, b in zip(flags, flags[1:]))
 
@@ -548,9 +551,13 @@ def test_spans_at_monotone_along_grid(world, p_grid):
 @SETTINGS
 @given(worlds())
 def test_spans_at_full_pool_matches_realization(world):
+    """A trial probed at p = 1 spans exactly when the brute-force ISG of
+    `build_isg`'s world at the same seed, every firewall kept, does."""
     cfg, _, tseed = world
-    lr, bt = detect_spanning(build_isg(cfg, tseed))
-    assert _TrialState(cfg, cfg.lambda_f, tseed).spans_at(1.0) == (lr and bt)
+    r = build_isg(cfg, tseed)
+    kept = np.zeros(r.firewalls.n)
+    assert _state(cfg, cfg.lambda_f, tseed).spans_at(1.0) == \
+        world_spans(cfg, r.devices, r.firewalls, kept, 1.0)
 
 
 @SETTINGS
@@ -563,7 +570,7 @@ def test_sweep_unsorted_with_duplicate_matches_per_point(world, values, rnd):
     trials = 3
     estimates = sweep_lambda_f(cfg, values, trials)
     pool = max(values)
-    states = [_TrialState(cfg, pool, trial_seed(cfg.master_seed, t))
+    states = [_state(cfg, pool, trial_seed(cfg.master_seed, t))
               for t in range(trials)]
     for v, est in zip(values, estimates):
         p = v / pool if pool > 0 else 0.0
@@ -594,11 +601,7 @@ def test_closed_ball_rule(x, y, r, offset, mark):
     window = Window(-10.0, -10.0, 20.0, 20.0)
     at_range = (x + offset[0] * r / 5, y + offset[1] * r / 5)
     assert np.hypot(at_range[0] - x, at_range[1] - y) == r
-    device = PointSet(np.array([[x, y]]), window)
-    firewall = PointSet(np.array([at_range]), window)
-    assert classify_devices(device, firewall, r).all()
     pair = PointSet(np.array([[x, y], at_range]), window)
-    assert _canonical_labels(2, radius_pairs(pair.points, r))[1] == 1
 
     # the trial kernel: one pool firewall on the first device, of mark
     # `mark`, is kept for p above the mark and covers both devices there
@@ -610,8 +613,7 @@ def test_closed_ball_rule(x, y, r, offset, mark):
         cfg = NetworkConfig(lambda_r=0.0, r_r=r, lambda_f=0.0, r_f=r, window=win)
         world = (PointSet(pair.points, win),
                  PointSet(pair.points[:1], win), np.array([mark]))
-        with mock.patch.object(percolation, "sample_world", return_value=world):
-            return _TrialState(cfg, 1.0, 0)
+        return _TrialState(cfg, *world)
 
     # no padding on the axes where the devices differ puts each device in
     # all four strips: each spans alone until the firewall is kept
@@ -671,8 +673,7 @@ def test_min_mark_matches_brute_force(r_f, data):
     world = (PointSet(np.concatenate([devices.points,
                                       at_range[window.contains(at_range)]]), window),
              PointSet(pool_xy, fw.expand(1.0)), marks)
-    with mock.patch.object(percolation, "sample_world", return_value=world):
-        state = _TrialState(cfg, 1.0, 0)
+    state = _TrialState(cfg, *world)
 
     dx = state.grid.x[:, None] - pool_xy[None, :, 0]
     dy = state.grid.y[:, None] - pool_xy[None, :, 1]
@@ -685,9 +686,9 @@ def test_min_mark_matches_brute_force(r_f, data):
 @given(ranges, st.lists(st.tuples(exact, exact), min_size=1, max_size=5),
        st.lists(units, max_size=30))
 def test_classify_devices_matches_brute_force(r, sites, spots):
-    """A device is protected exactly when some firewall is within r
-    (closed), also for devices exactly r from a firewall and one ulp
-    beyond it."""
+    """`nearest_firewall_distance(...) <= r` protects a device exactly when
+    some firewall is within r (closed), also for devices exactly r from a
+    firewall and one ulp beyond it."""
     window = Window(-10.0, -10.0, 30.0, 30.0)
     sites = np.array(sites)
     at_range = (sites[:, None, :] + turns * (r / 5)).reshape(-1, 2)
@@ -706,7 +707,7 @@ def test_classify_devices_matches_brute_force(r, sites, spots):
     assert (dist[:len(at_range)].min(axis=1) <= r).all()
     own = np.tile(np.arange(len(sites)), 2)
     assert (dist[len(at_range) + np.arange(len(beyond)), own] > r).all()
-    assert np.array_equal(classify_devices(devices, firewalls, r),
+    assert np.array_equal(nearest_firewall_distance(devices, firewalls, r) <= r,
                           dist.min(axis=1) <= r)
 
 
@@ -723,33 +724,6 @@ def _boundary_points(r, x0, y0, w, h, spots):
                                        np.nextafter(sites[:, 1] + r, np.inf)],
                                       axis=1)])
     return sites, at_range, beyond
-
-
-@SETTINGS
-@given(ranges, st.data())
-def test_radius_pairs_match_kdtree(r, data):
-    """`radius_pairs` finds the pair set of `cKDTree.query_pairs`, each pair
-    once as i < j, on offset non-square clouds with pairs exactly r apart,
-    pairs one ulp beyond r and coincident points. Clouds up to 2000 r wide
-    have far more cells than points, so the grid finds its cell starts by
-    binary search instead of a dense table."""
-    draw = data.draw
-    x0, y0 = draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0))
-    w, h = r * draw(st.one_of(st.floats(0.5, 12.0), st.floats(500.0, 2000.0))), \
-        r * draw(st.floats(0.5, 12.0))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
-    n = draw(st.integers(0, 300))
-    cloud = np.column_stack([x0 + w * rng.random(n), y0 + h * rng.random(n)])
-    sites, at_range, beyond = _boundary_points(r, x0, y0, w, h,
-                                               draw(st.lists(units, max_size=4)))
-    xy = np.concatenate([cloud, sites, at_range, beyond,
-                         cloud[:draw(st.integers(0, 5))], sites[:1]])
-    xy = xy[rng.permutation(len(xy))]
-    pairs = radius_pairs(xy, r)
-    assert np.all(pairs[:, 0] < pairs[:, 1])
-    expected = cKDTree(xy).query_pairs(r)
-    assert len(pairs) == len(expected)
-    assert set(map(tuple, pairs.tolist())) == expected
 
 
 @SETTINGS
@@ -797,8 +771,7 @@ def test_edge_weights_match_kdtree_pair_fold(world, floor):
     pair of distinct cells, the max over linked pairs of the smaller
     min_mark."""
     cfg, sampled = world
-    with mock.patch.object(percolation, "sample_world", return_value=sampled):
-        state = _TrialState(cfg, 1.0, 0)
+    state = _TrialState(cfg, *sampled)
     state._build_edges(floor)
     xy, min_mark = np.column_stack([state.grid.x, state.grid.y]), state.min_mark
     node = np.searchsorted(state.cell_ids, state.grid.cell_id)
@@ -892,8 +865,7 @@ def test_far_nodes_match_binary_search(sparse, r_r, degree, seed, floor):
     # a device at the far corner spreads the grid over the whole window
     corner = PointSet(np.vstack([devices.points, (window.x_max, window.y_max)]), window)
     world = (corner, pool, rng.random(pool.n))
-    with mock.patch.object(percolation, "sample_world", return_value=world):
-        state = _TrialState(cfg, 1.0, 0)
+    state = _TrialState(cfg, *world)
     assert (state.grid._table is None) == sparse
     state._build_edges(floor)
     a, b, w = _searchsorted_edges(state, floor)
@@ -1109,11 +1081,10 @@ def _hand_made(r_r, origin, points):
     window = Window(origin[0], origin[1], origin[0] + 25.0, origin[1] + 25.0)
     cfg = NetworkConfig(lambda_r=1.0, r_r=r_r, lambda_f=0.0, r_f=r_r, window=window)
     n = len(points)
-    star = np.column_stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)])
     return Realization(config=cfg, devices=PointSet(points, window),
                        firewalls=PointSet(np.empty((0, 2)), window),
                        is_protected=np.zeros(n, dtype=bool),
-                       isg=IsgGraph(np.arange(n), *_canonical_labels(n, star)))
+                       isg=IsgGraph(np.arange(n), np.zeros(n, dtype=np.int64), 1))
 
 
 def test_pair_test_decides_edges_whose_box_exceeds_range():
@@ -1173,15 +1144,16 @@ def test_any_pair_beyond_matches_brute_force(groups, chunk):
 
 def _protected_reference(config, trials):
     """Reference for one point of `sweep_protected_fraction`: the per-trial
-    loop it replaced, which samples and classifies every world at config.r_f
-    alone. Raises NoDevicesError when every device set came up empty."""
+    loop it replaced, which samples every world and classifies it at
+    config.r_f alone, by brute-force distances. Raises NoDevicesError when
+    every device set came up empty."""
     fractions = []
     for t in range(trials):
         devices, firewalls, _ = sample_world(
             config, trial_seed(config.master_seed, t), config.lambda_f)
         if devices.n:
-            fractions.append(classify_devices(devices, firewalls,
-                                              config.r_f).mean())
+            fractions.append(within_distance(devices.points, firewalls.points,
+                                             config.r_f).mean())
     if not fractions:
         raise NoDevicesError("all trials produced empty device sets")
     kept, m = np.array(fractions), len(fractions)
@@ -1271,7 +1243,8 @@ def test_protected_sweep_directed_cases():
 
 def test_protected_sweep_closed_ball():
     """Every r_f of a sweep counts a device exactly r_f from a firewall as
-    protected and one an ulp beyond as not, as classify_devices does."""
+    protected and one an ulp beyond as not, by the distance test
+    sqrt(d2) <= r_f."""
     window = Window(-20.0, -20.0, 40.0, 40.0)
     xy = np.array([(3.0, 4.0), (0.0, 2.5), (6.0, 8.0), (np.nextafter(5.0, np.inf), 0.0)])
     world = (PointSet(xy, window), PointSet(np.zeros((1, 2)), window),
