@@ -16,6 +16,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import islice
 from typing import Optional
 
 from . import __version__
@@ -151,6 +152,11 @@ class ExperimentSpec:
                     _, step, grid_n = critical_grid(c, self.lambda_f_max, self.search_step)
                     pool = grid_n * (step / 8.0)
                 check_sample_means(c, pool)
+            # the coupling suite's worlds repeat after its 20 intensity pairs
+            coupling = _coupling_configs(self) if self.command == "validate" else ()
+            for _, c in islice(coupling, min(20, self.coupling_realizations)):
+                check_cell_grid(c)
+                check_sample_means(c, c.lambda_f)
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
         if self.command == "protected" and any(c.lambda_r <= 0 for c in configs):

@@ -1,8 +1,9 @@
-"""Per-trial world sampling, nearest-firewall distances, and the types of
-the infection-susceptible graph (ISG).
+"""Per-trial world sampling, the spatial index, and the types of the
+infection-susceptible graph (ISG).
 
 Devices connect when within the D2D range r_r of each other (closed ball).
-A device is protected when some firewall lies within r_f of it; the ISG is
+A device is protected when some firewall lies within r_f of it (closed ball:
+dx*dx + dy*dy <= r_f*r_f, `CellGrid.min_within`); the ISG is
 the device graph restricted to the susceptible (unprotected) devices.
 `percolation.build_isg` reads one realization's ISG off the trial kernel.
 
@@ -25,9 +26,7 @@ __all__ = [
     "NetworkConfig",
     "IsgGraph",
     "Realization",
-    "nearest_firewall_distance",
     "sample_world",
-    "save_realization_csv",
 ]
 
 _BLOCK = 1 << 10  # query points per block of a scan
@@ -37,11 +36,6 @@ _CHUNK = 1 << 13  # candidate pairs per pass of a scan
 # of 2 k to 30 k uniform points, the table was faster at every size up to 12
 # cells per point, and binary search from 16-24 at 2 k and 64 at 30 k.
 _TABLE_CELLS_PER_POINT = 16
-# Cell side of the nearest-firewall scan per unit of its range. On
-# `protected`'s worlds (lambda_r = 2, r = 4) a side of 0.4 r scans 157 k
-# candidates per trial where r scans 262 k, 7.0 ms against 9.8; 0.35-0.5 r
-# were as fast within the noise at lambda_r = 0.8-7 and r = 2-4.
-_NEAREST_SIDE = 0.4
 
 # NumPy's Poisson sampler refuses a larger mean ("lam value too large")
 _POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
@@ -96,13 +90,11 @@ class IsgGraph:
     """Components of the fixed-radius graph over a subset of device indices.
 
     `vertices[i]` is the device index of local vertex i and
-    `component_label[i]` its component. The labels are canonical: the
-    component containing the smallest vertex gets label 0, the component
-    containing the smallest vertex not in it gets label 1, and so on. So the
-    labels, which the realization CSV dump writes and clause (iii) of
-    `lattice.verify_open_edge_coupling` compares, depend only on the
-    partition. (The trial kernel's probes label their cell graphs without
-    this relabel: spanning needs only equality.)
+    `component_label[i]` its component: the root of its cell's node in the
+    trial kernel's labelling. Two vertices share a label exactly when they
+    share a component, which is all that clause (iii) of
+    `lattice.verify_open_edge_coupling` compares; the labels are not
+    numbered 0..n_components-1.
     """
 
     vertices: np.ndarray
@@ -184,7 +176,7 @@ class CellGrid:
     def scan(self, qx: np.ndarray, qy: np.ndarray, r: float, first=None):
         """Yield (q, j, d2) chunks over candidate pairs of a query point
         (qx[q], qy[q]) and a grid point j, d2 = dx*dx + dy*dy. The candidates
-        hold every pair with d2 <= r*r and every pair with sqrt(d2) <= r.
+        hold every pair with d2 <= r*r.
 
         Query q = (x, y) scans the columns that hold x -+ reach, reach =
         r + pad, and those between, clipped to the grid. In a column whose
@@ -192,8 +184,8 @@ class CellGrid:
         y -+ sqrt(reach**2 - gap**2). The pad, 1e-9 (r + side + the largest
         |coordinate| of a query or of `origin`), exceeds the rounding of the
         column edges and of q by far, so `gap` (taken pad below them) never
-        exceeds the |dx| of a point binned into that column. A pair either
-        test accepts has dx*dx + dy*dy <= r*r (1 + 5 eps) exactly, eps the
+        exceeds the |dx| of a point binned into that column. A pair the test
+        accepts has dx*dx + dy*dy <= r*r (1 + 5 eps) exactly, eps the
         unit roundoff, so |dy| <= sqrt(r*r (1 + 5 eps) - gap**2). reach**2
         exceeds r*r (1 + 5 eps) by about 2 r pad, which keeps the rounded
         half-width about pad above that bound, more than the rounding of
@@ -230,6 +222,19 @@ class CellGrid:
                 dy = self.y.take(j) - qy.take(qq)
                 yield qq, j, dx * dx + dy * dy
 
+    def min_within(self, qx: np.ndarray, qy: np.ndarray, r: float,
+                   value: np.ndarray | None = None) -> np.ndarray:
+        """Per grid point, the least value[q] over the query points q with
+        d2 <= r*r (closed ball), or the least such d2 when `value` is None;
+        inf where no query point is in range. Each query scans the grid, whose
+        candidates hold every pair the test accepts."""
+        best = np.full(len(self.x), np.inf)
+        for q, j, d2 in self.scan(qx, qy, r):
+            hit = np.flatnonzero(d2 <= r * r)
+            np.minimum.at(best, j.take(hit),
+                          d2.take(hit) if value is None else value.take(q.take(hit)))
+        return best
+
     def _slices(self, qx, qy, reach, pad, first, own_col):
         """(query, start, length) of one slice per query and column of its
         range, ordered by query: `scan`'s row windows, for queries at
@@ -253,32 +258,6 @@ class CellGrid:
             own = np.flatnonzero(col == own_col.take(q))
             start[own] = first.take(q.take(own))
         return q, start, np.maximum(stop - start, 0)
-
-
-def nearest_firewall_distance(devices: PointSet, firewalls: PointSet,
-                              r: float) -> np.ndarray:
-    """Per device, the nearest firewall's distance where it is <= r, inf or
-    some distance > r elsewhere: `dist <= r_f` tests any r_f <= r.
-
-    Each firewall scans the devices' `CellGrid` (cells of side
-    `_NEAREST_SIDE` * r, or the least side that bins the devices into at
-    most 2**30 + 1 cells per axis when r is tiny for the window: the scan is
-    exact on cells of any side, and the cell ids then fit in int64); a
-    device keeps the smallest dx*dx + dy*dy, and its distance is that sum's
-    sqrt.
-    """
-    if not (r > 0):
-        raise ValueError("r_f must be > 0")
-    best = np.full(devices.n, np.inf)
-    if devices.n == 0 or firewalls.n == 0:
-        return best
-    x0, y0 = devices.window.x_min, devices.window.y_min
-    x, y = devices.points.T.copy()
-    side = max(_NEAREST_SIDE * r, float(max(x.max() - x0, y.max() - y0)) * 2.0 ** -30)
-    grid, order = CellGrid.binned(x, y, (x0, y0), side)
-    for _, j, d2 in grid.scan(*firewalls.points.T.copy(), r):
-        np.minimum.at(best, order.take(j), d2)
-    return np.sqrt(best)
 
 
 def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -336,21 +315,3 @@ def check_sample_means(config: NetworkConfig, lambda_f: float) -> None:
             raise ValueError(f"the mean {what} * area = {mean:.6g} is at or above "
                              f"NumPy's Poisson limit {_POISSON_MEAN_MAX:.6g}; "
                              "lower the intensity or the window")
-
-
-def save_realization_csv(realization: Realization, path) -> None:
-    """Debug dump: rows of `x,y,kind,component`.
-
-    kind is firewall / protected / susceptible; component is the ISG component
-    label for susceptible rows and -1 otherwise.
-    """
-    comp = np.full(realization.devices.n, -1, dtype=np.int64)
-    comp[realization.isg.vertices] = realization.isg.component_label
-    protected = realization.is_protected
-    with open(path, "w") as fh:
-        fh.write("x,y,kind,component\n")
-        for i, (x, y) in enumerate(realization.devices.points):
-            kind = "protected" if protected[i] else "susceptible"
-            fh.write(f"{x:.9g},{y:.9g},{kind},{comp[i]}\n")
-        for x, y in realization.firewalls.points:
-            fh.write(f"{x:.9g},{y:.9g},firewall,-1\n")

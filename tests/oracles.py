@@ -1,7 +1,7 @@
 """Brute-force references shared by the tests. Every distance comes from a
 full dx*dx + dy*dy matrix and every component from SciPy's
-`connected_components`, so no reference runs the package's cell grid,
-nearest-firewall scan or labelling. The worlds the tests build are small."""
+`connected_components`, so no reference runs the package's cell grid or
+labelling. The worlds the tests build are small."""
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
@@ -17,25 +17,35 @@ def squared_distances(a, b):
 
 def covered(devices_xy, firewalls_xy, r_f):
     """Per device, whether some firewall lies within r_f by the squared test
-    dx*dx + dy*dy <= r_f*r_f, the rule of the trial kernel and `build_isg`."""
+    dx*dx + dy*dy <= r_f*r_f, the package's one protection rule."""
     return (squared_distances(devices_xy, firewalls_xy) <= r_f * r_f).any(axis=1)
 
 
-def within_distance(devices_xy, firewalls_xy, r):
-    """Per device, whether some firewall lies within r by the distance test
-    sqrt(dx*dx + dy*dy) <= r, the rule of `protected`'s fractions."""
-    return (np.sqrt(squared_distances(devices_xy, firewalls_xy)) <= r).any(axis=1)
+def min_within(devices_xy, firewalls_xy, r):
+    """Per device, the least dx*dx + dy*dy to a firewall with
+    dx*dx + dy*dy <= r*r, inf when there is none."""
+    d2 = squared_distances(devices_xy, firewalls_xy)
+    return np.where(d2 <= r * r, d2, np.inf).min(axis=1, initial=np.inf)
 
 
 def components(xy, r):
     """(labels, count) of the graph linking the points xy with
-    dx*dx + dy*dy <= r*r. Labels are canonical: label k is the component of
-    the smallest point not in labels 0..k-1."""
+    dx*dx + dy*dy <= r*r."""
     linked = sparse.csr_matrix(squared_distances(xy, xy) <= r * r)
     k, labels = connected_components(linked, directed=False)
-    canonical = {}
-    return np.array([canonical.setdefault(v, len(canonical)) for v in labels.tolist()],
-                    dtype=np.int64), k
+    return labels, k
+
+
+def same_partition(a, b):
+    """Do the label arrays a and b split their indices into the same
+    classes, whatever the label values?"""
+    a, b = np.asarray(a).tolist(), np.asarray(b).tolist()
+    if len(a) != len(b):
+        return False
+    pairs = {}
+    if any(pairs.setdefault(x, y) != y for x, y in zip(a, b)):
+        return False
+    return len(set(pairs.values())) == len(pairs)
 
 
 def isg(devices_xy, firewalls_xy, r_r, r_f):

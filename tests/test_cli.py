@@ -288,6 +288,8 @@ _AXIS = ["--axis", "lambda_f", "--start", "0", "--stop", "0.1", "--step", "0.05"
       "--step", "0.05"], "axis"),
     (["validate", "--face-samples", "10", "--blocking-trials", "10",
       "--coupling-realizations", "-3"], "coupling_realizations"),
+    (["validate", "--r-r", "1e-9", "--r-f", "1e-9", "--coupling-realizations", "1",
+      "--face-samples", "10", "--blocking-trials", "10"], "2**62"),
 ])
 def test_malformed_model_parameters(argv, needle, capsys):
     _assert_spec_error(main(argv + ["--trials", "2"]), capsys, needle)

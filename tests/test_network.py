@@ -3,13 +3,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import components, covered
+from oracles import components, covered, min_within, same_partition
 
 from spatial_firewalls import percolation
 from spatial_firewalls.bounds import protected_fraction
-from spatial_firewalls.network import (NetworkConfig, nearest_firewall_distance,
-                                       save_realization_csv)
-from spatial_firewalls.percolation import build_isg
+from spatial_firewalls.network import CellGrid, NetworkConfig
+from spatial_firewalls.percolation import build_isg, sweep_protected_fraction
 from spatial_firewalls.spatial import PointSet, Window, sample_ppp, trial_seed
 
 
@@ -26,6 +25,26 @@ def _isg_of(xy, r, firewalls=()):
     world = (_pset(xy), _pset(firewalls), np.zeros(len(firewalls)))
     with mock.patch.object(percolation, "sample_world", return_value=world):
         return build_isg(cfg, 0)
+
+
+def _min_d2(devices, firewalls, r, side):
+    """`CellGrid.min_within` of the firewalls over the devices, binned on
+    cells of `side` from the corner of their window, in the devices' order."""
+    grid, order = CellGrid.binned(*devices.points.T.copy(),
+                                  (devices.window.x_min, devices.window.y_min), side)
+    d2 = np.empty(devices.n)
+    d2[order] = grid.min_within(*firewalls.points.T.copy(), r)
+    return d2
+
+
+def _protected_share(devices, firewalls, r_f):
+    """`sweep_protected_fraction` at r_f of one trial whose world is the
+    devices and firewalls."""
+    cfg = NetworkConfig(lambda_r=1.0, r_r=r_f, lambda_f=0.0, r_f=r_f,
+                        window=devices.window)
+    world = (devices, firewalls, np.zeros(firewalls.n))
+    with mock.patch.object(percolation, "sample_world", return_value=world):
+        return sweep_protected_fraction(cfg, [r_f], 1)[0].mean_fraction
 
 
 def _bfs_partition(xy, radius):
@@ -50,18 +69,6 @@ def _bfs_partition(xy, radius):
     return labels
 
 
-def _same_partition(a, b):
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        return False
-    pairs = {}
-    for x, y in zip(a.tolist(), b.tolist()):
-        if pairs.setdefault(x, y) != y:
-            return False
-    return len(set(pairs.values())) == len(pairs)
-
-
 def test_config_validation():
     w = Window.square(10)
     with pytest.raises(ValueError):
@@ -80,19 +87,23 @@ def test_config_validation():
 
 def test_classify_no_firewalls():
     devices = sample_ppp(0.5, Window.square(20), 3)
-    dist = nearest_firewall_distance(devices, _pset(np.empty((0, 2))), 2.0)
-    assert len(dist) == devices.n
-    assert np.isinf(dist).all()
+    d2 = _min_d2(devices, _pset(np.empty((0, 2))), 2.0, 0.8)
+    assert len(d2) == devices.n
+    assert np.isinf(d2).all()
 
 
 def test_classify_boundary_inclusive():
-    """A device exactly r_f from a firewall is protected, by the nearest
-    distance of `protected` and by `build_isg`'s squared test alike."""
-    xy = [[2.0, 0.0], [2.0 + 1e-9, 0.0]]
-    dist = nearest_firewall_distance(_pset(xy), _pset([[0.0, 0.0]]), 2.0)
-    assert dist[0] <= 2.0        # exactly at r_f: protected
-    assert not dist[1] <= 2.0
-    assert _isg_of(xy, 2.0, [[0.0, 0.0]]).is_protected.tolist() == [True, False]
+    """A device exactly r_f = 2 from a firewall is protected and one 1e-9
+    beyond is not, by the protected fractions and by `build_isg` alike. So
+    is a device at (2, 3e-8): its distance rounds to 2.0, but its
+    dx*dx + dy*dy rounds to nextafter(4, inf) > r_f*r_f."""
+    xy = [[2.0, 0.0], [2.0 + 1e-9, 0.0], [2.0, 3e-8]]
+    d2 = 2.0 * 2.0 + 3e-8 * 3e-8
+    assert d2 == np.nextafter(4.0, np.inf) and np.sqrt(d2) == 2.0
+    fw = _pset([[0.0, 0.0]])
+    assert _min_d2(_pset(xy), fw, 2.0, 0.8).tolist() == [4.0, np.inf, np.inf]
+    assert _protected_share(_pset(xy), fw, 2.0) == 1 / 3
+    assert _isg_of(xy, 2.0, [[0.0, 0.0]]).is_protected.tolist() == [True, False, False]
 
 
 def test_classify_partition():
@@ -114,7 +125,7 @@ def test_classify_matches_coverage_formula():
     for t in range(60):
         devices = sample_ppp(0.5, w, trial_seed(21, 2 * t))
         firewalls = sample_ppp(lf, w.expand(rf), trial_seed(21, 2 * t + 1))
-        fractions.append((nearest_firewall_distance(devices, firewalls, rf) <= rf).mean())
+        fractions.append((_min_d2(devices, firewalls, rf, 0.4 * rf) <= rf * rf).mean())
     fractions = np.array(fractions)
     se = fractions.std(ddof=1) / np.sqrt(len(fractions))
     assert abs(fractions.mean() - protected_fraction(lf, rf)) <= 3 * se
@@ -126,33 +137,34 @@ def test_rgg_edge_at_exact_radius():
     beyond r_r of the second is not."""
     r = _isg_of([[10.0, 10.0], [13.0, 14.0], [13.0, np.nextafter(19.0, np.inf)]], 5.0)
     assert r.isg.vertices.tolist() == [0, 1, 2]
-    assert r.isg.component_label.tolist() == [0, 0, 1] and r.isg.n_components == 2
+    assert same_partition(r.isg.component_label, [0, 0, 1]) and r.isg.n_components == 2
 
 
 def test_tiny_range_on_a_normal_window():
     """A range of 1e-8 on a 100 m window, some 2**33 cells of side r per
-    axis, which the nearest-firewall scan coarsens: each device with a
-    firewall r/2 away reads that distance, and one with a firewall 2r away
-    reads more than r."""
+    axis, which the protected-fraction scan coarsens: on cells of 2**-30 of
+    the devices' extent, each device with a firewall r/2 away reads that
+    squared distance bit for bit, and one with a firewall 2r away reads inf;
+    the fraction counts the first 50 of 200 devices."""
     r = 1e-8
     dev = 1.0 + 98.0 * np.random.default_rng(5).random((200, 2))
     near, far = dev[:50] + [r / 2, 0.0], dev[50:100] + [0.0, 2 * r]
     devices, firewalls = _pset(dev), _pset(np.concatenate([near, far]))
-    dist = nearest_firewall_distance(devices, firewalls, r)
-    d2 = ((dev[:50] - near) ** 2).sum(axis=1)
-    assert dist[:50].tobytes() == np.sqrt(d2).tobytes()
-    assert np.all(dist[50:] > r)
+    d2 = _min_d2(devices, firewalls, r, float(dev.max()) * 2.0 ** -30)
+    assert d2.tobytes() == min_within(dev, firewalls.points, r).tobytes()
+    assert np.isfinite(d2[:50]).all() and np.isinf(d2[50:]).all()
+    assert _protected_share(devices, firewalls, r) == 0.25
 
 
 def test_rgg_coincident_points_are_linked():
     # floating-point duplicates are tolerated: distance 0 <= radius is an edge
     r = _isg_of([[1.0, 1.0], [50.0, 50.0], [1.0, 1.0]], 0.5)
-    assert r.isg.component_label.tolist() == [0, 1, 0] and r.isg.n_components == 2
+    assert same_partition(r.isg.component_label, [0, 1, 0]) and r.isg.n_components == 2
 
 
 def test_rgg_all_singletons():
     r = _isg_of([[10.0, 10.0], [20.0, 10.0], [10.0, 20.0], [20.0, 20.0]], 5.0)
-    assert r.isg.n_components == 4 and r.isg.component_label.tolist() == [0, 1, 2, 3]
+    assert r.isg.n_components == 4 and same_partition(r.isg.component_label, [0, 1, 2, 3])
 
 
 def test_rgg_components_match_bfs():
@@ -161,19 +173,8 @@ def test_rgg_components_match_bfs():
                             window=Window.square(22), master_seed=400 + seed)
         r = build_isg(cfg, trial_seed(cfg.master_seed, 0))  # ~290 devices
         assert r.devices.n <= 500 and len(r.isg.vertices) == r.devices.n
-        assert _same_partition(r.isg.component_label,
+        assert same_partition(r.isg.component_label,
                                _bfs_partition(r.devices.points, 1.5))
-
-
-def test_component_labels_canonical():
-    # label k is the component of the smallest vertex not in labels < k
-    cfg = NetworkConfig(lambda_r=0.5, r_r=1.2, lambda_f=0.05, r_f=1.2,
-                        window=Window.square(20), master_seed=8)
-    isg = build_isg(cfg, trial_seed(8, 0)).isg
-    labels, k = isg.component_label, isg.n_components
-    assert k > 1
-    first_of_label = [np.flatnonzero(labels == j)[0] for j in range(k)]
-    assert first_of_label == sorted(first_of_label)
 
 
 def test_isg_equals_rgg_without_firewalls():
@@ -184,7 +185,7 @@ def test_isg_equals_rgg_without_firewalls():
     assert not r.is_protected.any()
     assert np.array_equal(r.isg.vertices, np.arange(r.devices.n))
     labels, k = components(r.devices.points, cfg.r_r)
-    assert np.array_equal(r.isg.component_label, labels) and r.isg.n_components == k
+    assert same_partition(r.isg.component_label, labels) and r.isg.n_components == k
 
 
 def test_isg_empty_under_dense_firewalls():
@@ -203,7 +204,7 @@ def test_isg_matches_vertex_deletion():
     susceptible = np.flatnonzero(~r.is_protected)
     oracle = _bfs_partition(r.devices.points[susceptible], cfg.r_r)
     assert np.array_equal(r.isg.vertices, susceptible)
-    assert _same_partition(r.isg.component_label, oracle)
+    assert same_partition(r.isg.component_label, oracle)
 
 
 def test_adding_firewalls_only_shrinks_components():
@@ -227,21 +228,3 @@ def test_adding_firewalls_only_shrinks_components():
         old_members = comp_before[r.isg.component_label[pos_in_old[dev]]]
         assert new_members <= old_members
 
-
-def test_realization_csv(tmp_path):
-    cfg = NetworkConfig(lambda_r=0.5, r_r=2, lambda_f=0.05, r_f=2,
-                        window=Window.square(30), master_seed=2)
-    r = build_isg(cfg, trial_seed(2, 0))
-    path = tmp_path / "world.csv"
-    save_realization_csv(r, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y,kind,component"
-    assert len(lines) == 1 + r.devices.n + r.firewalls.n
-    kinds = {"firewall": 0, "protected": 0, "susceptible": 0}
-    for line in lines[1:]:
-        x, y, kind, comp = line.split(",")
-        kinds[kind] += 1
-        if kind != "susceptible":
-            assert comp == "-1"
-    assert kinds["firewall"] == r.firewalls.n
-    assert kinds["susceptible"] == len(r.isg.vertices)

@@ -5,8 +5,8 @@ enumeration to the devices above the probe floor, the bisected
 spanning-prefix worker against probing every grid point, the
 nested-thinning monotonicity it relies on, `build_isg` against a
 brute-force ISG, worker-count invariance, the closed-ball distance and
-strip rules, the cell-grid `min_mark` and the nearest-firewall
-classification against brute force, the
+strip rules, the cell-grid `min_mark` and `CellGrid.min_within`'s squared
+distances against brute force, the
 columnar binning against row binning, the spanning certificate of a
 one-probe trial against a full probe and the device-level reference, the
 worker's counts with and without it, each cell edge's far node against a
@@ -17,13 +17,13 @@ blocking search against its `np.linalg.norm` reference, the
 protected-fraction sweep over r_f against one estimate per r_f, and the
 public surface: every module's `__all__` and the README quickstart.
 
-SciPy, from the `test` extra, is the independent oracle of every NumPy
-kernel on the cell grid: `cKDTree.query_pairs` for the trial's edge
-weights, `cKDTree.query` for `nearest_firewall_distance`, and
-`connected_components` for `_component_roots`. The device-level
-references (`oracles`) take every distance from a full dx*dx + dy*dy
-matrix and every component from `connected_components`, so none runs the
-cell grid, the nearest-firewall scan, `_min_marks` or `_component_roots`."""
+SciPy, from the `test` extra, is the independent oracle of the cell
+grid's pair enumeration and of the labelling: `cKDTree.query_pairs` for
+the trial's edge weights and `connected_components` for
+`_component_roots`. The device-level references (`oracles`) take every
+distance from a full dx*dx + dy*dy matrix and every component from
+`connected_components`, so none runs the cell grid, `min_within` or
+`_component_roots`."""
 import importlib
 import math
 import pkgutil
@@ -36,7 +36,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import covered, isg, within_distance, world_spans
+from oracles import (covered, isg, min_within, same_partition, squared_distances,
+                     world_spans)
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
@@ -47,10 +48,9 @@ from spatial_firewalls.bounds import _ceil_ratio, subcritical_sufficient_intensi
 from spatial_firewalls.lattice import (OpenEdgeCheck, _any_pair_beyond,
                                        verify_open_edge_coupling)
 from spatial_firewalls.network import (CellGrid, IsgGraph, NetworkConfig,
-                                       Realization, _component_roots,
-                                       nearest_firewall_distance, sample_world)
+                                       Realization, _component_roots, sample_world)
 from spatial_firewalls.percolation import (NoDevicesError,
-                                          ProtectedFractionEstimate,
+                                          ProtectedFractionEstimate, _PROTECT_SIDE,
                                           _spans_from_labels, _strip_masks,
                                           _TrialState, _threshold_worker,
                                           build_isg, estimate_protected_fraction,
@@ -134,7 +134,7 @@ def test_cell_graph_matches_device_level_reference(world, data):
 def test_build_isg_matches_brute_force(world):
     """`build_isg` on an edge world, every pool firewall kept, against the
     brute-force ISG: the protected flags by the squared test over the whole
-    pool, the vertices, the canonical labels and the component count."""
+    pool, the vertices, the partition into components and their count."""
     cfg, sampled = world
     with mock.patch.object(percolation, "sample_world", return_value=sampled):
         r = build_isg(cfg, 0)
@@ -142,7 +142,7 @@ def test_build_isg_matches_brute_force(world):
     protected, vertices, labels, k = isg(devices.points, pool.points, cfg.r_r, cfg.r_f)
     assert r.is_protected.tolist() == protected.tolist()
     assert r.isg.vertices.tolist() == vertices.tolist()
-    assert r.isg.component_label.tolist() == labels.tolist()
+    assert same_partition(r.isg.component_label, labels)
     assert r.isg.n_components == k
 
 
@@ -686,9 +686,10 @@ def test_min_mark_matches_brute_force(r_f, data):
 @given(ranges, st.lists(st.tuples(exact, exact), min_size=1, max_size=5),
        st.lists(units, max_size=30))
 def test_classify_devices_matches_brute_force(r, sites, spots):
-    """`nearest_firewall_distance(...) <= r` protects a device exactly when
-    some firewall is within r (closed), also for devices exactly r from a
-    firewall and one ulp beyond it."""
+    """`CellGrid.min_within` on the protected fractions' cells gives each
+    device its least squared distance to a firewall within r (closed), bit
+    for bit, also for devices exactly r from a firewall and one ulp beyond
+    it."""
     window = Window(-10.0, -10.0, 30.0, 30.0)
     sites = np.array(sites)
     at_range = (sites[:, None, :] + turns * (r / 5)).reshape(-1, 2)
@@ -702,13 +703,25 @@ def test_classify_devices_matches_brute_force(r, sites, spots):
     devices = PointSet(xy, window)
     firewalls = PointSet(sites, window)
 
-    d = xy[:, None, :] - sites[None, :, :]
-    dist = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
-    assert (dist[:len(at_range)].min(axis=1) <= r).all()
+    d2 = squared_distances(xy, sites)
+    assert (d2[:len(at_range)].min(axis=1) <= r * r).all()
     own = np.tile(np.arange(len(sites)), 2)
-    assert (dist[len(at_range) + np.arange(len(beyond)), own] > r).all()
-    assert np.array_equal(nearest_firewall_distance(devices, firewalls, r) <= r,
-                          dist.min(axis=1) <= r)
+    assert (d2[len(at_range) + np.arange(len(beyond)), own] > r * r).all()
+    got = _grid_min_d2(devices, firewalls, r)
+    assert got.tobytes() == min_within(xy, sites, r).tobytes()
+    assert np.isfinite(got[:len(at_range)]).all()
+
+
+def _grid_min_d2(devices, firewalls, r):
+    """`CellGrid.min_within` of the firewalls over the devices, binned as
+    the protected fractions bin them (cells of `_PROTECT_SIDE` r from the
+    window's corner), in the devices' order."""
+    grid, order = CellGrid.binned(*devices.points.T.copy(),
+                                  (devices.window.x_min, devices.window.y_min),
+                                  _PROTECT_SIDE * r)
+    d2 = np.empty(devices.n)
+    d2[order] = grid.min_within(*firewalls.points.T.copy(), r)
+    return d2
 
 
 def _boundary_points(r, x0, y0, w, h, spots):
@@ -728,12 +741,12 @@ def _boundary_points(r, x0, y0, w, h, spots):
 
 @SETTINGS
 @given(ranges, st.data())
-def test_nearest_firewall_distance_matches_kdtree(r, data):
-    """Wherever the nearest firewall lies within r, its distance is
-    `cKDTree.query`'s at the bound r (1 + 1e-9) bit for bit; elsewhere both
-    read > r. Devices sit exactly r from firewall sites and one ulp beyond,
-    on an offset non-square window with firewalls in a margin around it;
-    windows up to 2000 r wide make the devices' grid a sparse one."""
+def test_min_within_matches_brute_force(r, data):
+    """Every device's `CellGrid.min_within` is the least squared distance to
+    a firewall within r over all pairs, bit for bit, and inf where none is.
+    Devices sit exactly r from firewall sites and one ulp beyond, on an
+    offset non-square window with firewalls in a margin around it; windows
+    up to 2000 r wide make the devices' grid a sparse one."""
     draw = data.draw
     x0, y0 = draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0))
     window = Window(x0, y0, x0 + r * draw(st.one_of(st.floats(0.5, 12.0),
@@ -752,15 +765,8 @@ def test_nearest_firewall_distance_matches_kdtree(r, data):
     firewalls = PointSet(np.concatenate([np.column_stack(
         [fw.x_min + fw.width * rng.random(m), fw.y_min + fw.height * rng.random(m)]),
         sites[fw.contains(sites)]]), fw)
-    dist = nearest_firewall_distance(devices, firewalls, r)
-    if firewalls.n == 0 or devices.n == 0:
-        assert np.isinf(dist).all() and len(dist) == devices.n
-        return
-    kd, _ = cKDTree(firewalls.points).query(devices.points, k=1,
-                                            distance_upper_bound=r * (1 + 1e-9))
-    within = kd <= r
-    assert np.array_equal(dist <= r, within)
-    assert dist[within].tobytes() == kd[within].tobytes()
+    expected = min_within(devices.points, firewalls.points, r)
+    assert _grid_min_d2(devices, firewalls, r).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -1152,8 +1158,8 @@ def _protected_reference(config, trials):
         devices, firewalls, _ = sample_world(
             config, trial_seed(config.master_seed, t), config.lambda_f)
         if devices.n:
-            fractions.append(within_distance(devices.points, firewalls.points,
-                                             config.r_f).mean())
+            fractions.append(covered(devices.points, firewalls.points,
+                                     config.r_f).mean())
     if not fractions:
         raise NoDevicesError("all trials produced empty device sets")
     kept, m = np.array(fractions), len(fractions)
@@ -1243,8 +1249,8 @@ def test_protected_sweep_directed_cases():
 
 def test_protected_sweep_closed_ball():
     """Every r_f of a sweep counts a device exactly r_f from a firewall as
-    protected and one an ulp beyond as not, by the distance test
-    sqrt(d2) <= r_f."""
+    protected and one an ulp beyond as not, by the squared test
+    d2 <= r_f*r_f."""
     window = Window(-20.0, -20.0, 40.0, 40.0)
     xy = np.array([(3.0, 4.0), (0.0, 2.5), (6.0, 8.0), (np.nextafter(5.0, np.inf), 0.0)])
     world = (PointSet(xy, window), PointSet(np.zeros((1, 2)), window),
