@@ -22,9 +22,9 @@ from typing import Optional
 from . import __version__
 from .bounds import LambdaC1, critical_intensity_upper_bound, evaluate_all, \
     protected_fraction, subcritical_sufficient_intensity
-from .lattice import blocking_counterexample_search, closed_face_mc_frequency, \
-    count_dependent_edges_bruteforce, independence_offsets, \
-    verify_open_edge_coupling, write_validator_csv
+from .lattice import blocking_counterexample_search, check_coupling_lattice, \
+    closed_face_mc_frequency, count_dependent_edges_bruteforce, \
+    independence_offsets, verify_open_edge_coupling, write_validator_csv
 from .bounds import closed_face_probability
 from .network import NetworkConfig, check_sample_means
 from .percolation import MAX_GRID_POINTS, NoDevicesError, SearchExhaustedError, \
@@ -157,6 +157,7 @@ class ExperimentSpec:
             for _, c in islice(coupling, min(20, self.coupling_realizations)):
                 check_cell_grid(c)
                 check_sample_means(c, c.lambda_f)
+                check_coupling_lattice(c)
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
         if self.command == "protected" and any(c.lambda_r <= 0 for c in configs):

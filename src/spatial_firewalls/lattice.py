@@ -14,10 +14,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .bounds import _ceil_ratio
-from .network import Realization
+from .network import NetworkConfig, Realization
 from .spatial import open_csv
 
 _CHUNK = 1 << 18  # point pairs per pass of `_any_pair_beyond`, to bound the temporaries
+# Largest coupling lattice `verify_open_edge_coupling` takes, in cells of its
+# widest array. Over the coupling suite's worlds at r_r = 0.1-0.3 the check
+# peaked at 76-96 bytes per cell (tracemalloc), so the cap holds one check
+# to about 0.4 GB; at the suite's 50-wide window it admits r_r >= 0.06.
+MAX_COUPLING_CELLS = 1 << 22
 
 __all__ = [
     "HexFace",
@@ -29,6 +34,8 @@ __all__ = [
     "pocket_pair_survey",
     "OpenEdgeCheck",
     "verify_open_edge_coupling",
+    "check_coupling_lattice",
+    "MAX_COUPLING_CELLS",
     "count_dependent_edges_bruteforce",
     "independence_offsets",
     "write_validator_csv",
@@ -84,10 +91,16 @@ class HexFace:
 
 
 def _points_in_triangle(tri: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    """Boundary-inclusive point-in-triangle mask."""
+    """Boundary-inclusive point-in-triangle mask.
+
+    The edge cross products are products of two coordinate differences, so
+    their rounding scales with the square of the vertices' largest
+    |coordinate|, and so does the tolerance: the test reads the same at any
+    length scale."""
     xy = np.atleast_2d(xy)
     a, b, c = tri
-    tol = _EPS * max(abs(float(v)) for v in (*a, *b, *c)) + _EPS
+    scale = max(abs(float(v)) for v in (*a, *b, *c))
+    tol = _EPS * scale * scale
     d1 = (b[0] - a[0]) * (xy[:, 1] - a[1]) - (b[1] - a[1]) * (xy[:, 0] - a[0])
     d2 = (c[0] - b[0]) * (xy[:, 1] - b[1]) - (c[1] - b[1]) * (xy[:, 0] - b[0])
     d3 = (a[0] - c[0]) * (xy[:, 1] - c[1]) - (a[1] - c[1]) * (xy[:, 0] - c[0])
@@ -321,6 +334,21 @@ def _any_pair_beyond(xy: np.ndarray, sizes: np.ndarray, r2: float) -> np.ndarray
     return beyond
 
 
+def check_coupling_lattice(config: NetworkConfig) -> None:
+    """Raise ValueError when `verify_open_edge_coupling` on a world of
+    `config` could allocate arrays over more than MAX_COUPLING_CELLS lattice
+    cells: the firewall blocks span (n_cols + 2c) x (n_rows + 2c) cells of
+    side r_r / sqrt(5), c = ceil(r_f / side), bounded here in floats so
+    that no ratio overflows."""
+    w, s = config.window, config.r_r / math.sqrt(5.0)
+    c = config.r_f / s + 1.0
+    if not (w.width / s + 2.0 * c) * (w.height / s + 2.0 * c) <= MAX_COUPLING_CELLS:
+        raise ValueError(f"the coupling lattice of side r_r / sqrt(5) = {s:.6g} over a "
+                         f"{w.width:.6g} x {w.height:.6g} window, with firewall blocks "
+                         f"of r_f = {config.r_f:.6g}, has more than {MAX_COUPLING_CELLS} "
+                         "cells; raise r_r or shrink the window")
+
+
 def verify_open_edge_coupling(realization: Realization,
                               detail: bool = False) -> int | OpenEdgeCheck:
     """Check the local cluster property on every open edge inside the window.
@@ -335,8 +363,12 @@ def verify_open_edge_coupling(realization: Realization,
     whose two cells' bounding box, w by h, has w*w + h*h <= r_r**2: rounded
     subtraction, squaring and addition are monotone, so no pair's dx*dx +
     dy*dy exceeds it. Only the other edges have their pairs tested.
+
+    Raises ValueError, before any allocation, on a lattice that
+    `check_coupling_lattice` refuses.
     """
     cfg = realization.config
+    check_coupling_lattice(cfg)
     w = cfg.window
     s = cfg.r_r / math.sqrt(5.0)
     c = _ceil_ratio(cfg.r_f, s)

@@ -72,3 +72,27 @@ def world_spans(cfg, devices, pool, marks, p):
     _, vertices, labels, _ = isg(devices.points, pool.points[marks < p], cfg.r_r, cfg.r_f)
     lr, bt = spans(devices.points[vertices], labels, cfg.window, cfg.r_r)
     return lr and bt
+
+
+def certificate_spans(xy, cell_id, stride, n_cells, window, r):
+    """Does the per-device certificate graph of the points xy, listed by
+    ascending cell id (id cx * stride + cy, n_cells cells in all), span
+    both axes? The points of one cell are linked to each other, and each
+    point i to the first listed point whose cell id is at least
+    min(cell_id[i] + off, n_cells), for off in stride, 1, stride + 1 and
+    stride - 1, when the two lie within r. Every device keeps its own
+    links: none is merged per cell."""
+    xy, cell_id = np.reshape(xy, (-1, 2)), np.asarray(cell_id)
+    if len(xy) == 0:
+        return False
+    d2 = squared_distances(xy, xy)
+    linked = cell_id[:, None] == cell_id[None, :]
+    for off in (stride, 1, stride + 1, stride - 1):
+        later = cell_id[None, :] >= np.minimum(cell_id + off, n_cells)[:, None]
+        i = np.flatnonzero(later.any(axis=1))
+        j = later[i].argmax(axis=1)  # the first listed point of a later cell
+        hit = d2[i, j] <= r * r
+        linked[i[hit], j[hit]] = True
+    _, labels = connected_components(sparse.csr_matrix(linked), directed=False)
+    lr, bt = spans(xy, labels, window, r)
+    return lr and bt

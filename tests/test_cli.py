@@ -290,6 +290,9 @@ _AXIS = ["--axis", "lambda_f", "--start", "0", "--stop", "0.1", "--step", "0.05"
       "--coupling-realizations", "-3"], "coupling_realizations"),
     (["validate", "--r-r", "1e-9", "--r-f", "1e-9", "--coupling-realizations", "1",
       "--face-samples", "10", "--blocking-trials", "10"], "2**62"),
+    # an oversized coupling lattice is refused before any check runs
+    (["validate", "--r-r", "1e-3", "--r-f", "1e-3", "--coupling-realizations", "1",
+      "--face-samples", "10", "--blocking-trials", "10"], "coupling lattice"),
 ])
 def test_malformed_model_parameters(argv, needle, capsys):
     _assert_spec_error(main(argv + ["--trials", "2"]), capsys, needle)
@@ -524,6 +527,21 @@ def test_single_worker_commands_never_import_the_pool(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] [] 0 True"
     assert _body(tmp_path / "sweep2.csv") == _body(tmp_path / "sweep1.csv")
+
+
+def test_validate_never_imports_numpy_ma(tmp_path):
+    """In a fresh interpreter, a small `validate` exits 0 without importing
+    `numpy.ma`, whose import costs every run 11-14 ms."""
+    script = textwrap.dedent("""
+        import sys
+        from spatial_firewalls.cli import main
+        code = main(["validate", "--face-samples", "50", "--blocking-trials", "100",
+                     "--coupling-realizations", "3", "--out", "validate.csv"])
+        print(code, "numpy.ma" in sys.modules)
+    """)
+    proc = _run_fresh(script, tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_one_trial_stays_in_process():

@@ -1,13 +1,16 @@
 """Hexagonal-face and square-lattice coupling validators."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spatial_firewalls.bounds import (closed_face_probability,
                                       subcritical_sufficient_intensity)
-from spatial_firewalls.lattice import (HexFace, SquareEdge, _points_in_triangle,
+from spatial_firewalls.lattice import (MAX_COUPLING_CELLS, HexFace, SquareEdge,
+                                       _points_in_triangle,
                                        blocking_counterexample_search,
+                                       check_coupling_lattice,
                                        closed_face_mc_frequency,
                                        count_dependent_edges_bruteforce,
                                        independence_offsets, pocket_pair_survey,
@@ -38,14 +41,17 @@ def test_hexagon_vertices_and_triangles():
 
 
 def test_closed_face_mc_matches_formula():
-    r_r = 2.0
-    base = subcritical_sufficient_intensity(r_r)
-    for k, mult in enumerate((0.5, 1.0, 2.0)):
-        lam = mult * base
-        freq = closed_face_mc_frequency(lam, r_r, samples=2000, seed=40 + k)
-        p = closed_face_probability(lam, r_r)
-        se = math.sqrt(p * (1 - p) / 2000)
-        assert abs(freq - p) <= 3 * se
+    """Within 3 sigma of the formula at r_r = 2, and at r_r = 1e-6, where
+    the triangle test's cross products are ~1e-12: a tolerance that did not
+    scale with them counted every point as inside."""
+    for r_r in (2.0, 1e-6):
+        base = subcritical_sufficient_intensity(r_r)
+        for k, mult in enumerate((0.5, 1.0, 2.0)):
+            lam = mult * base
+            freq = closed_face_mc_frequency(lam, r_r, samples=2000, seed=40 + k)
+            p = closed_face_probability(lam, r_r)
+            se = math.sqrt(p * (1 - p) / 2000)
+            assert abs(freq - p) <= 3 * se
 
 
 def _closed_face_mc_reference(lambda_f, r_r, samples, seed):
@@ -158,6 +164,17 @@ def test_open_edge_coupling_random_mix():
             open_total += check.open_edges
             k += 1
     assert open_total > 0                              # the suite is not vacuous
+
+
+def test_open_edge_coupling_refuses_an_oversized_lattice():
+    """At r_r = 1e-3 on a 50-wide window the lattice has 1.25e10 cells, far
+    above MAX_COUPLING_CELLS: the check raises ValueError before it
+    allocates any array over them. At r_r = 2 it has 3025 and passes."""
+    cfg = NetworkConfig(lambda_r=0.01, r_r=1e-3, lambda_f=0.0, r_f=1e-3,
+                        window=Window.square(50), master_seed=3)
+    with pytest.raises(ValueError, match=f"more than {MAX_COUPLING_CELLS} cells"):
+        verify_open_edge_coupling(build_isg(cfg, trial_seed(3, 0)))
+    check_coupling_lattice(replace(cfg, r_r=2.0, r_f=2.0))
 
 
 def test_dependent_edge_count_examples():

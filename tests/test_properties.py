@@ -7,8 +7,9 @@ nested-thinning monotonicity it relies on, `build_isg` against a
 brute-force ISG, worker-count invariance, the closed-ball distance and
 strip rules, the cell-grid `min_mark` and `CellGrid.min_within`'s squared
 distances against brute force, the
-columnar binning against row binning, the spanning certificate of a
-one-probe trial against a full probe and the device-level reference, the
+columnar binning against row binning and its order against the stable
+sort of the cell ids, the spanning certificate of a one-probe trial against
+a full probe, the device-level reference and per-device certificate links, the
 worker's counts with and without it, each cell edge's far node against a
 binary search of the node cell ids, a cell
 edge's weight when its cells' top-mark devices are not linked, the
@@ -36,8 +37,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import (covered, isg, min_within, same_partition, squared_distances,
-                     world_spans)
+from oracles import (certificate_spans, covered, isg, min_within, same_partition,
+                     squared_distances, world_spans)
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
@@ -497,6 +498,22 @@ def test_certificate_implies_device_level_spanning(world, p):
             assert world_spans(cfg, *sampled, q)
 
 
+@SETTINGS
+@given(worlds(), p_grids)
+def test_node_links_certify_as_device_links(world, p_grid):
+    """`certified(p)`, which labels one link per node and neighbour cell,
+    answers as the per-device certificate links of the reference do, on
+    the devices kept at p in the state's cell order."""
+    cfg, lambda_pool, tseed = world
+    state = _state(cfg, lambda_pool, tseed)
+    grid = state.grid
+    for p in (0.0, *p_grid):
+        kept = state.min_mark >= p
+        assert state.certified(p) == certificate_spans(
+            np.column_stack([grid.x, grid.y])[kept], grid.cell_id[kept], grid.stride,
+            grid.n_cols * grid.stride, cfg.window, cfg.r_r)
+
+
 # grids of one point (the sweep over lambda_r probes (1.0,)), two and K
 sized_p_grids = st.one_of(st.just([1.0]), p_grids.map(lambda g: g[:1]),
                           p_grids.map(lambda g: g[:2]), p_grids)
@@ -818,12 +835,13 @@ def binning_clouds(draw):
 def test_columnar_binning_matches_row_binning(cloud):
     """`CellGrid.binned` on the x and y columns gives the cell ids, the
     order and the columns that floor((xy - origin) / side) gives on the
-    (n, 2) array."""
+    (n, 2) array; the order is the stable sort of the ids, so a cell's
+    points keep their order."""
     x, y, origin, side = cloud
     cell = np.floor((np.column_stack([x, y]) - origin) / side).astype(np.int64)
     stride = int(cell[:, 1].max(initial=0)) + 1
     ids = cell[:, 0] * stride + cell[:, 1]
-    order = np.argsort(ids)
+    order = np.argsort(ids, kind="stable")
     grid, got = CellGrid.binned(x, y, origin, side)
     assert np.array_equal(got, order)
     assert (grid.stride, grid.n_cols) == (stride, int(cell[:, 0].max(initial=0)) + 1)
@@ -831,12 +849,34 @@ def test_columnar_binning_matches_row_binning(cloud):
     assert np.array_equal(grid.x, x[order]) and np.array_equal(grid.y, y[order])
 
 
+@SETTINGS
+@given(st.booleans(), st.integers(1, 300), st.data())
+def test_binning_order_is_the_stable_sort_of_the_ids(wide, n, data):
+    """On grids of at most 2**16 cells (sorted as 16-bit keys) and of more
+    (sorted as int64), `CellGrid.binned` orders the points as the stable
+    sort of their cell ids. Points share a few cells, so ties are many, and
+    the corner point makes the grid 256 x 256 = 2**16 cells or 300 x 300."""
+    top = 300 if wide else 256
+    cells = data.draw(st.lists(st.tuples(st.integers(0, top - 1), st.integers(0, top - 1)),
+                               min_size=1, max_size=8))
+    pick = data.draw(st.lists(st.integers(0, len(cells) - 1), min_size=n, max_size=n))
+    xy = np.array([(top - 1, top - 1)] + [cells[k] for k in pick], dtype=float) + 0.5
+    grid, order = CellGrid.binned(xy[:, 0].copy(), xy[:, 1].copy(), (0.0, 0.0), 1.0)
+    assert (grid.n_cols * grid.stride > 2 ** 16) == wide
+    ids = (xy[:, 0] // 1).astype(np.int64) * top + (xy[:, 1] // 1).astype(np.int64)
+    assert np.array_equal(order, np.argsort(ids, kind="stable"))
+
+
 def _searchsorted_edges(state, floor):
     """The cell edges `_TrialState._build_edges` builds at `floor`, with each
-    far node found by a binary search of the node cell ids."""
+    far node found by a binary search of the node cell ids; the slot columns
+    head and tail are derived here, as the build derives them."""
     keep = np.flatnonzero(state.min_mark >= floor)
     grid = state.grid.subset(keep)
-    min_mark, head, tail = (v[keep] for v in (state.min_mark, state.head, state.tail))
+    min_mark, node = state.min_mark[keep], state.node[keep]
+    cx, cy = grid.cell_id // grid.stride, grid.cell_id % grid.stride
+    tail = 5 * cx + cy
+    head = 13 * node - tail
     best = np.full(len(state.cell_ids) * 13, -np.inf)
     for i, j, d2 in grid.scan(grid.x, grid.y, state.r_r,
                               first=grid.start(grid.cell_id + 1)):
