@@ -268,7 +268,8 @@ class CellGrid:
         return q, start, np.maximum(stop - start, 0)
 
 
-def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _component_roots(n: int, a: np.ndarray, b: np.ndarray,
+                     start: np.ndarray | None = None) -> np.ndarray:
     """Per vertex of the undirected graph on 0..n-1 with edges (a[k], b[k]),
     the smallest vertex of its component.
 
@@ -278,8 +279,12 @@ def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     whose ends share a root is dropped for good. Pointers only decrease and
     only follow edges, so a component's smallest vertex points nowhere else
     and is, at the end, the root of every vertex in it.
+
+    `start`, when given, is this function's result for a subgraph on the
+    same vertices (left unchanged): the labelling goes on from that
+    partition, so `a`, `b` need hold only the edges the subgraph lacks.
     """
-    parent = np.arange(n)
+    parent = np.arange(n) if start is None else start.copy()
     while len(a):
         ra, rb = parent.take(a), parent.take(b)
         split = (ra != rb).nonzero()[0]

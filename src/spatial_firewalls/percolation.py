@@ -11,10 +11,11 @@ intensities. Nesting makes every trial's spanning indicator non-increasing
 in the firewall intensity: on an ascending grid of thinning fractions the
 spanning points form a prefix, whose length one bisection finds exactly.
 Sweeps, point estimates and the critical search all read their counts off
-that per-trial prefix length. The bisection is warm-started from the trials
-its worker has finished (`_threshold_worker`): any first probe between the
-known bounds keeps it exact, and one placed where the trial usually spans
-spares the edge rebuild described next.
+that per-trial prefix length. The bisection learns from the trials its
+worker has finished (`_threshold_worker`): each probe splits in half their
+counts that are still possible, and a trial builds its edges (described
+next) once, at a warm floor where it usually spans. Any probe between the
+known bounds keeps the bisection exact.
 
 Each probe of the bisection runs on a cell graph of the trial
 (`_TrialState`). Devices are binned into square cells of diagonal < r_r, so
@@ -29,16 +30,18 @@ the live edges by min-label hooking with pointer jumping
 (`network._component_roots`); spanning only asks which nodes share a root.
 
 The edge weights are computed by the first probe, and again by any probe
-below the lowest fraction probed so far (the floor), from only the devices
-still susceptible at the floor. This is exact: an edge weight is a min over
-the weights of its two devices, so a device below the floor only gives
-weights that no probe at or above the floor keeps. A trial probed once at
-p = 1 therefore enumerates pairs only among the devices with no pool
-firewall within r_f.
+below the fraction they were built for (the floor), from only the devices
+still susceptible at the floor the probe names (at most p). This is exact:
+an edge weight is a min over the weights of its two devices, so a device
+below the floor only gives weights that no probe at or above the floor
+keeps. A trial probed once at p = 1 therefore enumerates pairs only among
+the devices with no pool firewall within r_f. A probe below a failed one
+labels on from the failure's components and hooks only the edges live
+between the two fractions; the failure's partition depends only on the
+ISG at its fraction, so it holds across rebuilds.
 
 A probe below the floor at the top of the bisection's remaining interval
-is the last that could use its build: spanning there ends the search, and
-after a failure every later probe lies below p. Such a probe first tries a
+ends the search when it spans. Such a probe first tries a
 certificate (`_TrialState.certified`), a subgraph of the ISG that links each
 device kept at p to the first kept device of each of its cell's four
 forward neighbour cells when the two lie within r_r, and labels one link
@@ -48,8 +51,8 @@ increasing event: links only merge clusters (Meester & Roy, *Continuum
 Percolation*, ch. 2). So when the subgraph spans, the ISG does, and the
 probe answers with no build; otherwise it builds as before. A sweep over
 lambda_r probes each trial once, at p = 1, where the certificate decides
-most trials. Tried at a probe whose build later probes reuse, it would
-defer that build and multiply builds, so it is not.
+most trials. Tried at a probe whose spanning does not end the search, it
+would only defer a build that later probes need, so it is not.
 
 One cell grid (`network.CellGrid`) serves every spatial query of a trial,
 with no kd-tree. Pairs: each kept device scans the cell columns cx..cx+2,
@@ -74,6 +77,7 @@ closed-ball test.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -208,12 +212,12 @@ class _TrialState:
     weight of their own.
 
     The strip weights are computed once, but the edges only at probe time,
-    from the devices with min_mark >= `floor`, the lowest fraction probed
-    so far. This is exact: an edge weight is a min over the min_marks of
-    its two devices, so a device below the floor only gives weights
-    < floor, which no probe at p >= floor keeps. A probe at p >= floor
-    reuses the edges; the first probe, and any probe below the floor,
-    builds them with floor = p. Each kept device scans the grid of the kept
+    from the devices with min_mark >= `floor`. This is exact: an edge
+    weight is a min over the min_marks of its two devices, so a device
+    below the floor only gives weights < floor, which no probe at
+    p >= floor keeps. A probe at p >= floor reuses the edges; the first
+    probe, and any probe below the floor, builds them at the floor it
+    names (p by default). Each kept device scans the grid of the kept
     devices forward from the next cell (`CellGrid.scan`), whose candidates
     hold every linked pair across cells once, and folds each pair into a
     slot of its cell pair; a build derives the slot columns (`head`,
@@ -225,14 +229,14 @@ class _TrialState:
     """
 
     __slots__ = ("grid", "order", "node", "min_mark", "cell_ids", "r_r",
-                 "strip_w", "floor", "edge_a", "edge_b", "edge_w")
+                 "strip_w", "floor", "edge_a", "edge_b", "edge_w", "fail_p", "fail_roots")
 
     def __init__(self, config: NetworkConfig, devices, pool, marks):
         w = config.window
         # node = occupied cell, numbered in (cx, cy) order; devices sorted by
         # node (row i is devices[order[i]]), so that every pair i < j of any
         # subset has node[i] <= node[j]
-        grid, self.order = CellGrid.binned(*devices.points.T.copy(), (w.x_min, w.y_min),
+        grid, self.order = CellGrid.binned(*devices.points.T, (w.x_min, w.y_min),
                                            _CELL_SIDE * config.r_r)
         self.grid = grid
         first = np.empty(len(grid.cell_id), dtype=bool)  # first device of its node
@@ -240,12 +244,13 @@ class _TrialState:
         np.not_equal(grid.cell_id[1:], grid.cell_id[:-1], out=first[1:])
         self.node = node = np.cumsum(first) - 1
         self.cell_ids = grid.cell_id[first]
-        self.min_mark = grid.min_within(*pool.points.T.copy(), config.r_f, marks)
+        self.min_mark = grid.min_within(*pool.points.T, config.r_f, marks)
         self.r_r = config.r_r
         self.strip_w = np.full((4, len(self.cell_ids)), -np.inf)
         for row, mask in enumerate(_strip_masks(grid.x, grid.y, config)):
             np.maximum.at(self.strip_w[row], node[mask], self.min_mark[mask])
         self.floor = math.nan  # no edges yet: `p >= nan` fails for every p
+        self.fail_p = math.nan  # no failed probe yet: `p < nan` fails for every p
 
     def _build_edges(self, floor: float) -> None:
         """Cell edges and their weights among the devices with min_mark >= floor."""
@@ -319,27 +324,44 @@ class _TrialState:
         lr, bt = _spans_from_labels(roots, n, self.strip_w >= p)
         return lr and bt
 
-    def spans_at(self, p: float, last: bool = False) -> bool:
+    def spans_at(self, p: float, last: bool = False, floor: float | None = None) -> bool:
         """Does the ISG at thinning fraction p span both axes?
 
-        `last` says that no later probe can reuse edges built at p. A probe
+        A probe below the floor builds the edges at `floor` (at most p; p
+        when None), so that later probes between `floor` and p reuse them.
+        `last` says that the search ends when this probe spans. A probe
         below the floor then first tries `certified(p)`, and builds the
         edges only when the certificate does not decide; a certified probe
-        returns True with the edges and the floor as they were.
+        returns True with the edges and the floor as they were. A probe
+        that fails keeps its roots for the probes below it (`roots`).
         """
         if last and not p >= self.floor and self.certified(p):
             return True
-        lr, bt = _spans_from_labels(self.roots(p), len(self.cell_ids), self.strip_w >= p)
+        roots = self.roots(p, floor)
+        lr, bt = _spans_from_labels(roots, len(self.cell_ids), self.strip_w >= p)
+        if not (lr and bt):
+            self.fail_p, self.fail_roots = p, roots
         return lr and bt
 
-    def roots(self, p: float) -> np.ndarray:
+    def roots(self, p: float, floor: float | None = None) -> np.ndarray:
         """Per node, its component's root among the edges live at p; builds
-        the edges when p is below the floor."""
+        the edges at `floor` (p when None) when p is below the floor.
+
+        Below the last failed probe's fraction `fail_p`, the labelling goes
+        on from that probe's roots and hooks only the edges with
+        p <= w < fail_p. Its partition is that of the edges with
+        w >= fail_p, which every build at or below fail_p holds with the
+        same weights, so it survives a rebuild."""
         if not p >= self.floor:
-            self._build_edges(p)
-        live = (self.edge_w >= p).nonzero()[0]
+            self._build_edges(p if floor is None else floor)
+        w, start = self.edge_w, None
+        if p < self.fail_p:
+            live = ((w >= p) & (w < self.fail_p)).nonzero()[0]
+            start = self.fail_roots
+        else:
+            live = (w >= p).nonzero()[0]
         return _component_roots(len(self.cell_ids), self.edge_a.take(live),
-                                self.edge_b.take(live))
+                                self.edge_b.take(live), start)
 
 
 def build_isg(config: NetworkConfig, tseed: int) -> Realization:
@@ -363,49 +385,77 @@ def build_isg(config: NetworkConfig, tseed: int) -> Realization:
                        isg=IsgGraph(vertices, labels, n_components))
 
 
+def _split(seen: list, lo: int, hi: int, warm: int) -> int:
+    """The probe index in [lo, hi) that splits the ascending counts `seen`
+    lying in [lo, hi] most evenly into those a probe there fails (count <=
+    index) and those it spans (count > index), the higher index of two
+    equally even ones. With no count there, the midpoint, or the warm
+    floor's index `warm` when that is higher and still in [lo, hi)."""
+    i, j = bisect_left(seen, lo), bisect_right(seen, hi)
+    if i == j:
+        mid = (lo + hi) // 2
+        return max(mid, warm) if warm < hi else mid
+    # a probe at m fails for the counts <= m: 2 * (their number) - n is
+    # >= 0 at the lower median `top`, and < 0 at top - 1
+    n, top = j - i, seen[(i + j - 1) // 2]
+    over = 2 * (bisect_right(seen, top, i, j) - i) - n
+    under = n - 2 * (bisect_left(seen, top, i, j) - i)
+    mid = top if over <= under else top - 1
+    return min(max(mid, lo), hi - 1)
+
+
 def _threshold_worker(args) -> np.ndarray:
     """Per trial, how many leading points of the ascending thinning grid
     `p_grid` span.
 
     Spanning is non-increasing in p, so the spanning points form a prefix
-    of the grid and bisection over `spans_at` finds its length exactly.
+    of the grid and bisection over `spans_at` finds its length exactly. Any
+    probe inside [lo, hi) keeps the bisection's invariant, so the counts
+    are those of a plain bisection for any chunking of the trials; only the
+    probe order, and so the cost, depends on where the probes go.
 
-    The first probe of a trial is warm-started: it goes to grid index
-    min(midpoint, least - 1), where `least` is the smallest nonzero count
-    among the trials this call has already finished (the midpoint while
-    there is none). The trial usually spans there, as every earlier
-    spanning trial did, so every later probe lies above that floor and one
-    edge build serves the whole search. The first probe never goes above
-    the midpoint: a build at a higher floor is wasted whenever the trial
-    fails there, and on dense worlds that cost more than it saved. A trial
-    that never spans is left out of `least`, or it would send every later
-    first probe to p = 0, where every device is kept. Any first probe
-    inside [lo, hi) keeps the bisection's invariant, so the counts are
-    those of a plain bisection for any chunking of the trials; only the
-    probe order, and so the cost, depends on it.
+    Each probe goes where it splits in half the nonzero counts that this
+    call has already found and that lie in [lo, hi] (`_split`). With none
+    there it goes to the midpoint, as on the first trial. A trial that
+    never spans is left out of these counts, or it would pull probes to
+    p = 0, where every device is kept.
 
-    A probe at the top of [lo, hi) (mid == hi - 1) tells `spans_at` that it
-    is the last that could use an edge build at its p, which lets a probe
-    below the floor try the certificate first. The certificate only ever
-    answers True where the build would, so the counts do not depend on it.
+    A probe below the trial's floor builds the edges at grid index
+    min(mid, warm), with warm = min(K // 2, least - 1) for a K-point grid,
+    `least` the smallest of these counts (K while there is none). So a
+    trial's first probe goes straight to the split, with its edges built
+    at the warm floor. A trial usually spans there, as every earlier
+    spanning trial did, and every probe of a trial whose count is at least
+    `least` lies at or above it, so one edge build serves its whole search.
+    With no count left to split, a probe tests the warm floor itself before
+    any probe goes below it. The floor never goes above the midpoint: a
+    build at a higher floor is wasted whenever the trial fails there, and
+    on dense worlds that costs more than it saves. A probe below the last
+    failed one labels on from that failure's components
+    (`_TrialState.roots`).
+
+    A probe at the top of [lo, hi) (mid == hi - 1) ends the search when it
+    spans, which lets a probe below the floor try the certificate first.
+    The certificate only ever answers True where the build would, so the
+    counts do not depend on it.
     """
     config, lambda_pool, p_grid, t0, t1 = args
     out = np.zeros(t1 - t0, dtype=np.int64)
-    least = len(p_grid)  # smallest nonzero count so far; the full grid caps nothing
+    seen = []  # the nonzero counts so far, ascending
     for row, t in enumerate(range(t0, t1)):
         state = _TrialState(config, *sample_world(
             config, trial_seed(config.master_seed, t), lambda_pool))
         lo, hi = 0, len(p_grid)  # p_grid[:lo] spans, p_grid[hi:] does not
-        mid = min((lo + hi) // 2, least - 1)
+        warm = min(hi // 2, seen[0] - 1 if seen else hi)  # the build floor's index
         while lo < hi:
-            if state.spans_at(p_grid[mid], mid == hi - 1):
+            mid = _split(seen, lo, hi, warm)
+            if state.spans_at(p_grid[mid], mid == hi - 1, p_grid[min(mid, warm)]):
                 lo = mid + 1
             else:
                 hi = mid
-            mid = (lo + hi) // 2
         out[row] = lo
         if lo > 0:
-            least = min(least, lo)
+            insort(seen, lo)
     return out
 
 
@@ -423,11 +473,11 @@ def _protected_worker(args) -> np.ndarray:
             config, trial_seed(config.master_seed, t), config.lambda_f)
         if devices.n == 0:
             continue
-        x, y = devices.points.T.copy()
+        x, y = devices.points.T
         x0, y0 = devices.window.x_min, devices.window.y_min
         side = max(_PROTECT_SIDE * r, float(max(x.max() - x0, y.max() - y0)) * 2.0 ** -30)
         grid, _ = CellGrid.binned(x, y, (x0, y0), side)
-        d2 = grid.min_within(*firewalls.points.T.copy(), r)
+        d2 = grid.min_within(*firewalls.points.T, r)
         out[row] = (d2[:, None] <= r2).mean(axis=0)
     return out
 
@@ -492,7 +542,9 @@ def check_cell_grid(config: NetworkConfig) -> None:
     would number more than 2**62, which `CellGrid.binned` refuses: every
     device lies in the window, so its cells never outnumber the window's."""
     w, side = config.window, _CELL_SIDE * config.r_r
-    if (math.floor(w.width / side) + 1.0) * (math.floor(w.height / side) + 1.0) > 2.0 ** 62:
+    # in floats: a side that underflows makes the ratios inf, which
+    # math.floor refuses
+    if (np.floor(w.width / side) + 1.0) * (np.floor(w.height / side) + 1.0) > 2.0 ** 62:
         raise ValueError(f"cells of side 0.7 r_r = {side:.6g} over the window number "
                          "more than 2**62; raise r_r or shrink the window")
 

@@ -91,6 +91,17 @@ class PointSet:
         if pts.size and not self.window.contains(pts).all():
             raise ValueError("points fall outside the window")
 
+    @classmethod
+    def _drawn(cls, xy: np.ndarray, window: Window) -> "PointSet":
+        """The points of the (2, n) float columns `xy`, drawn inside `window`,
+        with no window test. `points` is then a view of `xy`, so `points.T`
+        gives the columns back without a copy."""
+        self = object.__new__(cls)
+        xy.setflags(write=False)
+        object.__setattr__(self, "points", xy.T)
+        object.__setattr__(self, "window", window)
+        return self
+
     @property
     def n(self) -> int:
         return len(self.points)
@@ -119,8 +130,10 @@ def trial_seed(master_seed: int, trial: int) -> int:
 def sample_ppp(intensity: float, window: Window, seed: int) -> PointSet:
     """Sample a homogeneous Poisson point process on `window`.
 
-    The count is Poisson(intensity * area) and coordinates are i.i.d. uniform.
-    Deterministic given (intensity, window, seed).
+    The count is Poisson(intensity * area) and coordinates are i.i.d. uniform,
+    all x, then all y. Deterministic given (intensity, window, seed). NumPy
+    draws each coordinate in [low, high] (high only by rounding), so every
+    point lies in the closed window and is not tested again.
     """
     if not math.isfinite(intensity) or intensity < 0:
         raise ValueError(f"intensity must be finite and >= 0, got {intensity}")
@@ -128,7 +141,7 @@ def sample_ppp(intensity: float, window: Window, seed: int) -> PointSet:
     count = int(rng.poisson(intensity * window.area))
     xs = rng.uniform(window.x_min, window.x_max, size=count)
     ys = rng.uniform(window.y_min, window.y_max, size=count)
-    return PointSet(np.column_stack([xs, ys]), window)
+    return PointSet._drawn(np.stack([xs, ys]), window)
 
 
 @contextmanager

@@ -293,6 +293,9 @@ _AXIS = ["--axis", "lambda_f", "--start", "0", "--stop", "0.1", "--step", "0.05"
     # an oversized coupling lattice is refused before any check runs
     (["validate", "--r-r", "1e-3", "--r-f", "1e-3", "--coupling-realizations", "1",
       "--face-samples", "10", "--blocking-trials", "10"], "coupling lattice"),
+    # a cell side that underflows makes the window's cell counts inf
+    (["sweep", "--r-r", "5e-324", "--r-f", "1"] + _AXIS, "2**62"),
+    (["critical", "--r-r", "5e-324", "--r-f", "1"], "2**62"),
 ])
 def test_malformed_model_parameters(argv, needle, capsys):
     _assert_spec_error(main(argv + ["--trials", "2"]), capsys, needle)

@@ -2,8 +2,10 @@
 against a device-level reference along any sequence of probes, its probe
 against SciPy's labelling of the same live edges, the pruning of pair
 enumeration to the devices above the probe floor, the bisected
-spanning-prefix worker against probing every grid point, the
-nested-thinning monotonicity it relies on, `build_isg` against a
+spanning-prefix worker against probing every grid point, its probe
+placement and builds on stub trials, labelling on from a failed probe's
+roots against the brute-force ISG, the nested-thinning monotonicity it
+relies on, `build_isg` against a
 brute-force ISG, worker-count invariance, the closed-ball distance and
 strip rules, the cell-grid `min_mark` and `CellGrid.min_within`'s squared
 distances against brute force, the
@@ -192,7 +194,9 @@ def test_csr_probe_matches_canonical_labelling(world, runs):
 def test_component_roots_partition_matches_scipy(n, data):
     """`_component_roots` gives each vertex its component's smallest vertex,
     and so SciPy's partition, on random graphs with self-loops, repeated
-    edges and edges in either orientation."""
+    edges and edges in either orientation; and so does labelling the edges
+    after a cut on from the roots of those before it, which it leaves as
+    they were."""
     edges = data.draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
                                          st.integers(0, max(n - 1, 0))),
                                max_size=3 * n if n else 0))
@@ -202,6 +206,33 @@ def test_component_roots_partition_matches_scipy(n, data):
     smallest = np.full(k, n)
     np.minimum.at(smallest, labels, np.arange(n))
     assert roots.tolist() == smallest[labels].tolist()
+    cut = data.draw(st.integers(0, len(a)))
+    start = _component_roots(n, a[:cut], b[:cut])
+    before = start.tolist()
+    assert _component_roots(n, a[cut:], b[cut:], start).tolist() == roots.tolist()
+    assert start.tolist() == before
+
+
+@SETTINGS
+@given(worlds(), st.floats(0.0, 1.0), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+def test_labelling_from_a_failure_matches_components(world, p_hi, ps):
+    """Once a probe at p_hi has failed, `roots(p)` at any p < p_hi labels on
+    from that probe's roots, through rebuilds below the floor and reuses
+    above it: mapped to the devices, its roots give the ISG at p the
+    partition of the brute-force `oracles.isg`, and the failure's roots
+    stay as they were."""
+    cfg, lambda_pool, tseed = world
+    devices, pool, marks = sample_world(cfg, tseed, lambda_pool)
+    state = _TrialState(cfg, devices, pool, marks)
+    failed = state.roots(p_hi)
+    before = failed.tolist()
+    state.fail_p, state.fail_roots = p_hi, failed  # as a failed probe at p_hi leaves them
+    for p in (q for q in ps if q < p_hi):
+        roots = np.empty(devices.n, dtype=np.int64)
+        roots[state.order] = state.roots(p).take(state.node)
+        _, vertices, labels, _ = isg(devices.points, pool.points[marks < p], cfg.r_r, cfg.r_f)
+        assert same_partition(roots[vertices], labels)
+    assert failed.tolist() == before
 
 
 def test_spans_from_labels_ignores_label_ids():
@@ -375,48 +406,96 @@ def test_worker_counts_do_not_depend_on_chunking(world, p_grid, cut):
     assert whole.tolist() == split.tolist()
 
 
-def test_warm_start_first_probes_with_stub_trials(monkeypatch):
-    """Each trial's first probe goes to min(midpoint, least - 1), least the
-    smallest nonzero count among the earlier trials, and every count is
-    still the trial's own.
-
-    A stub trial spans at grid index j exactly when j < its count. The
-    counts cover a trial that never spans (least stays 7), one that spans
-    at every point, and trials below every earlier count (3, 2 and 1),
-    whose first probe fails.
-    """
-    grid = tuple(j / 10 for j in range(11))  # midpoint index 5
-    counts = [7, 0, 11, 3, 5, 2, 0, 9, 1, 4]
-    seeds = {trial_seed(0, t): t for t in range(len(counts))}
-    probes = [[] for _ in counts]
+def _stub_worker(monkeypatch, grid, counts, t0, t1):
+    """(counts, probes, builds) of `_threshold_worker` over trials t0..t1 of
+    stub trials: trial t spans at grid index j exactly when j < counts[t].
+    Per trial, `probes` holds its probe indices and `builds` the index of
+    the floor each probe below the trial's floor names for its build."""
+    probes, builds = [[] for _ in counts], [[] for _ in counts]
 
     class StubState:
         def __init__(self, config, devices, pool, marks):
-            self.t = seeds[devices]
+            self.t, self.floor = devices, math.nan  # the stub's "world" is its trial index
 
-        def spans_at(self, p, last=False):
+        def spans_at(self, p, last=False, floor=None):
             j = grid.index(p)
             probes[self.t].append(j)
+            if not p >= self.floor:
+                assert floor is not None and floor <= p
+                self.floor = floor
+                builds[self.t].append(grid.index(floor))
             return j < counts[self.t]
 
     monkeypatch.setattr(percolation, "_TrialState", StubState)
-    # the stub's "world" is its trial seed
+    seeds = {trial_seed(0, t): t for t in range(len(counts))}
     monkeypatch.setattr(percolation, "sample_world",
-                        lambda config, tseed, lambda_pool: (tseed, None, None))
+                        lambda config, tseed, lambda_pool: (seeds[tseed], None, None))
     cfg = NetworkConfig(lambda_r=1.0, r_r=1.0, lambda_f=0.0, r_f=1.0,
                         window=Window.square(10.0), master_seed=0)
-    out = _threshold_worker((cfg, 1.0, grid, 0, len(counts)))
-    assert out.tolist() == counts
+    out = _threshold_worker((cfg, 1.0, grid, t0, t1))
+    return out.tolist(), probes[t0:t1], builds[t0:t1]
 
-    least = None
+
+def test_warm_start_first_probes_with_stub_trials(monkeypatch):
+    """Each trial's first probe splits the earlier nonzero counts as evenly
+    as any grid index can (the midpoint while there is none), and builds at
+    warm = min(midpoint, least - 1), least the smallest earlier nonzero
+    count; every count is still the trial's own.
+
+    The counts cover trials that never span (1, 6), one that spans at every
+    point (2), and trials below every earlier count (3, 5 and 8). Trial 1
+    walks down its prior to the warm floor 5 before it rebuilds below it.
+    """
+    grid = tuple(j / 10 for j in range(11))  # midpoint index 5
+    counts = [7, 0, 11, 3, 5, 2, 0, 9, 1, 4]
+    out, probes, builds = _stub_worker(monkeypatch, grid, counts, 0, len(counts))
+    assert out == counts
+
+    def imbalance(earlier, m):  # the earlier counts a probe at m fails, minus those it spans
+        return abs(sum(c <= m for c in earlier) - sum(c > m for c in earlier))
+
     for t, count in enumerate(counts):
-        expected = 5 if least is None else min(5, least - 1)
-        assert probes[t][0] == expected
-        if count:
-            least = count if least is None else min(least, count)
-    assert [probes[t][0] for t in range(len(counts))] == [5, 5, 5, 5, 2, 2, 1, 1, 1, 0]
-    # the trials whose first probe fails: below every earlier count, or never spanning
-    assert [t for t in range(len(counts)) if probes[t][0] >= counts[t]] == [1, 3, 5, 6, 8]
+        earlier = [c for c in counts[:t] if c]
+        if earlier:
+            assert imbalance(earlier, probes[t][0]) == min(
+                imbalance(earlier, m) for m in range(len(grid)))
+        warm = min(5, min(earlier, default=11) - 1)
+        assert builds[t][0] == min(probes[t][0], warm)
+        if count >= min(earlier, default=11):
+            assert len(builds[t]) == 1
+    assert [p[0] for p in probes] == [5, 7, 7, 7, 7, 5, 5, 5, 5, 5]
+    assert builds == [[5], [5, 2, 1, 0], [5], [5, 2], [2], [2, 1], [1, 0], [1], [1, 0], [0]]
+    assert probes[1] == [7, 6, 5, 2, 1, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda k: st.tuples(
+           st.just(k), st.lists(st.one_of(st.just(0), st.just(k), st.integers(0, k)),
+                                min_size=1, max_size=24))),
+       st.data())
+def test_threshold_search_with_stub_trials(sized, data):
+    """On any grid of 1 to 40 points and any counts (0 and K included), cut
+    anywhere into two calls: each trial gets its own count, every probe
+    lies in the open interval [lo, hi) of what its earlier probes proved,
+    and a trial whose count is at least the smallest earlier nonzero count
+    of its call builds its edges once."""
+    k, counts = sized
+    cut = data.draw(st.integers(0, len(counts)))
+    grid = tuple(j / k for j in range(k))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        parts = [_stub_worker(monkeypatch, grid, counts, t0, t1)
+                 for t0, t1 in ((0, cut), (cut, len(counts)))]
+    assert parts[0][0] + parts[1][0] == counts
+    for (t0, t1), (_, probes, builds) in zip(((0, cut), (cut, len(counts))), parts):
+        for t in range(t0, t1):
+            lo, hi = 0, k
+            for j in probes[t - t0]:
+                assert lo <= j < hi
+                lo, hi = (j + 1, hi) if j < counts[t] else (lo, j)
+            assert lo == hi == counts[t]
+            earlier = [c for c in counts[t0:t] if c]
+            if counts[t] >= min(earlier, default=k):
+                assert len(builds[t - t0]) <= 1
 
 
 def _plain_bisection(state, p_grid) -> int:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spatial_firewalls.spatial import Window, sample_ppp, split_seed, trial_seed
+from spatial_firewalls.spatial import PointSet, Window, sample_ppp, split_seed, trial_seed
 
 
 def test_window_properties():
@@ -48,6 +48,23 @@ def test_points_inside_window():
     w = Window(-5, 10, 5, 30)
     ps = sample_ppp(1.0, w, 7)
     assert w.contains(ps.points).all()
+
+
+def test_sampled_points_are_the_draws_in_order():
+    """`sample_ppp` draws the count, then every x, then every y, and hands
+    the points over read-only and untested; a point set built from given
+    points is still tested against its window."""
+    w = Window(-5, 10, 5, 30)
+    ps = sample_ppp(1.0, w, 7)
+    rng = np.random.default_rng(7)
+    n = int(rng.poisson(w.area))
+    xs = rng.uniform(w.x_min, w.x_max, size=n)
+    ys = rng.uniform(w.y_min, w.y_max, size=n)
+    assert ps.points.tolist() == np.column_stack([xs, ys]).tolist()
+    assert not ps.points.flags.writeable
+    assert PointSet(ps.points, w).points.tolist() == ps.points.tolist()
+    with pytest.raises(ValueError, match="outside the window"):
+        PointSet(ps.points + [10.0, 0.0], w)
 
 
 def test_invalid_sampling_args():
