@@ -137,11 +137,18 @@ def closed_face_probability(lambda_f: float, r_r: float) -> float:
 
 
 def dependency_counts(r_f: float, r_r: float) -> DependencyGeometry:
-    """Dependency-region dimensions and dependent-edge count for given ranges."""
+    """Dependency-region dimensions and dependent-edge count for given ranges.
+
+    Raises ValueError when the count would exceed the largest float (r_f /
+    r_r above about 9e152), which the bounds multiply in floats."""
     if not (r_r > 0):
         raise ValueError("r_r must be > 0")
     if r_f < r_r:
         raise ValueError("requires r_f >= r_r")
+    # the count is about 32 c**2, below the largest float while c < 2e153
+    if not math.sqrt(5.0) * r_f / r_r < 2e153:
+        raise ValueError(f"r_f / r_r = {r_f / r_r:.6g} is too large: the dependent-edge "
+                         "count overflows a float")
     c = _ceil_ratio(math.sqrt(5.0) * r_f, r_r)
     a = 2 * c + 2
     b = 2 * c + 1

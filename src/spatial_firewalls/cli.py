@@ -20,8 +20,8 @@ from itertools import islice
 from typing import Optional
 
 from . import __version__
-from .bounds import LambdaC1, critical_intensity_upper_bound, evaluate_all, \
-    protected_fraction, subcritical_sufficient_intensity
+from .bounds import LambdaC1, critical_intensity_upper_bound, dependency_counts, \
+    evaluate_all, protected_fraction, subcritical_sufficient_intensity
 from .lattice import blocking_counterexample_search, check_coupling_lattice, \
     closed_face_mc_frequency, count_dependent_edges_bruteforce, \
     independence_offsets, verify_open_edge_coupling, write_validator_csv
@@ -143,6 +143,8 @@ class ExperimentSpec:
                                for v in (self.axis.values() if self.axis else ())]
             for c in configs if self.command in ("sweep", "critical") else ():
                 check_cell_grid(c)
+            if self.command == "bounds":
+                dependency_counts(cfg.r_f, cfg.r_r)
             # each axis point samples its own world (a critical search's pool
             # at its ceiling); an axis overrides the base configuration
             sampled = configs[1:] or configs

@@ -73,6 +73,13 @@ class NetworkConfig:
             raise ValueError("r_r must be > 0")
         if not (self.r_f > 0 and math.isfinite(self.r_f)):
             raise ValueError("r_f must be > 0")
+        # every distance test compares squares: a range whose square
+        # overflows float64 (above ~1.34e154) cannot be tested
+        for name in ("r_r", "r_f"):
+            r = getattr(self, name)
+            if not math.isfinite(r * r):
+                raise ValueError(f"{name} = {r:.6g} is too large: its square "
+                                 "overflows a float")
         if self.r_f < self.r_r and not self.allow_small_firewall_range:
             raise ValueError(
                 "r_f < r_r; set allow_small_firewall_range=True to override")

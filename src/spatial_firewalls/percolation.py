@@ -40,19 +40,28 @@ labels on from the failure's components and hooks only the edges live
 between the two fractions; the failure's partition depends only on the
 ISG at its fraction, so it holds across rebuilds.
 
-A probe below the floor at the top of the bisection's remaining interval
-ends the search when it spans. Such a probe first tries a
-certificate (`_TrialState.certified`), a subgraph of the ISG that links each
-device kept at p to the first kept device of each of its cell's four
-forward neighbour cells when the two lie within r_r, and labels one link
-per node and neighbour cell (the first device in cell order is the same
-for all of a node's devices). Spanning is an
-increasing event: links only merge clusters (Meester & Roy, *Continuum
-Percolation*, ch. 2). So when the subgraph spans, the ISG does, and the
-probe answers with no build; otherwise it builds as before. A sweep over
-lambda_r probes each trial once, at p = 1, where the certificate decides
-most trials. Tried at a probe whose spanning does not end the search, it
-would only defer a build that later probes need, so it is not.
+Spanning is an increasing event: links only merge clusters (Meester &
+Roy, *Continuum Percolation*, ch. 2). So a subgraph of the ISG that spans
+proves that the ISG spans, and a supergraph that does not span proves that
+it does not; either answers a probe with no build. A probe below the floor
+whose outcome would end the search tries one such certificate first:
+  - at the top of the remaining interval, where a span ends it, the lower
+    certificate (`_TrialState.certified`), a subgraph that links each
+    device kept at p to the first kept device of each of its cell's four
+    forward neighbour cells when the two lie within r_r, one link per node
+    and neighbour cell (the first device in cell order is the same for all
+    of a node's devices);
+  - at the bottom, where a failure ends it, the upper certificate
+    (`_TrialState.bounded`), a supergraph that links two nodes when the
+    bounding boxes of their kept devices lie within r_r. It is tried only
+    when the worker's previous trial failed at that grid point: the trial
+    before is the best guess of this one's outcome, and a sweep over
+    lambda_r probes each trial once, at p = 1, where both would end the
+    search.
+A probe whose certificate does not decide builds as before, and no probe
+tries both, so each certificate costs at most one call per probe. Tried at
+a probe whose outcome does not end the search, a certificate would only
+defer a build that later probes need, so it is not.
 
 One cell grid (`network.CellGrid`) serves every spatial query of a trial,
 with no kd-tree. Pairs: each kept device scans the cell columns cx..cx+2,
@@ -173,6 +182,15 @@ def _strip_masks(x: np.ndarray, y: np.ndarray, config: NetworkConfig) -> np.ndar
                      y <= w.y_min + config.r_r, y >= w.y_max - config.r_r])
 
 
+def _changes(a: np.ndarray) -> np.ndarray:
+    """Flags of the entries of `a` that differ from the one before; the
+    first entry is flagged."""
+    first = np.empty(len(a), dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
+
+
 def _spans_from_labels(labels, k, strips) -> tuple[bool, bool]:
     """Spanning flags given component labels and `_strip_masks` rows."""
     if k == 0:
@@ -221,11 +239,15 @@ class _TrialState:
     devices forward from the next cell (`CellGrid.scan`), whose candidates
     hold every linked pair across cells once, and folds each pair into a
     slot of its cell pair; a build derives the slot columns (`head`,
-    `tail`) of its kept devices only, so a trial the certificate decides
+    `tail`) of its kept devices only, so a trial a certificate decides
     never computes them. An edge's far node is `node` of the first device
     in its cell. A probe labels the live edges
     with `_component_roots`; its components are numbered by their smallest
     node, but spanning only asks which nodes share one.
+
+    Two certificates answer a probe without edges: `certified`, a subgraph
+    whose span proves the ISG's, and `bounded`, a supergraph whose failure
+    proves the ISG's. Each reads the devices kept at p off the same grid.
     """
 
     __slots__ = ("grid", "order", "node", "min_mark", "cell_ids", "r_r",
@@ -239,9 +261,7 @@ class _TrialState:
         grid, self.order = CellGrid.binned(*devices.points.T, (w.x_min, w.y_min),
                                            _CELL_SIDE * config.r_r)
         self.grid = grid
-        first = np.empty(len(grid.cell_id), dtype=bool)  # first device of its node
-        first[:1] = True
-        np.not_equal(grid.cell_id[1:], grid.cell_id[:-1], out=first[1:])
+        first = _changes(grid.cell_id)  # first device of its node
         self.node = node = np.cumsum(first) - 1
         self.cell_ids = grid.cell_id[first]
         self.min_mark = grid.min_within(*pool.points.T, config.r_f, marks)
@@ -314,29 +334,79 @@ class _TrialState:
             # a node's devices all meet the same device j, and a ascends:
             # one link per node, where a changes
             a = node.take(i.take(hit))
-            first = np.empty(len(a), dtype=bool)
-            first[:1] = True
-            np.not_equal(a[1:], a[:-1], out=first[1:])
-            one = first.nonzero()[0]
+            one = _changes(a).nonzero()[0]
             ends.append((a.take(one), node.take(j.take(hit.take(one)))))
         n = len(self.cell_ids)
         roots = _component_roots(n, *(np.concatenate(e) for e in zip(*ends)))
         lr, bt = _spans_from_labels(roots, n, self.strip_w >= p)
         return lr and bt
 
-    def spans_at(self, p: float, last: bool = False, floor: float | None = None) -> bool:
+    def bounded(self, p: float) -> bool:
+        """Does a supergraph of the ISG at p fail to span an axis?
+
+        Each node kept at p (one with a device kept at p) stands as the
+        bounding box of its kept devices. Two nodes link when their boxes'
+        gaps gx, gy (0 where they overlap) pass gx*gx + gy*gy <= r_r*r_r.
+        Rounded subtraction is monotone in each argument, so a box gap never
+        exceeds the |dx| or |dy| of a device pair across the two boxes, and
+        every pair the build links (its test is the same) links their nodes
+        here: no pad is needed. The candidates are the 12 forward cells a
+        linked pair can reach, read as three lanes of consecutive cell ids
+        through `CellGrid.start`: rows +1..+2 of the node's own column, and
+        rows -2..+2 of columns +1 and +2, clipped to the grid. A lane's
+        devices map to its nodes by their rank among the kept nodes. Spanning
+        only grows with links, so True proves `spans_at(p)` is False; False
+        proves nothing.
+        """
+        keep = (self.min_mark >= p).nonzero()[0]
+        grid = self.grid.subset(keep)
+        node = self.node.take(keep)
+        first = _changes(node)  # first kept device of its node
+        at = first.nonzero()[0]
+        m = len(at)
+        # per kept device, its node's rank among the kept nodes; m past the end
+        rank = np.concatenate((np.cumsum(first) - 1, [m]))
+        x0, x1 = np.minimum.reduceat(grid.x, at), np.maximum.reduceat(grid.x, at)
+        y0, y1 = np.minimum.reduceat(grid.y, at), np.maximum.reduceat(grid.y, at)
+        cell = grid.cell_id.take(at)
+        stride, top = grid.stride, grid.n_cols * grid.stride
+        cy = cell % stride
+        # [lo, hi) cell ids per lane: the own column's rows cy+1..cy+2, and
+        # rows cy-2..cy+2 of the next two columns (empty past the grid)
+        lo = [cell + 1]
+        hi = [np.minimum(cell + 3, cell - cy + stride)]
+        for dx in (1, 2):
+            base = cell - cy + dx * stride
+            lo.append(np.minimum(base + np.maximum(cy - 2, 0), top))
+            hi.append(np.minimum(base + np.minimum(cy + 3, stride), top))
+        b0 = rank.take(grid.start(np.concatenate(lo)))
+        n = rank.take(grid.start(np.concatenate(hi))) - b0
+        a = np.repeat(np.tile(np.arange(m), 3), n)
+        b = np.arange(n.sum()) + np.repeat(b0 - (np.cumsum(n) - n), n)
+        gx = np.maximum(np.maximum(x0.take(b) - x1.take(a), x0.take(a) - x1.take(b)), 0.0)
+        gy = np.maximum(np.maximum(y0.take(b) - y1.take(a), y0.take(a) - y1.take(b)), 0.0)
+        hit = (gx * gx + gy * gy <= self.r_r * self.r_r).nonzero()[0]
+        roots = _component_roots(m, a.take(hit), b.take(hit))
+        lr, bt = _spans_from_labels(roots, m, self.strip_w.take(node.take(at), axis=1) >= p)
+        return not (lr and bt)
+
+    def spans_at(self, p: float, ends: bool | None = None,
+                 floor: float | None = None) -> bool:
         """Does the ISG at thinning fraction p span both axes?
 
         A probe below the floor builds the edges at `floor` (at most p; p
         when None), so that later probes between `floor` and p reuse them.
-        `last` says that the search ends when this probe spans. A probe
-        below the floor then first tries `certified(p)`, and builds the
-        edges only when the certificate does not decide; a certified probe
-        returns True with the edges and the floor as they were. A probe
-        that fails keeps its roots for the probes below it (`roots`).
+        `ends` names an outcome of this probe that ends the search. A probe
+        below the floor first tries that outcome's certificate,
+        `certified(p)` for True and `bounded(p)` for False, and builds the
+        edges only when the certificate does not decide; a decided probe
+        returns its outcome with the edges, the floor and the last failure
+        as they were. A probe that fails keeps its roots for the probes
+        below it (`roots`).
         """
-        if last and not p >= self.floor and self.certified(p):
-            return True
+        if ends is not None and not p >= self.floor and (
+                self.certified(p) if ends else self.bounded(p)):
+            return ends
         roots = self.roots(p, floor)
         lr, bt = _spans_from_labels(roots, len(self.cell_ids), self.strip_w >= p)
         if not (lr and bt):
@@ -435,13 +505,21 @@ def _threshold_worker(args) -> np.ndarray:
     (`_TrialState.roots`).
 
     A probe at the top of [lo, hi) (mid == hi - 1) ends the search when it
-    spans, which lets a probe below the floor try the certificate first.
-    The certificate only ever answers True where the build would, so the
-    counts do not depend on it.
+    spans, and one at the bottom (mid == lo) when it fails; `spans_at`
+    then lets a probe below the floor try that outcome's certificate
+    first. Where both would end it, as on a one-point grid, the probe
+    guesses the outcome of the call's previous trial at mid: `bounded`
+    after a trial that failed there, `certified` otherwise (the call's
+    first trial included). A probe at the bottom tries `bounded` only after
+    such a failure: after a trial that spanned there, this one usually
+    spans too, which `bounded` cannot prove. A certificate only answers
+    what the build would, so the counts depend neither on the certificates
+    nor on the chunking.
     """
     config, lambda_pool, p_grid, t0, t1 = args
     out = np.zeros(t1 - t0, dtype=np.int64)
     seen = []  # the nonzero counts so far, ascending
+    last = len(p_grid)  # the previous trial's count; the first trial's guess spans
     for row, t in enumerate(range(t0, t1)):
         state = _TrialState(config, *sample_world(
             config, trial_seed(config.master_seed, t), lambda_pool))
@@ -449,11 +527,14 @@ def _threshold_worker(args) -> np.ndarray:
         warm = min(hi // 2, seen[0] - 1 if seen else hi)  # the build floor's index
         while lo < hi:
             mid = _split(seen, lo, hi, warm)
-            if state.spans_at(p_grid[mid], mid == hi - 1, p_grid[min(mid, warm)]):
+            # the outcome to certify: a failure that ends the search where
+            # the previous trial failed, else a span that ends it
+            ends = False if mid == lo and last <= mid else True if mid == hi - 1 else None
+            if state.spans_at(p_grid[mid], ends, p_grid[min(mid, warm)]):
                 lo = mid + 1
             else:
                 hi = mid
-        out[row] = lo
+        out[row] = last = lo
         if lo > 0:
             insort(seen, lo)
     return out
@@ -543,8 +624,10 @@ def check_cell_grid(config: NetworkConfig) -> None:
     device lies in the window, so its cells never outnumber the window's."""
     w, side = config.window, _CELL_SIDE * config.r_r
     # in floats: a side that underflows makes the ratios inf, which
-    # math.floor refuses
-    if (np.floor(w.width / side) + 1.0) * (np.floor(w.height / side) + 1.0) > 2.0 ** 62:
+    # math.floor refuses; dividing, not multiplying, the two counts never
+    # overflows
+    cols, rows = np.floor(w.width / side) + 1.0, np.floor(w.height / side) + 1.0
+    if cols > 2.0 ** 62 / rows:
         raise ValueError(f"cells of side 0.7 r_r = {side:.6g} over the window number "
                          "more than 2**62; raise r_r or shrink the window")
 

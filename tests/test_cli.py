@@ -296,6 +296,18 @@ _AXIS = ["--axis", "lambda_f", "--start", "0", "--stop", "0.1", "--step", "0.05"
     # a cell side that underflows makes the window's cell counts inf
     (["sweep", "--r-r", "5e-324", "--r-f", "1"] + _AXIS, "2**62"),
     (["critical", "--r-r", "5e-324", "--r-f", "1"], "2**62"),
+    # a range whose square overflows float64 cannot be tested
+    (["critical", "--r-f", "1e200"], "square overflows"),
+    (["protected", "--r-f", "1e200", "--lambda-f", "0.1"], "square overflows"),
+    (["validate", "--r-r", "1e200", "--r-f", "1e200", "--coupling-realizations", "1",
+      "--face-samples", "10", "--blocking-trials", "10"], "square overflows"),
+    (["bounds", "--r-f", "1e200"], "square overflows"),
+    (["sweep", "--r-f", "1e200"] + _AXIS, "square overflows"),
+    # nor a ratio r_f / r_r whose dependent-edge count overflows a float
+    (["bounds", "--r-r", "1e-150", "--r-f", "1e10"], "dependent-edge count"),
+    # a huge window is refused without an overflow warning
+    (["sweep", "--window-size", "1e200"] + _AXIS, "2**62"),
+    (["critical", "--window-size", "1e300"], "2**62"),
 ])
 def test_malformed_model_parameters(argv, needle, capsys):
     _assert_spec_error(main(argv + ["--trials", "2"]), capsys, needle)

@@ -1,5 +1,5 @@
-"""Spanning detection, Monte Carlo estimation, the spanning certificate of a
-one-probe trial, and the critical search."""
+"""Spanning detection, Monte Carlo estimation, the spanning certificates of
+a one-probe trial (`certified` and `bounded`), and the critical search."""
 import contextlib
 import io
 import math
@@ -344,27 +344,97 @@ def test_certified_trial_builds_no_edges():
 
 
 def test_certificate_decides_lambda_r_sweep_trials():
-    """On a reduced `sweep --axis lambda_r` (one probe per trial), the
+    """On a reduced `sweep --axis lambda_r` (one probe per trial), each
     certificate decides some trials, so edge builds number fewer than the
-    trials, and the CSV body is the one without the certificate."""
+    trials, and the CSV body is the one without the certificates. A trial
+    tries one certificate: the lower one (`certified`) decides a span, the
+    upper one (`bounded`) a failure, and a trial neither decides builds."""
     argv = ["sweep", "--lambda-f", "0.05", "--axis", "lambda_r", "--start", "0.8",
             "--stop", "2.0", "--step", "0.6", "--trials", "4", "--seed", "2"]
 
-    def run(certify):
-        calls = {"trials": [], "certified": [], "builds": []}
+    def run(certify, bound):
+        calls = {"trials": [], "certified": [], "bounded": [], "builds": []}
         out = io.StringIO()
         with mock.patch.object(_TrialState, "__init__",
                                _recording(calls["trials"], _TrialState.__init__)), \
                 mock.patch.object(_TrialState, "certified",
                                   _recording(calls["certified"], certify)), \
+                mock.patch.object(_TrialState, "bounded",
+                                  _recording(calls["bounded"], bound)), \
                 mock.patch.object(_TrialState, "_build_edges",
                                   _recording(calls["builds"], _TrialState._build_edges)), \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main(argv) == 0
         body = [line for line in out.getvalue().splitlines() if not line.startswith("#")]
-        return body, len(calls["trials"]), sum(calls["certified"]), len(calls["builds"])
+        return (body, len(calls["trials"]), sum(calls["certified"]), sum(calls["bounded"]),
+                len(calls["builds"]))
 
-    body, trials, decided, builds = run(_TrialState.certified)
-    assert trials == 12 and decided > 0 and builds < trials
-    assert decided + builds == trials  # one probe per trial
-    assert run(lambda self, p: False) == (body, trials, 0, trials)
+    body, trials, lower, upper, builds = run(_TrialState.certified, _TrialState.bounded)
+    assert trials == 12 and lower > 0 and upper > 0 and builds < trials
+    assert lower + upper + builds == trials  # one probe per trial
+    off = lambda self, p: False  # noqa: E731
+    assert run(off, off) == (body, trials, 0, 0, trials)
+
+
+def _stencil_world(a, b, size):
+    """Two halves of devices, the list a in one cell and b in another, on
+    the window (0, 0) to `size` at r_r = 1 (cells of side 0.7), no
+    firewalls, with the state and the cell offset (dx, dy) from a's cell to
+    b's."""
+    window = Window(0.0, 0.0, *size)
+    cfg = NetworkConfig(lambda_r=0.0, r_r=1.0, lambda_f=0.0, r_f=1.0, window=window)
+    world = (PointSet(np.array(a + b), window), PointSet(np.empty((0, 2)), window),
+             np.empty(0))
+    state = _TrialState(cfg, *world)
+    (ax, bx), (ay, by) = np.divmod(state.grid.cell_id[[0, -1]], state.grid.stride)
+    return cfg, world, state, (int(bx - ax), int(by - ay))
+
+
+# On the 2.2 m window, (0.699, 1.401) touches the left and top strips and
+# (1.401, 0.699) the right and bottom ones. On the 1.4 by 2.2 m window the
+# devices at y = 0.69 touch the left, right and bottom strips, those at
+# y = 1.41 the left, right and top ones; on the 0.7 by 2.2 m window the
+# same holds at y = 0.5 and 1.45, where each half spans its cell's width,
+# so the halves' boxes overlap in x. Each pair of halves is linked (0.993,
+# 0.72 and 0.95 apart), and moved apart within the same cells it is not
+# (1.063, 1.06 and 1.25).
+_STENCIL_CASES = [
+    ([(0.699, 1.401)], [(1.401, 0.699)], (2.2, 2.2), (2, -2), True),
+    ([(0.699, 1.401)], [(1.451, 0.649)], (2.2, 2.2), (2, -2), False),
+    ([(0.5, 0.69)], [(0.5, 1.41)], (1.4, 2.2), (0, 2), True),
+    ([(0.5, 0.69)], [(0.5, 1.75)], (1.4, 2.2), (0, 2), False),
+    ([(0.01, 0.5), (0.69, 0.5)], [(0.01, 1.45), (0.69, 1.45)], (0.7, 2.2), (0, 2), True),
+    ([(0.01, 0.5), (0.69, 0.5)], [(0.01, 1.75), (0.69, 1.75)], (0.7, 2.2), (0, 2), False)]
+
+
+@pytest.mark.parametrize("a,b,size,offset,linked", _STENCIL_CASES)
+def test_bounded_reaches_the_stencil_corners(a, b, size, offset, linked):
+    """The only link joining two halves that cross the window together sits
+    at the far corner of a lane: cell offset (2, -2), the lowest row of
+    column +2, or (0, 2), the top of the own column, once with boxes that
+    overlap in x (a gap of 0 there, not a negative one). `bounded` must
+    keep the link (and so not claim a failure) exactly when the halves are
+    linked; the world spans exactly then."""
+    cfg, world, state, at = _stencil_world(a, b, size)
+    assert at == offset
+    assert world_spans(cfg, *world, 0.5) == linked
+    assert state.bounded(0.5) == (not linked)
+    assert state.spans_at(0.5) == linked
+
+
+@pytest.mark.parametrize("case", _STENCIL_CASES[:2])
+def test_trial_after_a_failure_tries_bounded(case):
+    """A one-point search whose previous trial failed tries `bounded`: after
+    the unlinked (2, -2) world, the linked one still spans through a build,
+    and a second unlinked one fails with no build."""
+    a, b, size, _, linked = case
+    _, unlinked, _, _ = _stencil_world(*_STENCIL_CASES[1][:3])
+    cfg, world, _, _ = _stencil_world(a, b, size)
+    builds = []
+    with mock.patch.object(percolation, "sample_world", side_effect=[unlinked, world]), \
+            mock.patch.object(_TrialState, "_build_edges",
+                              _recording(builds, _TrialState._build_edges)):
+        counts = _threshold_worker((cfg, 1.0, (1.0,), 0, 2)).tolist()
+    assert counts == [0, int(linked)]
+    # the first trial tries `certified`, which fails, and builds
+    assert len(builds) == 1 + linked

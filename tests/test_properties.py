@@ -3,7 +3,8 @@ against a device-level reference along any sequence of probes, its probe
 against SciPy's labelling of the same live edges, the pruning of pair
 enumeration to the devices above the probe floor, the bisected
 spanning-prefix worker against probing every grid point, its probe
-placement and builds on stub trials, labelling on from a failed probe's
+placement, builds and certificate choice on stub trials, labelling on
+from a failed probe's
 roots against the brute-force ISG, the nested-thinning monotonicity it
 relies on, `build_isg` against a
 brute-force ISG, worker-count invariance, the closed-ball distance and
@@ -11,8 +12,9 @@ strip rules, the cell-grid `min_mark` and `CellGrid.min_within`'s squared
 distances against brute force, the
 columnar binning against row binning and its order against the stable
 sort of the cell ids, the spanning certificate of a one-probe trial against
-a full probe, the device-level reference and per-device certificate links, the
-worker's counts with and without it, each cell edge's far node against a
+a full probe, the device-level reference and per-device certificate links,
+the upper certificate (`bounded`) against the device-level reference, the
+worker's counts with and without both, each cell edge's far node against a
 binary search of the node cell ids, a cell
 edge's weight when its cells' top-mark devices are not linked, the
 open-edge coupling check against its per-edge reference, the staged
@@ -259,7 +261,7 @@ def test_pairs_enumerated_only_among_devices_above_floor():
     probe can still find susceptible: on the grid (1.0,), the devices with
     no pool firewall within r_f; on the grid (0.0,), every device. The
     other scans of a trial, one per trial for protection, query the
-    firewall pool."""
+    firewall pool. The certificates are off, so that every trial builds."""
     cfg = NetworkConfig(lambda_r=1.0, r_r=1.0, lambda_f=0.3, r_f=1.0,
                         window=Window.square(12.0), master_seed=5)
     trials = 3
@@ -282,7 +284,10 @@ def test_pairs_enumerated_only_among_devices_above_floor():
                 forward.append(len(self.x))
             return scan(self, qx, qy, r, first)
 
-        with mock.patch.object(CellGrid, "scan", recording):
+        # with both certificates off, every trial's one probe builds
+        with mock.patch.object(CellGrid, "scan", recording), \
+                mock.patch.object(_TrialState, "certified", lambda self, p: False), \
+                mock.patch.object(_TrialState, "bounded", lambda self, p: False):
             _threshold_worker((cfg, cfg.lambda_f, grid, 0, trials))
         assert forward == expected
         assert queries == [pool.n for _, pool, _ in worlds]
@@ -407,23 +412,28 @@ def test_worker_counts_do_not_depend_on_chunking(world, p_grid, cut):
 
 
 def _stub_worker(monkeypatch, grid, counts, t0, t1):
-    """(counts, probes, builds) of `_threshold_worker` over trials t0..t1 of
-    stub trials: trial t spans at grid index j exactly when j < counts[t].
-    Per trial, `probes` holds its probe indices and `builds` the index of
-    the floor each probe below the trial's floor names for its build."""
-    probes, builds = [[] for _ in counts], [[] for _ in counts]
+    """(counts, probes, builds, tries) of `_threshold_worker` over trials
+    t0..t1 of stub trials: trial t spans at grid index j exactly when
+    j < counts[t]. Per trial, `probes` holds its probe indices, `builds` the
+    index of the floor each probe below the trial's floor names for its
+    build, and `tries` (j, certificate) for each such probe that tries one:
+    "lower" for `certified`, "upper" for `bounded`. No certificate decides,
+    so every probe below the floor builds."""
+    probes, builds, tries = ([[] for _ in counts] for _ in range(3))
 
     class StubState:
         def __init__(self, config, devices, pool, marks):
             self.t, self.floor = devices, math.nan  # the stub's "world" is its trial index
 
-        def spans_at(self, p, last=False, floor=None):
+        def spans_at(self, p, ends=None, floor=None):
             j = grid.index(p)
             probes[self.t].append(j)
             if not p >= self.floor:
                 assert floor is not None and floor <= p
                 self.floor = floor
                 builds[self.t].append(grid.index(floor))
+                if ends is not None:
+                    tries[self.t].append((j, "lower" if ends else "upper"))
             return j < counts[self.t]
 
     monkeypatch.setattr(percolation, "_TrialState", StubState)
@@ -433,7 +443,7 @@ def _stub_worker(monkeypatch, grid, counts, t0, t1):
     cfg = NetworkConfig(lambda_r=1.0, r_r=1.0, lambda_f=0.0, r_f=1.0,
                         window=Window.square(10.0), master_seed=0)
     out = _threshold_worker((cfg, 1.0, grid, t0, t1))
-    return out.tolist(), probes[t0:t1], builds[t0:t1]
+    return out.tolist(), probes[t0:t1], builds[t0:t1], tries[t0:t1]
 
 
 def test_warm_start_first_probes_with_stub_trials(monkeypatch):
@@ -448,7 +458,7 @@ def test_warm_start_first_probes_with_stub_trials(monkeypatch):
     """
     grid = tuple(j / 10 for j in range(11))  # midpoint index 5
     counts = [7, 0, 11, 3, 5, 2, 0, 9, 1, 4]
-    out, probes, builds = _stub_worker(monkeypatch, grid, counts, 0, len(counts))
+    out, probes, builds, _ = _stub_worker(monkeypatch, grid, counts, 0, len(counts))
     assert out == counts
 
     def imbalance(earlier, m):  # the earlier counts a probe at m fails, minus those it spans
@@ -478,7 +488,10 @@ def test_threshold_search_with_stub_trials(sized, data):
     anywhere into two calls: each trial gets its own count, every probe
     lies in the open interval [lo, hi) of what its earlier probes proved,
     and a trial whose count is at least the smallest earlier nonzero count
-    of its call builds its edges once."""
+    of its call builds its edges once. A probe below the floor tries
+    `bounded` when a failure ends the search (j == lo) and the call's
+    previous trial failed at j, else `certified` when a span ends it
+    (j == hi - 1), else neither."""
     k, counts = sized
     cut = data.draw(st.integers(0, len(counts)))
     grid = tuple(j / k for j in range(k))
@@ -486,16 +499,45 @@ def test_threshold_search_with_stub_trials(sized, data):
         parts = [_stub_worker(monkeypatch, grid, counts, t0, t1)
                  for t0, t1 in ((0, cut), (cut, len(counts)))]
     assert parts[0][0] + parts[1][0] == counts
-    for (t0, t1), (_, probes, builds) in zip(((0, cut), (cut, len(counts))), parts):
+    for (t0, t1), (_, probes, builds, tries) in zip(((0, cut), (cut, len(counts))), parts):
         for t in range(t0, t1):
-            lo, hi = 0, k
+            lo, hi, floor, expected = 0, k, None, []
+            built = iter(builds[t - t0])
             for j in probes[t - t0]:
                 assert lo <= j < hi
+                if floor is None or j < floor:  # below the floor: it builds
+                    floor = next(built)
+                    if j == lo and t > t0 and counts[t - 1] <= j:
+                        expected.append((j, "upper"))
+                    elif j == hi - 1:
+                        expected.append((j, "lower"))
                 lo, hi = (j + 1, hi) if j < counts[t] else (lo, j)
             assert lo == hi == counts[t]
+            assert tries[t - t0] == expected
             earlier = [c for c in counts[t0:t] if c]
             if counts[t] >= min(earlier, default=k):
                 assert len(builds[t - t0]) <= 1
+
+
+def test_certificate_tried_follows_the_previous_trial(monkeypatch):
+    """Which certificate each stub trial tries, per call. On the one-point
+    grid, outcomes span, fail, fail, span, span, fail, span, fail: a trial
+    whose call's previous trial failed tries `bounded` ("upper"), any other
+    `certified` ("lower"), the first trial of each call included. On a
+    4-point grid only a probe at lo = 0 below the floor, after a trial
+    that failed at 0, tries `bounded`."""
+    one = [1, 0, 0, 1, 1, 0, 1, 0]
+    L, U = [(0, "lower")], [(0, "upper")]
+    assert _stub_worker(monkeypatch, (1.0,), one, 0, 8)[3] == [L, L, U, U, L, L, U, L]
+    assert [_stub_worker(monkeypatch, (1.0,), one, t0, t1)[3]
+            for t0, t1 in ((0, 3), (3, 8))] == [[L, L, U], [L, L, L, U, L]]
+    four = [0, 0, 3, 0, 1, 4]
+    out, probes, _, tries = _stub_worker(monkeypatch, (0.0, 0.25, 0.5, 0.75), four, 0, 6)
+    assert out == four
+    assert probes == [[2, 1, 0], [2, 1, 0], [2, 3], [3, 2, 1, 0], [3, 2, 1, 0], [1, 3]]
+    assert tries == [[(1, "lower"), (0, "lower")], [(1, "lower"), (0, "upper")], [],
+                     [(3, "lower"), (1, "lower"), (0, "lower")],
+                     [(3, "lower"), (1, "lower"), (0, "upper")], []]
 
 
 def _plain_bisection(state, p_grid) -> int:
@@ -577,6 +619,19 @@ def test_certificate_implies_device_level_spanning(world, p):
             assert world_spans(cfg, *sampled, q)
 
 
+@settings(max_examples=100, deadline=None)
+@given(edge_worlds(), st.floats(0.0, 1.0))
+def test_bounded_implies_device_level_failure(world, p):
+    """`bounded` against the device-level reference: wherever it claims a
+    failure, the brute-force ISG does not span, on windows from narrower
+    than r_r to ten r_r per side with devices on their max edges."""
+    cfg, sampled = world
+    state = _TrialState(cfg, *sampled)
+    for q in (p, 0.0, 1.0):
+        if state.bounded(q):
+            assert not world_spans(cfg, *sampled, q)
+
+
 @SETTINGS
 @given(worlds(), p_grids)
 def test_node_links_certify_as_device_links(world, p_grid):
@@ -602,30 +657,37 @@ sized_p_grids = st.one_of(st.just([1.0]), p_grids.map(lambda g: g[:1]),
 @given(worlds(), sized_p_grids, st.integers(0, 16))
 def test_worker_counts_do_not_depend_on_the_certificate(world, p_grid, cut):
     """Trials 0..16, split at `cut` into two calls, give the same counts
-    with the certificate disabled. The certificate is tried only at probes
-    below the floor, and each trial it decides spares exactly one edge
-    build: it changes no other build."""
+    with both certificates (`certified` and `bounded`) disabled. They are
+    tried only at probes below the floor, and each probe one decides
+    spares exactly one edge build: it changes no other build."""
     cfg, lambda_pool, _ = world
     common = (cfg, lambda_pool, tuple(p_grid))
-    certified, build_edges = _TrialState.certified, _TrialState._build_edges
+    build_edges = _TrialState._build_edges
 
-    def checked(self, p):
-        assert not p >= self.floor
-        return certified(self, p)
+    def checked(certificate):
+        def call(self, p):
+            assert not p >= self.floor
+            return certificate(self, p)
+        return call
 
+    off = lambda self, p: False  # noqa: E731
     runs = []
-    for certify in (checked, lambda self, p: False):
+    for certify, bound in ((checked(_TrialState.certified), checked(_TrialState.bounded)),
+                           (off, off)):
         decided, builds = [], []
 
-        def recording(self, p):
-            decided.append(certify(self, p))
-            return decided[-1]
+        def recording(certificate):
+            def call(self, p):
+                decided.append(certificate(self, p))
+                return decided[-1]
+            return call
 
         def counting(self, floor):
             builds.append(floor)
             build_edges(self, floor)
 
-        with mock.patch.object(_TrialState, "certified", recording), \
+        with mock.patch.object(_TrialState, "certified", recording(certify)), \
+                mock.patch.object(_TrialState, "bounded", recording(bound)), \
                 mock.patch.object(_TrialState, "_build_edges", counting):
             counts = np.concatenate([_threshold_worker(common + (0, cut)),
                                      _threshold_worker(common + (cut, 16))])
