@@ -13,9 +13,10 @@ spanning points form a prefix, whose length one bisection finds exactly.
 Sweeps, point estimates and the critical search all read their counts off
 that per-trial prefix length. The bisection learns from the trials its
 worker has finished (`_threshold_worker`): each probe splits in half their
-counts that are still possible, and a trial builds its edges (described
-next) once, at a warm floor where it usually spans. Any probe between the
-known bounds keeps the bisection exact.
+counts that are still possible, a trial builds its edges (described next)
+once, at a warm floor where it usually spans, and a trial that fails below
+every count gallops down from its failure. Any probe between the known
+bounds keeps the bisection exact.
 
 Each probe of the bisection runs on a cell graph of the trial
 (`_TrialState`). Devices are binned into square cells of diagonal < r_r, so
@@ -29,22 +30,34 @@ with the same outcome as labelling every susceptible device pair. It labels
 the live edges by min-label hooking with pointer jumping
 (`network._component_roots`); spanning only asks which nodes share a root.
 
-The edge weights are computed by the first probe, and again by any probe
-below the fraction they were built for (the floor), from only the devices
-still susceptible at the floor the probe names (at most p). This is exact:
-an edge weight is a min over the weights of its two devices, so a device
-below the floor only gives weights that no probe at or above the floor
-keeps. A trial probed once at p = 1 therefore enumerates pairs only among
-the devices with no pool firewall within r_f. A probe below a failed one
-labels on from the failure's components and hooks only the edges live
-between the two fractions; the failure's partition depends only on the
-ISG at its fraction, so it holds across rebuilds.
+The edge weights are computed by the first probe from only the devices
+still susceptible at the fraction it names (the floor, at most p). This is
+exact: an edge weight is a min over the weights of its two devices, so a
+device below the floor only gives weights that no probe at or above the
+floor keeps. A trial probed once at p = 1 therefore enumerates pairs only
+among the devices with no pool firewall within r_f. A probe below the floor
+extends the edges down to the floor it names: the per-cell-pair weights
+are kept, and only the pairs with an end in the band between the two
+floors are added to them, as Newman & Ziff (Phys. Rev. Lett. 85, 4104,
+2000) add bonds to a partition instead of relabelling it. A probe below a
+failed one labels on from the failure's components and hooks only the
+edges live between the two fractions; the failure's partition depends
+only on the ISG at its fraction, so it holds across extensions.
+
+Nesting bounds the protection scan too. A device's min_mark, the least
+mark of the pool firewalls covering it, enters every weight only through
+`>= p` and min/max, so a scan of the firewalls with mark below a ceiling c
+answers every probe at p <= c exactly, with inf for the devices none of
+them covers. Once a worker has found two counts, a trial scans to the
+grid point of the largest, above which it probes only when it spans
+there; such a probe first finishes the scan.
 
 Spanning is an increasing event: links only merge clusters (Meester &
 Roy, *Continuum Percolation*, ch. 2). So a subgraph of the ISG that spans
 proves that the ISG spans, and a supergraph that does not span proves that
-it does not; either answers a probe with no build. A probe below the floor
-whose outcome would end the search tries one such certificate first:
+it does not; either answers a probe with no build. A probe that would make
+a trial's first build, where its outcome would end the search, tries one
+such certificate first:
   - at the top of the remaining interval, where a span ends it, the lower
     certificate (`_TrialState.certified`), a subgraph that links each
     device kept at p to the first kept device of each of its cell's four
@@ -61,7 +74,8 @@ whose outcome would end the search tries one such certificate first:
 A probe whose certificate does not decide builds as before, and no probe
 tries both, so each certificate costs at most one call per probe. Tried at
 a probe whose outcome does not end the search, a certificate would only
-defer a build that later probes need, so it is not.
+defer a build that later probes need, and below a build it could only
+spare a band extension, which costs less; so it is not.
 
 One cell grid (`network.CellGrid`) serves every spatial query of a trial,
 with no kd-tree. Pairs: each kept device scans the cell columns cx..cx+2,
@@ -214,6 +228,16 @@ class _TrialState:
     the smallest mark among pool firewalls within r_f of it (inf when none),
     read off the cell grid below (`CellGrid.min_within`).
 
+    The scan covers only the firewalls with mark < `ceiling` (1, the whole
+    pool, by default); a device none of them covers reads inf. Every reader
+    of min_mark (the edges, the strips, both certificates, `build_isg`)
+    compares it with p through `>= p` or min/max, and a device whose true
+    min_mark is >= ceiling is susceptible at every p <= ceiling either way,
+    so every probe at p <= ceiling is exact. A probe above the ceiling first
+    finishes the scan (`_complete`): the firewalls left over scan only the
+    devices still at inf, since every other min_mark lies below their
+    marks; the strip weights are recomputed and the edges dropped.
+
     The devices are binned into a `CellGrid` of side 0.7 * r_r, whose
     diagonal 0.99 * r_r leaves room for rounding: any two devices of one
     cell are linked, so the susceptible devices of a cell always form one
@@ -229,31 +253,38 @@ class _TrialState:
     it is an isolated node that cannot make a component span; nodes need no
     weight of their own.
 
-    The strip weights are computed once, but the edges only at probe time,
-    from the devices with min_mark >= `floor`. This is exact: an edge
-    weight is a min over the min_marks of its two devices, so a device
-    below the floor only gives weights < floor, which no probe at
+    The strip weights are computed with min_mark, but the edges only at
+    probe time, from the devices with min_mark >= `floor`. This is exact:
+    an edge weight is a min over the min_marks of its two devices, so a
+    device below the floor only gives weights < floor, which no probe at
     p >= floor keeps. A probe at p >= floor reuses the edges; the first
     probe, and any probe below the floor, builds them at the floor it
-    names (p by default). Each kept device scans the grid of the kept
-    devices forward from the next cell (`CellGrid.scan`), whose candidates
-    hold every linked pair across cells once, and folds each pair into a
-    slot of its cell pair; a build derives the slot columns (`head`,
-    `tail`) of its kept devices only, so a trial a certificate decides
+    names (p by default). The first build has each kept device scan the
+    grid of the kept devices forward from the next cell (`CellGrid.scan`),
+    whose candidates hold every linked pair across cells once, and folds
+    each pair into a slot of its cell pair (`best`, 13 per node). The slots
+    are kept, so a build below the floor adds only the pairs with an end in
+    the band [new floor, old floor): each band device scans its whole disc
+    over the kept devices and folds each pair into the slot of its lower
+    cell. A pair found from both ends folds twice and a same-cell pair
+    falls into the unused slot 0, both harmless under max, so the edges
+    equal a fresh build's at the new floor. A build derives the slot
+    columns of its kept devices only, so a trial a certificate decides
     never computes them. An edge's far node is `node` of the first device
-    in its cell. A probe labels the live edges
-    with `_component_roots`; its components are numbered by their smallest
-    node, but spanning only asks which nodes share one.
+    in its cell. A probe labels the live edges with `_component_roots`;
+    its components are numbered by their smallest node, but spanning only
+    asks which nodes share one.
 
     Two certificates answer a probe without edges: `certified`, a subgraph
     whose span proves the ISG's, and `bounded`, a supergraph whose failure
     proves the ISG's. Each reads the devices kept at p off the same grid.
     """
 
-    __slots__ = ("grid", "order", "node", "min_mark", "cell_ids", "r_r",
-                 "strip_w", "floor", "edge_a", "edge_b", "edge_w", "fail_p", "fail_roots")
+    __slots__ = ("grid", "order", "node", "min_mark", "cell_ids", "r_r", "strips",
+                 "strip_w", "ceiling", "rest", "floor", "best", "edge_a", "edge_b",
+                 "edge_w", "fail_p", "fail_roots")
 
-    def __init__(self, config: NetworkConfig, devices, pool, marks):
+    def __init__(self, config: NetworkConfig, devices, pool, marks, ceiling: float = 1.0):
         w = config.window
         # node = occupied cell, numbered in (cx, cy) order; devices sorted by
         # node (row i is devices[order[i]]), so that every pair i < j of any
@@ -262,37 +293,77 @@ class _TrialState:
                                            _CELL_SIDE * config.r_r)
         self.grid = grid
         first = _changes(grid.cell_id)  # first device of its node
-        self.node = node = np.cumsum(first) - 1
+        self.node = np.cumsum(first) - 1
         self.cell_ids = grid.cell_id[first]
-        self.min_mark = grid.min_within(*pool.points.T, config.r_f, marks)
+        px, py = pool.points.T
+        low = marks < ceiling  # every mark is < 1, so a ceiling of 1 scans the whole pool
+        self.min_mark = grid.min_within(px[low], py[low], config.r_f, marks[low])
+        self.rest = (px[~low], py[~low], config.r_f, marks[~low])  # `min_within`'s arguments
+        self.ceiling = ceiling if len(self.rest[3]) else math.inf
         self.r_r = config.r_r
-        self.strip_w = np.full((4, len(self.cell_ids)), -np.inf)
-        for row, mask in enumerate(_strip_masks(grid.x, grid.y, config)):
-            np.maximum.at(self.strip_w[row], node[mask], self.min_mark[mask])
+        self.strips = _strip_masks(grid.x, grid.y, config)
+        self._strip_weights()
         self.floor = math.nan  # no edges yet: `p >= nan` fails for every p
+        self.best = None  # no slot weights yet
         self.fail_p = math.nan  # no failed probe yet: `p < nan` fails for every p
 
+    def _strip_weights(self) -> None:
+        """Per strip row and node, the largest min_mark of its devices in the strip."""
+        self.strip_w = np.full((4, len(self.cell_ids)), -np.inf)
+        for row, mask in enumerate(self.strips):
+            np.maximum.at(self.strip_w[row], self.node[mask], self.min_mark[mask])
+
+    def _complete(self) -> None:
+        """Scan the pool firewalls at or above the ceiling over the devices
+        none below it covers (those still at inf: every other min_mark is
+        below every such mark), recompute the strip weights and drop the
+        edges and their slot weights, which read the old marks."""
+        todo = np.isinf(self.min_mark).nonzero()[0]
+        self.min_mark[todo] = self.grid.subset(todo).min_within(*self.rest)
+        self.ceiling, self.rest = math.inf, None
+        self._strip_weights()
+        self.floor, self.best = math.nan, None
+
     def _build_edges(self, floor: float) -> None:
-        """Cell edges and their weights among the devices with min_mark >= floor."""
+        """Cell edges and their weights among the devices with min_mark >= floor;
+        below an earlier build, only the pairs with an end in the band between
+        the two floors are added to its slot weights."""
         keep = (self.min_mark >= floor).nonzero()[0]
         grid = self.grid.subset(keep)
         min_mark = self.min_mark.take(keep)
+        node = self.node.take(keep)
         # a linked pair lies at most 2 cells apart per axis, so its offset
         # (dx, dy) from the lower node has dx in 0..2 and dy in -2..2, and
-        # head[i] + tail[j] = 13 * node[i] + 5 * dx + dy is unique per cell
-        # pair; slot 0 of a node is its own cell, whose pairs need no edge
+        # 13 * node + 5 * dx + dy is unique per cell pair; slot 0 of a node
+        # is its own cell, whose pairs need no edge. Within 2 cells the
+        # order of tail = 5 * cx + cy is that of the nodes, so the offset is
+        # the two ends' |tail difference|
         cx, cy = np.divmod(grid.cell_id, grid.stride)
         tail = 5 * cx + cy
-        head = 13 * self.node.take(keep) - tail
-        best = np.full(len(self.cell_ids) * 13, -np.inf)
         r2 = self.r_r * self.r_r
-        # the scan starts at the next cell: a same-cell pair fills only slot 0
-        for i, j, d2 in grid.scan(grid.x, grid.y, self.r_r,
-                                  first=grid.start(grid.cell_id + 1)):
-            hit = (d2 <= r2).nonzero()[0]  # `take` gathers far faster than a bool mask
-            i, j = i.take(hit), j.take(hit)
-            np.maximum.at(best, head.take(i) + tail.take(j),
-                          np.minimum(min_mark.take(i), min_mark.take(j)))
+        if self.best is None:
+            best = self.best = np.full(len(self.cell_ids) * 13, -np.inf)
+            head = 13 * node - tail
+            # the scan starts at the next cell: a same-cell pair fills only slot 0
+            for i, j, d2 in grid.scan(grid.x, grid.y, self.r_r,
+                                      first=grid.start(grid.cell_id + 1)):
+                hit = (d2 <= r2).nonzero()[0]  # `take` gathers far faster than a bool mask
+                i, j = i.take(hit), j.take(hit)
+                np.maximum.at(best, head.take(i) + tail.take(j),
+                              np.minimum(min_mark.take(i), min_mark.take(j)))
+        else:
+            # below the last build, whose slots hold every pair above its
+            # floor: each band device scans its whole disc; a pair of two
+            # band devices folds twice and a same-cell pair into slot 0,
+            # both harmless
+            best = self.best
+            band = (min_mark < self.floor).nonzero()[0]
+            for q, j, d2 in grid.scan(grid.x.take(band), grid.y.take(band), self.r_r):
+                hit = (d2 <= r2).nonzero()[0]
+                i, j = band.take(q.take(hit)), j.take(hit)
+                np.maximum.at(best, 13 * np.minimum(node.take(i), node.take(j))
+                              + np.abs(tail.take(j) - tail.take(i)),
+                              np.minimum(min_mark.take(i), min_mark.take(j)))
         slots = (best > -np.inf).nonzero()[0]
         slots = slots[slots % 13 != 0]
         a, off = np.divmod(slots, 13)
@@ -394,17 +465,23 @@ class _TrialState:
                  floor: float | None = None) -> bool:
         """Does the ISG at thinning fraction p span both axes?
 
-        A probe below the floor builds the edges at `floor` (at most p; p
-        when None), so that later probes between `floor` and p reuse them.
+        A probe above the ceiling first finishes the protection scan
+        (`_complete`). A probe below the floor builds the edges at `floor`
+        (at most p; p when None), so that later probes between `floor` and
+        p reuse them.
         `ends` names an outcome of this probe that ends the search. A probe
-        below the floor first tries that outcome's certificate,
-        `certified(p)` for True and `bounded(p)` for False, and builds the
-        edges only when the certificate does not decide; a decided probe
-        returns its outcome with the edges, the floor and the last failure
-        as they were. A probe that fails keeps its roots for the probes
-        below it (`roots`).
+        that would make the trial's first build (no slot weights yet) first
+        tries that outcome's certificate, `certified(p)` for True and
+        `bounded(p)` for False, and builds the edges only when the
+        certificate does not decide; a decided probe returns its outcome
+        with the edges, the floor and the last failure as they were. Below
+        a build a certificate is not tried: the band extension it could
+        spare costs less than the certificate. A probe that fails keeps its
+        roots for the probes below it (`roots`).
         """
-        if ends is not None and not p >= self.floor and (
+        if p > self.ceiling:
+            self._complete()
+        if ends is not None and self.best is None and (
                 self.certified(p) if ends else self.bounded(p)):
             return ends
         roots = self.roots(p, floor)
@@ -414,14 +491,15 @@ class _TrialState:
         return lr and bt
 
     def roots(self, p: float, floor: float | None = None) -> np.ndarray:
-        """Per node, its component's root among the edges live at p; builds
-        the edges at `floor` (p when None) when p is below the floor.
+        """Per node, its component's root among the edges live at p, for p
+        at most the ceiling; builds the edges at `floor` (p when None) when
+        p is below the floor.
 
         Below the last failed probe's fraction `fail_p`, the labelling goes
         on from that probe's roots and hooks only the edges with
         p <= w < fail_p. Its partition is that of the edges with
         w >= fail_p, which every build at or below fail_p holds with the
-        same weights, so it survives a rebuild."""
+        same weights, so it survives an extension and a finished scan."""
         if not p >= self.floor:
             self._build_edges(p if floor is None else floor)
         w, start = self.edge_w, None
@@ -455,16 +533,14 @@ def build_isg(config: NetworkConfig, tseed: int) -> Realization:
                        isg=IsgGraph(vertices, labels, n_components))
 
 
-def _split(seen: list, lo: int, hi: int, warm: int) -> int:
+def _split(seen: list, lo: int, hi: int) -> int:
     """The probe index in [lo, hi) that splits the ascending counts `seen`
     lying in [lo, hi] most evenly into those a probe there fails (count <=
     index) and those it spans (count > index), the higher index of two
-    equally even ones. With no count there, the midpoint, or the warm
-    floor's index `warm` when that is higher and still in [lo, hi)."""
+    equally even ones; the midpoint when no count lies there."""
     i, j = bisect_left(seen, lo), bisect_right(seen, hi)
     if i == j:
-        mid = (lo + hi) // 2
-        return max(mid, warm) if warm < hi else mid
+        return (lo + hi) // 2
     # a probe at m fails for the counts <= m: 2 * (their number) - n is
     # >= 0 at the lower median `top`, and < 0 at top - 1
     n, top = j - i, seen[(i + j - 1) // 2]
@@ -497,17 +573,33 @@ def _threshold_worker(args) -> np.ndarray:
     at the warm floor. A trial usually spans there, as every earlier
     spanning trial did, and every probe of a trial whose count is at least
     `least` lies at or above it, so one edge build serves its whole search.
-    With no count left to split, a probe tests the warm floor itself before
-    any probe goes below it. The floor never goes above the midpoint: a
-    build at a higher floor is wasted whenever the trial fails there, and
-    on dense worlds that costs more than it saves. A probe below the last
-    failed one labels on from that failure's components
+    The floor never goes above the midpoint, nor up to the probe: a probe
+    below the floor extends the edges by the band between the two floors
+    (`_TrialState._build_edges`), but each extension costs more per pair
+    than a first build, so extending a build at each probe costs more than
+    building once lower. No build goes below p_grid[lo]. A probe below the
+    last failed one labels on from that failure's components
     (`_TrialState.roots`).
+
+    A trial that has failed below every count found, and has not spanned,
+    gallops down from its failure: it probes hi - 1, then hi - 2, hi - 4,
+    ... below each new failure, clamped at 0. Each step extends the edges,
+    so the descent enumerates about the pairs of its last floor, where a
+    midpoint probe would often build far below the trial's count.
+
+    Once the call has found two nonzero counts, a trial scans for
+    protection only the pool firewalls with mark below p_grid[top], `top`
+    the largest count found: every probe at or below top is then exact
+    (`_TrialState`). A trial probes above top only when it spans there, as
+    at most one in n + 1 of exchangeable trials does after n counts; that
+    probe first finishes the scan. One count is not enough: two-trial
+    chunks would then finish the scan on every trial whose count exceeds
+    the first.
 
     A probe at the top of [lo, hi) (mid == hi - 1) ends the search when it
     spans, and one at the bottom (mid == lo) when it fails; `spans_at`
-    then lets a probe below the floor try that outcome's certificate
-    first. Where both would end it, as on a one-point grid, the probe
+    then lets the probe that would make the trial's first build try that
+    outcome's certificate first. Where both would end it, as on a one-point grid, the probe
     guesses the outcome of the call's previous trial at mid: `bounded`
     after a trial that failed there, `certified` otherwise (the call's
     first trial included). A probe at the bottom tries `bounded` only after
@@ -517,26 +609,33 @@ def _threshold_worker(args) -> np.ndarray:
     nor on the chunking.
     """
     config, lambda_pool, p_grid, t0, t1 = args
+    k = len(p_grid)
     out = np.zeros(t1 - t0, dtype=np.int64)
     seen = []  # the nonzero counts so far, ascending
-    last = len(p_grid)  # the previous trial's count; the first trial's guess spans
+    last = k  # the previous trial's count; the first trial's guess spans
     for row, t in enumerate(range(t0, t1)):
+        ceiling = p_grid[seen[-1]] if len(seen) > 1 and seen[-1] < k else 1.0
         state = _TrialState(config, *sample_world(
-            config, trial_seed(config.master_seed, t), lambda_pool))
-        lo, hi = 0, len(p_grid)  # p_grid[:lo] spans, p_grid[hi:] does not
-        warm = min(hi // 2, seen[0] - 1 if seen else hi)  # the build floor's index
+            config, trial_seed(config.master_seed, t), lambda_pool), ceiling)
+        lo, hi = 0, k  # p_grid[:lo] spans, p_grid[hi:] does not
+        warm = min(k // 2, seen[0] - 1 if seen else k)  # the build floor's index
+        step = 1  # the galloping step below a failure
         while lo < hi:
-            mid = _split(seen, lo, hi, warm)
+            if lo == 0 and hi < k and (not seen or hi < seen[0]):  # failed below every count
+                mid, step = max(hi - step, 0), 2 * step
+            else:
+                mid = _split(seen, lo, hi)
             # the outcome to certify: a failure that ends the search where
             # the previous trial failed, else a span that ends it
             ends = False if mid == lo and last <= mid else True if mid == hi - 1 else None
-            if state.spans_at(p_grid[mid], ends, p_grid[min(mid, warm)]):
+            if state.spans_at(p_grid[mid], ends, p_grid[max(min(mid, warm), lo)]):
                 lo = mid + 1
             else:
                 hi = mid
         out[row] = last = lo
         if lo > 0:
             insort(seen, lo)
+        del state  # frees its slot weights and edges before the next trial is built
     return out
 
 

@@ -293,9 +293,9 @@ _AXIS = ["--axis", "lambda_f", "--start", "0", "--stop", "0.1", "--step", "0.05"
     # an oversized coupling lattice is refused before any check runs
     (["validate", "--r-r", "1e-3", "--r-f", "1e-3", "--coupling-realizations", "1",
       "--face-samples", "10", "--blocking-trials", "10"], "coupling lattice"),
-    # a cell side that underflows makes the window's cell counts inf
-    (["sweep", "--r-r", "5e-324", "--r-f", "1"] + _AXIS, "2**62"),
-    (["critical", "--r-r", "5e-324", "--r-f", "1"], "2**62"),
+    # a range just above the square's underflow gives cells too many to count
+    (["sweep", "--r-r", "1e-150", "--r-f", "1"] + _AXIS, "2**62"),
+    (["critical", "--r-r", "1e-150", "--r-f", "1"], "2**62"),
     # a range whose square overflows float64 cannot be tested
     (["critical", "--r-f", "1e200"], "square overflows"),
     (["protected", "--r-f", "1e200", "--lambda-f", "0.1"], "square overflows"),
@@ -308,6 +308,9 @@ _AXIS = ["--axis", "lambda_f", "--start", "0", "--stop", "0.1", "--step", "0.05"
     # a huge window is refused without an overflow warning
     (["sweep", "--window-size", "1e200"] + _AXIS, "2**62"),
     (["critical", "--window-size", "1e300"], "2**62"),
+    # nor one whose square underflows to 0
+    (["bounds", "--r-r", "1e-200", "--r-f", "1e-200"], "square underflows"),
+    (["sweep", "--r-r", "5e-324", "--r-f", "1"] + _AXIS, "square underflows"),
 ])
 def test_malformed_model_parameters(argv, needle, capsys):
     _assert_spec_error(main(argv + ["--trials", "2"]), capsys, needle)

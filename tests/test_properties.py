@@ -2,8 +2,11 @@
 against a device-level reference along any sequence of probes, its probe
 against SciPy's labelling of the same live edges, the pruning of pair
 enumeration to the devices above the probe floor, the bisected
-spanning-prefix worker against probing every grid point, its probe
-placement, builds and certificate choice on stub trials, labelling on
+spanning-prefix worker against probing every grid point and a plain
+bisection (through protection ceilings and galloping descents), its probe
+placement, builds, ceilings and certificate choice on stub trials, a
+state scanning below a ceiling against the device-level reference, band
+extensions against one fresh build, labelling on
 from a failed probe's
 roots against the brute-force ISG, the nested-thinning monotonicity it
 relies on, `build_isg` against a
@@ -411,29 +414,34 @@ def test_worker_counts_do_not_depend_on_chunking(world, p_grid, cut):
     assert whole.tolist() == split.tolist()
 
 
-def _stub_worker(monkeypatch, grid, counts, t0, t1):
+def _stub_worker(monkeypatch, grid, counts, t0, t1, ceilings=None):
     """(counts, probes, builds, tries) of `_threshold_worker` over trials
     t0..t1 of stub trials: trial t spans at grid index j exactly when
     j < counts[t]. Per trial, `probes` holds its probe indices, `builds` the
     index of the floor each probe below the trial's floor names for its
-    build, and `tries` (j, certificate) for each such probe that tries one:
-    "lower" for `certified`, "upper" for `bounded`. No certificate decides,
-    so every probe below the floor builds."""
+    build, and `tries` (j, certificate) for each probe that tries one, as
+    `_TrialState.spans_at` tries them (only the probe that makes the
+    trial's first build): "lower" for `certified`, "upper" for `bounded`.
+    No certificate decides, so every probe below the floor builds. The
+    protection ceiling each trial is given goes to the list `ceilings` when
+    one is passed."""
     probes, builds, tries = ([[] for _ in counts] for _ in range(3))
 
     class StubState:
-        def __init__(self, config, devices, pool, marks):
+        def __init__(self, config, devices, pool, marks, ceiling=1.0):
             self.t, self.floor = devices, math.nan  # the stub's "world" is its trial index
+            if ceilings is not None:
+                ceilings.append(ceiling)
 
         def spans_at(self, p, ends=None, floor=None):
             j = grid.index(p)
             probes[self.t].append(j)
             if not p >= self.floor:
                 assert floor is not None and floor <= p
+                if ends is not None and math.isnan(self.floor):
+                    tries[self.t].append((j, "lower" if ends else "upper"))
                 self.floor = floor
                 builds[self.t].append(grid.index(floor))
-                if ends is not None:
-                    tries[self.t].append((j, "lower" if ends else "upper"))
             return j < counts[self.t]
 
     monkeypatch.setattr(percolation, "_TrialState", StubState)
@@ -454,7 +462,9 @@ def test_warm_start_first_probes_with_stub_trials(monkeypatch):
 
     The counts cover trials that never span (1, 6), one that spans at every
     point (2), and trials below every earlier count (3, 5 and 8). Trial 1
-    walks down its prior to the warm floor 5 before it rebuilds below it.
+    splits its prior at 7, then 6, and below every count gallops down from
+    its failure at 6: 5 (the warm floor), 3 and 0, extending its edges at
+    3 and 0.
     """
     grid = tuple(j / 10 for j in range(11))  # midpoint index 5
     counts = [7, 0, 11, 3, 5, 2, 0, 9, 1, 4]
@@ -474,8 +484,8 @@ def test_warm_start_first_probes_with_stub_trials(monkeypatch):
         if count >= min(earlier, default=11):
             assert len(builds[t]) == 1
     assert [p[0] for p in probes] == [5, 7, 7, 7, 7, 5, 5, 5, 5, 5]
-    assert builds == [[5], [5, 2, 1, 0], [5], [5, 2], [2], [2, 1], [1, 0], [1], [1, 0], [0]]
-    assert probes[1] == [7, 6, 5, 2, 1, 0]
+    assert builds == [[5], [5, 3, 0], [5], [5, 3, 0], [2], [2, 1], [1, 0], [1], [1, 0], [0]]
+    assert probes[1] == [7, 6, 5, 3, 0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -488,29 +498,43 @@ def test_threshold_search_with_stub_trials(sized, data):
     anywhere into two calls: each trial gets its own count, every probe
     lies in the open interval [lo, hi) of what its earlier probes proved,
     and a trial whose count is at least the smallest earlier nonzero count
-    of its call builds its edges once. A probe below the floor tries
-    `bounded` when a failure ends the search (j == lo) and the call's
-    previous trial failed at j, else `certified` when a span ends it
-    (j == hi - 1), else neither."""
+    of its call builds its edges once. The probe that makes a trial's
+    first build tries `bounded` when a failure ends the search (j == lo)
+    and the call's previous trial failed at j, else `certified` when a
+    span ends it (j == hi - 1), else neither; no later probe tries one. A
+    trial that has failed below every
+    earlier count and not spanned probes hi - 1, hi - 2, hi - 4, ...
+    (clamped at 0). Once the call has two nonzero counts, a trial's
+    ceiling is the grid point of the largest, and it probes above that
+    point only after spanning there."""
     k, counts = sized
     cut = data.draw(st.integers(0, len(counts)))
     grid = tuple(j / k for j in range(k))
+    ceilings = []
     with pytest.MonkeyPatch.context() as monkeypatch:
-        parts = [_stub_worker(monkeypatch, grid, counts, t0, t1)
+        parts = [_stub_worker(monkeypatch, grid, counts, t0, t1, ceilings)
                  for t0, t1 in ((0, cut), (cut, len(counts)))]
     assert parts[0][0] + parts[1][0] == counts
     for (t0, t1), (_, probes, builds, tries) in zip(((0, cut), (cut, len(counts))), parts):
         for t in range(t0, t1):
-            lo, hi, floor, expected = 0, k, None, []
+            lo, hi, floor, expected, step = 0, k, None, [], 1
+            top = max(counts[t0:t], default=0)
+            ceiling = grid[top] if sum(c > 0 for c in counts[t0:t]) > 1 and top < k else 1.0
+            assert ceilings[t] == ceiling
             built = iter(builds[t - t0])
             for j in probes[t - t0]:
                 assert lo <= j < hi
-                if floor is None or j < floor:  # below the floor: it builds
-                    floor = next(built)
+                assert grid[j] <= ceiling or lo > top
+                if lo == 0 < hi < k and all(c == 0 or c > hi for c in counts[t0:t]):
+                    assert j == max(hi - step, 0)
+                    step *= 2
+                if floor is None:  # the first build: it may try a certificate
                     if j == lo and t > t0 and counts[t - 1] <= j:
                         expected.append((j, "upper"))
                     elif j == hi - 1:
                         expected.append((j, "lower"))
+                if floor is None or j < floor:  # below the floor: it builds
+                    floor = next(built)
                 lo, hi = (j + 1, hi) if j < counts[t] else (lo, j)
             assert lo == hi == counts[t]
             assert tries[t - t0] == expected
@@ -524,8 +548,10 @@ def test_certificate_tried_follows_the_previous_trial(monkeypatch):
     grid, outcomes span, fail, fail, span, span, fail, span, fail: a trial
     whose call's previous trial failed tries `bounded` ("upper"), any other
     `certified` ("lower"), the first trial of each call included. On a
-    4-point grid only a probe at lo = 0 below the floor, after a trial
-    that failed at 0, tries `bounded`."""
+    4-point grid only the probe of a trial's first build tries one, where
+    it ends the search: trials 3 and 4 split the earlier count 3 at index
+    3, the top of [0, 4), and try `certified`; their descents below that
+    build, and those of trials 0 and 1 below the midpoint, try none."""
     one = [1, 0, 0, 1, 1, 0, 1, 0]
     L, U = [(0, "lower")], [(0, "upper")]
     assert _stub_worker(monkeypatch, (1.0,), one, 0, 8)[3] == [L, L, U, U, L, L, U, L]
@@ -535,9 +561,7 @@ def test_certificate_tried_follows_the_previous_trial(monkeypatch):
     out, probes, _, tries = _stub_worker(monkeypatch, (0.0, 0.25, 0.5, 0.75), four, 0, 6)
     assert out == four
     assert probes == [[2, 1, 0], [2, 1, 0], [2, 3], [3, 2, 1, 0], [3, 2, 1, 0], [1, 3]]
-    assert tries == [[(1, "lower"), (0, "lower")], [(1, "lower"), (0, "upper")], [],
-                     [(3, "lower"), (1, "lower"), (0, "lower")],
-                     [(3, "lower"), (1, "lower"), (0, "upper")], []]
+    assert tries == [[], [], [], [(3, "lower")], [(3, "lower")], []]
 
 
 def _plain_bisection(state, p_grid) -> int:
@@ -555,43 +579,190 @@ def _plain_bisection(state, p_grid) -> int:
 def test_warm_start_builds_fewer_edge_sets():
     """Where every trial's threshold lies below the midpoint of a 31-point
     grid, a plain bisection builds each trial's edges at least twice (at the
-    midpoint, then below it). The warm start gives the same counts with
-    fewer builds: the first trial probes as the plain bisection does, and a
-    later trial whose count is at least the smallest earlier one spans at
-    its first probe and builds once. Trials 1 and 4 set a new smallest
-    count; trial 5 equals it."""
+    midpoint, then extended below it). The warm start gives the same counts
+    from fewer enumerated pairs: the first trial builds at the midpoint as
+    the plain bisection does, and a later trial whose count is at least the
+    smallest earlier one spans at its first probe and builds once. Either
+    way each trial enumerates its pairs from scratch once and extends them
+    after that. Trials 1 and 4 set a new smallest count; trial 5 equals
+    it."""
     cfg = NetworkConfig(lambda_r=0.8, r_r=2.0, lambda_f=0.15, r_f=2.0,
                         window=Window.square(30.0), master_seed=5)
     grid, trials = tuple(j / 30 for j in range(31)), 6
-    builds = []  # per trial, the floors of its edge builds
-    init, build_edges = _TrialState.__init__, _TrialState._build_edges
+    builds = []  # per trial, (floor, fresh) of its edge builds
+    pairs = [0]  # the linked pairs its scans enumerate
+    init, build_edges, scan = _TrialState.__init__, _TrialState._build_edges, CellGrid.scan
 
     def new_trial(self, *args):
         builds.append([])
         init(self, *args)
 
     def counting(self, floor):
-        builds[-1].append(floor)
-        build_edges(self, floor)
+        builds[-1].append((floor, self.best is None))
+        with mock.patch.object(CellGrid, "scan", counted_scan):
+            build_edges(self, floor)
+
+    def counted_scan(self, qx, qy, r, first=None):
+        for i, j, d2 in scan(self, qx, qy, r, first):
+            pairs[0] += int(np.count_nonzero(d2 <= r * r))
+            yield i, j, d2
 
     with mock.patch.object(_TrialState, "__init__", new_trial), \
             mock.patch.object(_TrialState, "_build_edges", counting):
         plain = [_plain_bisection(_state(cfg, cfg.lambda_f,
                                          trial_seed(cfg.master_seed, t)), grid)
                  for t in range(trials)]
-        plain_builds = [len(b) for b in builds]
+        plain_builds, plain_pairs = builds[:], pairs[0]
         builds.clear()
+        pairs[0] = 0
         warm = _threshold_worker((cfg, cfg.lambda_f, grid, 0, trials)).tolist()
-    warm_builds = [len(b) for b in builds]
+        warm_builds = builds[:]
     assert plain == [12, 10, 12, 11, 8, 8]
     assert all(0 < c <= 15 for c in plain)  # every midpoint probe fails
-    assert all(n >= 2 for n in plain_builds)
+    assert all(len(b) >= 2 for b in plain_builds)
     assert warm == plain
-    assert warm_builds[0] == plain_builds[0]
+    assert warm_builds[0][0] == plain_builds[0][0] == (grid[15], True)
+    for b in plain_builds + warm_builds:
+        assert [fresh for _, fresh in b] == [True] + [False] * (len(b) - 1)
     for t in range(1, trials):
         if plain[t] >= min(plain[:t]):
-            assert warm_builds[t] == 1
-    assert sum(warm_builds) < sum(plain_builds)
+            assert len(warm_builds[t]) == 1
+    assert pairs[0] < plain_pairs
+
+
+def _scaled_worlds(cfg, devices, pool, marks, scales):
+    """Per trial seed of `cfg`'s trials 0.., the world (devices, pool,
+    marks * scale): thinning the pool by marks scaled down by s keeps at p
+    what the world keeps at p / s, so a trial's count rises with its
+    scale."""
+    return {trial_seed(cfg.master_seed, t): (devices, pool, marks * s)
+            for t, s in enumerate(scales)}
+
+
+@SETTINGS
+@given(worlds(), p_grids, st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5), st.data())
+def test_worker_counts_through_ceilings_and_galloping(world, p_grid, scales, data):
+    """Trials on one world with its marks scaled by `scales`, then by 1 and
+    0.1, so that the call's counts end with one at least every earlier one
+    (a probe above the ceiling finishes the protection scan) and one at most
+    every earlier one (a trial below them gallops down, extending its
+    edges): `_threshold_worker` gives each trial a plain bisection's count
+    on a fresh state, in one call and cut into two."""
+    cfg, lambda_pool, tseed = world
+    scales = scales + [1.0, 0.1]
+    worlds_by_seed = _scaled_worlds(cfg, *sample_world(cfg, tseed, lambda_pool), scales)
+    plain = [_plain_bisection(_TrialState(cfg, *worlds_by_seed[trial_seed(cfg.master_seed, t)]),
+                              p_grid) for t in range(len(scales))]
+    common = (cfg, lambda_pool, tuple(p_grid))
+    cut = data.draw(st.integers(1, len(scales) - 1))
+    with mock.patch.object(percolation, "sample_world",
+                           lambda config, ts, pool_intensity: worlds_by_seed[ts]):
+        whole = _threshold_worker(common + (0, len(scales))).tolist()
+        split = np.concatenate([_threshold_worker(common + (0, cut)),
+                                _threshold_worker(common + (cut, len(scales)))]).tolist()
+    assert whole == split == plain
+
+
+def test_worker_completes_the_scan_and_gallops():
+    """On the 31-point grid of `test_warm_start_builds_fewer_edge_sets`,
+    trials on its trial-0 world with marks scaled by 0.8, 0.9, 1 and 0.3
+    count 10, 11, 12 and 4. The third trial's ceiling is grid point 11,
+    where it spans, so one probe above it finishes its protection scan;
+    the fourth fails below every count and gallops down, extending its
+    edges below its failed build. The counts are a plain bisection's."""
+    cfg = NetworkConfig(lambda_r=0.8, r_r=2.0, lambda_f=0.15, r_f=2.0,
+                        window=Window.square(30.0), master_seed=5)
+    grid = tuple(j / 30 for j in range(31))
+    worlds_by_seed = _scaled_worlds(cfg, *sample_world(cfg, trial_seed(5, 0), cfg.lambda_f),
+                                    (0.8, 0.9, 1.0, 0.3))
+    calls = {"ceilings": [], "completions": 0, "probes": [], "extensions": 0}
+    init, complete, build_edges = (_TrialState.__init__, _TrialState._complete,
+                                   _TrialState._build_edges)
+
+    def new_trial(self, config, devices, pool, marks, ceiling=1.0):
+        calls["ceilings"].append(ceiling)
+        calls["probes"].append([])
+        init(self, config, devices, pool, marks, ceiling)
+
+    def completing(self):
+        calls["completions"] += 1
+        complete(self)
+
+    def building(self, floor):
+        calls["extensions"] += self.best is not None
+        build_edges(self, floor)
+
+    spans_at = _TrialState.spans_at
+
+    def probing(self, p, *args):
+        calls["probes"][-1].append(grid.index(p))
+        return spans_at(self, p, *args)
+
+    with mock.patch.object(percolation, "sample_world",
+                           lambda config, ts, pool_intensity: worlds_by_seed[ts]), \
+            mock.patch.object(_TrialState, "__init__", new_trial), \
+            mock.patch.object(_TrialState, "_complete", completing), \
+            mock.patch.object(_TrialState, "_build_edges", building), \
+            mock.patch.object(_TrialState, "spans_at", probing):
+        counts = _threshold_worker((cfg, cfg.lambda_f, grid, 0, 4)).tolist()
+    plain = [_plain_bisection(_TrialState(cfg, *worlds_by_seed[trial_seed(5, t)]), grid)
+             for t in range(4)]
+    assert counts == plain == [10, 11, 12, 4]
+    assert calls["ceilings"] == [1.0, 1.0, grid[11], grid[12]]
+    assert calls["completions"] == 1 and max(calls["probes"][2]) > 11
+    assert calls["extensions"] > 0
+    # below the counts 10 to 12, trial 3 gallops from its failure at hi: hi - 1, ...
+    lo, hi, step = 0, 31, 1
+    for j in calls["probes"][3]:
+        if lo == 0 and hi < 10:
+            assert j == max(hi - step, 0)
+            step *= 2
+        lo, hi = (j + 1, hi) if j < 4 else (lo, j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_worlds(), st.floats(0.0, 1.0, exclude_max=True), st.data())
+def test_ceiling_state_answers_as_the_full_scan(world, ceiling, data):
+    """A state that scans only the pool firewalls with mark < `ceiling`
+    has the full scan's min_mark wherever that is below the ceiling and
+    inf elsewhere, and answers every probe at p <= ceiling (descending,
+    then ascending, then at the ceiling) as the device-level reference
+    does. A probe above the ceiling finishes the scan: min_mark and the
+    strip weights are then the full scan's, and every later probe, at any
+    p, answers as the reference."""
+    cfg, sampled = world
+    state, full = _TrialState(cfg, *sampled, ceiling), _TrialState(cfg, *sampled)
+    below = full.min_mark < ceiling
+    assert state.min_mark[below].tolist() == full.min_mark[below].tolist()
+    assert np.isinf(state.min_mark[~below]).all()
+    ps = data.draw(st.lists(st.floats(0.0, ceiling), min_size=1, max_size=5))
+    for p in sorted(ps, reverse=True) + sorted(ps) + [ceiling]:
+        assert state.spans_at(p) == world_spans(cfg, *sampled, p)
+    above = data.draw(st.floats(ceiling, 1.0, exclude_min=True))
+    assert state.spans_at(above) == world_spans(cfg, *sampled, above)
+    assert state.min_mark.tolist() == full.min_mark.tolist()
+    assert np.array_equal(state.strip_w, full.strip_w)
+    for p in data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5)):
+        assert state.spans_at(p) == world_spans(cfg, *sampled, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_worlds(), st.data())
+def test_band_extensions_equal_one_fresh_build(world, data):
+    """Builds at descending floors (random fractions and exact min_mark
+    values), each below the last adding only the band of devices between
+    the two floors, leave the edges of one fresh build at the last floor."""
+    cfg, sampled = world
+    state, fresh = _TrialState(cfg, *sampled), _TrialState(cfg, *sampled)
+    exact = sorted(set(state.min_mark[np.isfinite(state.min_mark)].tolist()))
+    p = st.floats(0.0, 1.0)
+    floors = data.draw(st.lists(st.one_of(p, st.sampled_from(exact)) if exact else p,
+                                min_size=1, max_size=5, unique=True))
+    for floor in sorted(floors, reverse=True):
+        state._build_edges(floor)
+    fresh._build_edges(min(floors))
+    for name in ("edge_a", "edge_b", "edge_w"):
+        assert np.array_equal(getattr(state, name), getattr(fresh, name))
 
 
 @SETTINGS
@@ -658,15 +829,16 @@ sized_p_grids = st.one_of(st.just([1.0]), p_grids.map(lambda g: g[:1]),
 def test_worker_counts_do_not_depend_on_the_certificate(world, p_grid, cut):
     """Trials 0..16, split at `cut` into two calls, give the same counts
     with both certificates (`certified` and `bounded`) disabled. They are
-    tried only at probes below the floor, and each probe one decides
-    spares exactly one edge build: it changes no other build."""
+    tried only at probes that would make a trial's first build (no slot
+    weights yet), and each probe one decides spares exactly one edge
+    build: it changes no other build."""
     cfg, lambda_pool, _ = world
     common = (cfg, lambda_pool, tuple(p_grid))
     build_edges = _TrialState._build_edges
 
     def checked(certificate):
         def call(self, p):
-            assert not p >= self.floor
+            assert self.best is None and not p >= self.floor
             return certificate(self, p)
         return call
 
@@ -991,21 +1163,24 @@ def test_columnar_binning_matches_row_binning(cloud):
 
 
 @SETTINGS
-@given(st.booleans(), st.integers(1, 300), st.data())
-def test_binning_order_is_the_stable_sort_of_the_ids(wide, n, data):
-    """On grids of at most 2**16 cells (sorted as 16-bit keys) and of more
-    (sorted as int64), `CellGrid.binned` orders the points as the stable
-    sort of their cell ids. Points share a few cells, so ties are many, and
-    the corner point makes the grid 256 x 256 = 2**16 cells or 300 x 300."""
-    top = 300 if wide else 256
+@given(st.sampled_from([256, 300, 65_536, 65_537]), st.integers(1, 300), st.data())
+def test_binning_order_is_the_stable_sort_of_the_ids(top, n, data):
+    """On grids of at most 2**16 cells (sorted as 16-bit keys), of up to
+    2**32 (two 16-bit passes) and of more (sorted as int64), `CellGrid.binned`
+    orders the points as the stable sort of their cell ids. Points share a
+    few cells, so ties are many, and the corner point makes the grid
+    `top` x `top`: 2**16 cells, 300**2, 2**32 or just above, once over
+    every point and once over the corner and one other point."""
     cells = data.draw(st.lists(st.tuples(st.integers(0, top - 1), st.integers(0, top - 1)),
                                min_size=1, max_size=8))
     pick = data.draw(st.lists(st.integers(0, len(cells) - 1), min_size=n, max_size=n))
-    xy = np.array([(top - 1, top - 1)] + [cells[k] for k in pick], dtype=float) + 0.5
-    grid, order = CellGrid.binned(xy[:, 0].copy(), xy[:, 1].copy(), (0.0, 0.0), 1.0)
-    assert (grid.n_cols * grid.stride > 2 ** 16) == wide
-    ids = (xy[:, 0] // 1).astype(np.int64) * top + (xy[:, 1] // 1).astype(np.int64)
-    assert np.array_equal(order, np.argsort(ids, kind="stable"))
+    for xy in ([(top - 1, top - 1)] + [cells[k] for k in pick],
+               [(top - 1, top - 1), cells[0]]):
+        xy = np.array(xy, dtype=float) + 0.5
+        grid, order = CellGrid.binned(xy[:, 0].copy(), xy[:, 1].copy(), (0.0, 0.0), 1.0)
+        assert grid.n_cols * grid.stride == top * top
+        ids = (xy[:, 0] // 1).astype(np.int64) * top + (xy[:, 1] // 1).astype(np.int64)
+        assert np.array_equal(order, np.argsort(ids, kind="stable"))
 
 
 def _searchsorted_edges(state, floor):
