@@ -29,8 +29,8 @@ from .bounds import closed_face_probability
 from .network import NetworkConfig, check_sample_means
 from .percolation import MAX_GRID_POINTS, NoDevicesError, SearchExhaustedError, \
     build_isg, check_cell_grid, critical_grid, estimate_percolation_probability, \
-    find_critical_firewall_intensity, sweep_lambda_f, sweep_protected_fraction, \
-    write_critical_csv, write_sweep_csv
+    SharedPool, find_critical_firewall_intensity, sweep_lambda_f, \
+    sweep_protected_fraction, write_critical_csv, write_sweep_csv
 from .spatial import Window, open_csv, trial_seed
 
 __all__ = ["AxisSpec", "ExperimentSpec", "run", "main"]
@@ -489,17 +489,20 @@ def _assemble_spec(args) -> ExperimentSpec:
 
 def run(spec: ExperimentSpec, table: bool = False) -> int:
     """Validate the spec, then execute the experiment; returns a process exit
-    status. The one validation of a command-line run happens here."""
+    status. The one validation of a command-line run happens here. All the
+    command's fan-outs share one process pool, whose workers are joined
+    before this returns or raises."""
     spec.validate()
-    if spec.command == "sweep":
-        return _run_sweep(spec)
-    if spec.command == "critical":
-        return _run_critical(spec)
-    if spec.command == "bounds":
-        return _run_bounds(spec, table)
-    if spec.command == "validate":
-        return _run_validate(spec)
-    return _run_protected(spec)
+    with SharedPool():
+        if spec.command == "sweep":
+            return _run_sweep(spec)
+        if spec.command == "critical":
+            return _run_critical(spec)
+        if spec.command == "bounds":
+            return _run_bounds(spec, table)
+        if spec.command == "validate":
+            return _run_validate(spec)
+        return _run_protected(spec)
 
 
 def main(argv=None) -> int:

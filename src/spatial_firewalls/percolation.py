@@ -113,6 +113,7 @@ from .spatial import open_csv, trial_seed
 
 __all__ = [
     "PercolationEstimate",
+    "SharedPool",
     "CriticalSearchResult",
     "ProtectedFractionEstimate",
     "SearchExhaustedError",
@@ -662,19 +663,53 @@ def _protected_worker(args) -> np.ndarray:
     return out
 
 
+class SharedPool:
+    """`with SharedPool():` makes every fan-out in the block (`_run_chunked`)
+    reuse one process pool, made at the first fan-out and shut down, its
+    workers joined, when the block ends, however it ends. Outside such a
+    block each fan-out makes and joins its own pool. The pool is sized by
+    the first fan-out, so the block suits calls that share `trials` and
+    `workers`, as one command's do."""
+
+    current = None  # the innermost open block
+
+    def __enter__(self):
+        self.pool, self.outer, SharedPool.current = None, SharedPool.current, self
+        return self
+
+    def __exit__(self, *exc_info):
+        SharedPool.current = self.outer
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
+
+
 def _run_chunked(worker, common, trials: int, workers: int) -> np.ndarray:
-    """Run `worker` over trial ranges, deterministically in trial order."""
-    workers = min(workers, trials)
-    if workers <= 1:
+    """Run `worker` over min(workers, trials) trial ranges, deterministically
+    in trial order. More than one range fans out over a process pool of at
+    most one process per CPU: the open `SharedPool`'s, or one of its own."""
+    chunks = min(workers, trials)
+    if chunks <= 1:
         return worker(common + (0, trials))
     # only a fan-out pays for the pool's import (multiprocessing, ~25 ms)
+    import os
     from concurrent.futures import ProcessPoolExecutor
-    bounds = np.linspace(0, trials, workers + 1, dtype=int)
-    chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, common + (a, b)) for a, b in chunks]
-        parts = [f.result() for f in futures]
-    return np.concatenate(parts, axis=0)
+    shared = SharedPool.current
+    pool = None if shared is None else shared.pool
+    if pool is None:
+        # the fork start method starts every process at the first submit
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        pool = ProcessPoolExecutor(max_workers=min(chunks, cpus))
+        if shared is not None:
+            shared.pool = pool
+    bounds = np.linspace(0, trials, chunks + 1, dtype=int)
+    try:
+        futures = [pool.submit(worker, common + (int(a), int(b)))
+                   for a, b in zip(bounds[:-1], bounds[1:])]
+        return np.concatenate([f.result() for f in futures], axis=0)
+    finally:
+        if shared is None:
+            pool.shutdown(cancel_futures=True)
 
 
 def estimate_percolation_probability(config: NetworkConfig, trials: int,

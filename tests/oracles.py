@@ -2,6 +2,8 @@
 full dx*dx + dy*dy matrix and every component from SciPy's
 `connected_components`, so no reference runs the package's cell grid or
 labelling. The worlds the tests build are small."""
+from dataclasses import replace
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
@@ -96,3 +98,24 @@ def certificate_spans(xy, cell_id, stride, n_cells, window, r):
     _, labels = connected_components(sparse.csr_matrix(linked), directed=False)
     lr, bt = spans(xy, labels, window, r)
     return lr and bt
+
+
+def dependent_edges(reference):
+    """How many edges of the coupling lattice, of both orientations and the
+    reference itself included, have a dependency region
+    (`SquareEdge.a_region`) whose interior overlaps the reference edge's.
+    Regions that only touch, to within 1e-9 of a side for rounding, do not
+    overlap. Counted by testing every edge whose indices lie within a wide
+    margin of the reference's, so no closed form enters."""
+    x0, y0, x1, y1 = reference.a_region()
+    s = reference.side
+    reach = int((x1 - x0 + y1 - y0) / s) + 1  # past any region's width or height
+    count = 0
+    for orientation in ("h", "v"):
+        for i in range(reference.i - reach, reference.i + reach + 1):
+            for j in range(reference.j - reach, reference.j + reach + 1):
+                u0, v0, u1, v1 = replace(reference, orientation=orientation,
+                                         i=i, j=j).a_region()
+                count += (min(x1, u1) - max(x0, u0) > 1e-9 * s
+                          and min(y1, v1) - max(y0, v0) > 1e-9 * s)
+    return count

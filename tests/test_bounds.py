@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from oracles import dependent_edges
+
 from spatial_firewalls.bounds import (CIRCUIT_BASE, LambdaC1, classify_regime,
                                       closed_face_probability,
                                       critical_intensity_upper_bound,
@@ -14,6 +16,7 @@ from spatial_firewalls.bounds import (CIRCUIT_BASE, LambdaC1, classify_regime,
                                       protected_fraction, safe_d2d_range,
                                       subcritical_sufficient_intensity,
                                       supercritical_sufficient_bound)
+from spatial_firewalls.lattice import SquareEdge
 from spatial_firewalls.network import NetworkConfig
 from spatial_firewalls.spatial import Window
 
@@ -72,6 +75,23 @@ def test_dependency_counts_formula_consistency():
         assert geom.region_cell_count == a * b
         assert geom.dependent_edge_count == 8 * a * b - 2 * a - 6 * b + 1
         assert a == b + 1
+
+
+@pytest.mark.parametrize("ratio, c", [(0.67, 1), (1.0, 1), (1.68, 2), (2.0, 2),
+                                      (2.24, 3), (3.0, 3), (3.35, 4), (4.0, 4)])
+@pytest.mark.parametrize("orientation", ["h", "v"])
+def test_dependent_edge_count_counts_overlapping_regions(ratio, c, orientation):
+    """At r_r = 2 (side s = 2 / sqrt 5) and r_f = ratio * s, the edges whose
+    dependency regions overlap a reference edge's, counted geometrically,
+    number what `dependency_counts` gives. It refuses r_f < r_r, so at
+    c = 1 and 2 the count is held to 8ab - 2a - 6b + 1 written out (71 and
+    199)."""
+    side = 2.0 / math.sqrt(5.0)
+    reference = SquareEdge(orientation, 3, -2, side, ratio * side, origin=(0.5, -1.25))
+    assert math.ceil(ratio - 1e-9) == c
+    expected = ({1: 71, 2: 199}.get(c)
+                or dependency_counts(ratio * side, 2.0).dependent_edge_count)
+    assert dependent_edges(reference) == expected
 
 
 def test_dependency_counts_requires_rf_geq_rr():

@@ -1,10 +1,11 @@
 """End-to-end runs of every subcommand through the argparse entry point."""
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -573,3 +574,108 @@ def test_one_trial_stays_in_process():
         two = percolation._run_chunked(percolation._threshold_worker, common, 1, 2)
     one = percolation._run_chunked(percolation._threshold_worker, common, 1, 1)
     assert np.array_equal(two, one)
+
+
+# a command at --workers 2 over several axis points (critical: 2, sweep: 3,
+# protected: 3), each point a fan-out of 4 trials
+_FAN_OUTS = {
+    "critical": ["critical", "--axis", "lambda_r", "--start", "1.5", "--stop", "2",
+                 "--step", "0.5", "--window-size", "20", "--search-step", "0.05"],
+    "sweep": ["sweep", "--lambda-f", "0.05", "--axis", "lambda_r", "--start", "0.8",
+              "--stop", "1.6", "--step", "0.4", "--window-size", "20"],
+    "protected": ["protected", "--lambda-r", "0.5", "--window-size", "20", "--axis",
+                  "lambda_f", "--start", "0.05", "--stop", "0.15", "--step", "0.05"],
+}
+
+
+def _count_pools():
+    """Patch that counts the process pools constructed, constructing each."""
+    return mock.patch.object(ProcessPoolExecutor, "__init__", autospec=True,
+                             side_effect=ProcessPoolExecutor.__init__)
+
+
+@pytest.mark.parametrize("command", sorted(_FAN_OUTS))
+def test_axis_points_share_one_pool(command, tmp_path):
+    """At `--workers 2` every axis point of a command fans out over one
+    pool, whose workers are joined before `main` returns, and the body is
+    `--workers 1`'s, which constructs none."""
+    bodies = []
+    for workers in (1, 2):
+        out = tmp_path / f"{workers}.csv"
+        with _count_pools() as made:
+            assert main(_FAN_OUTS[command] + ["--trials", "4", "--seed", "5", "--workers",
+                                              str(workers), "--out", str(out)]) == 0
+        assert made.call_count == workers - 1
+        assert multiprocessing.active_children() == []
+        bodies.append(_body(out))
+    assert bodies[0] == bodies[1]
+    assert len(bodies[0]) == (3 if command == "critical" else 4)
+
+
+def test_no_pool_worker_outlives_a_failed_command(tmp_path):
+    """The pool is joined on exit 1, a search exhausted at its first
+    lambda_r, and when the command raises after its fan-outs."""
+    exhausted = ["critical", "--axis", "lambda_r", "--start", "0.8", "--stop", "1.0",
+                 "--step", "0.2", "--window-size", "40", "--trials", "5",
+                 "--lambda-f-max", "0.004", "--search-step", "0.002", "--workers", "2",
+                 "--out", str(tmp_path / "crit.csv")]
+    with _count_pools() as made:
+        assert main(exhausted) == 1
+    assert made.call_count == 1
+    assert multiprocessing.active_children() == []
+    with _count_pools() as made, \
+            mock.patch.object(cli, "write_sweep_csv", side_effect=RuntimeError("boom")):
+        with pytest.raises(RuntimeError, match="boom"):
+            main(_FAN_OUTS["sweep"] + ["--trials", "4", "--workers", "2"])
+    assert made.call_count == 1
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_pool_never_outnumbers_the_cpus(affinity, monkeypatch):
+    """`workers` far above the CPU count makes a pool of one process per
+    CPU, counted by `os.sched_getaffinity` where it exists and by
+    `os.cpu_count` elsewhere, while the trials still split into
+    min(workers, trials) ranges. Outside a `SharedPool` each call makes and
+    shuts down its own pool; inside one, the calls share a pool, shut down
+    when the block ends."""
+    sizes, ranges, shutdowns = [], [], []
+
+    class InlinePool:
+        """Stand-in for ProcessPoolExecutor that records its size, the trial
+        ranges submitted and its shutdowns, and runs each range in this
+        process: it starts nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def submit(self, fn, args):
+            ranges.append(args[-2:])
+            future = Future()
+            future.set_result(fn(args))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            shutdowns.append(self)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+
+    def worker(args):
+        return np.arange(args[-2], args[-1])
+
+    out = percolation._run_chunked(worker, (), 5000, 5000)
+    assert out.tolist() == list(range(5000))
+    assert ranges == [(t, t + 1) for t in range(5000)]
+    assert (sizes, len(shutdowns)) == ([3], 1)
+    percolation._run_chunked(worker, (), 7, 2)
+    assert (sizes, len(shutdowns)) == ([3, 2], 2)
+    with percolation.SharedPool():
+        for _ in range(3):
+            assert percolation._run_chunked(worker, (), 8, 8).tolist() == list(range(8))
+        assert (sizes, len(shutdowns)) == ([3, 2, 3], 2)
+    assert len(shutdowns) == 3
