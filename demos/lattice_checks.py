@@ -42,7 +42,7 @@ for k, (lam_r, mult) in enumerate([(0.5, 0.2), (0.9, 0.5), (1.5, 0.9),
                                    (2.5, 0.0), (0.8, 1.2)]):
     cfg = NetworkConfig(lambda_r=lam_r, r_r=R_R, lambda_f=mult * base, r_f=R_R,
                         window=Window.square(50.0), master_seed=2)
-    violations += verify_open_edge_coupling(build_isg(cfg, trial_seed(2, k)))
+    violations += verify_open_edge_coupling(build_isg(cfg, trial_seed(2, k))).violations
 print(f"\nopen-edge coupling over 5 mixed realizations: {violations} violations")
 
 n_43 = count_dependent_edges_bruteforce(4, 3)

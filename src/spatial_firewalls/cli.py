@@ -355,7 +355,7 @@ def _run_validate(spec: ExperimentSpec) -> int:
     for _ in range(spec.coupling_realizations):
         k, cfg = next(gen)
         realization = build_isg(cfg, trial_seed(spec.master_seed, 2000 + k))
-        check = verify_open_edge_coupling(realization, detail=True)
+        check = verify_open_edge_coupling(realization)
         violations += check.violations
         open_edges += check.open_edges
     rows.append(("open_edge_coupling", spec.coupling_realizations, violations,

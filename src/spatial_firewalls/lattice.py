@@ -349,15 +349,14 @@ def check_coupling_lattice(config: NetworkConfig) -> None:
                          "cells; raise r_r or shrink the window")
 
 
-def verify_open_edge_coupling(realization: Realization,
-                              detail: bool = False) -> int | OpenEdgeCheck:
+def verify_open_edge_coupling(realization: Realization) -> OpenEdgeCheck:
     """Check the local cluster property on every open edge inside the window.
 
     For each open edge, asserts that (i) every device pair inside the two
     squares is within the D2D range, (ii) all those devices are susceptible,
-    and (iii) they share one ISG component. Returns the number of edges
-    violating any clause (the coupling argument predicts 0), or the full
-    tally when detail=True.
+    and (iii) they share one ISG component. Returns the tally, whose
+    `violations` counts the edges violating any clause (the coupling
+    argument predicts 0).
 
     The lattice starts at the window corner. Clause (i) holds on an edge
     whose two cells' bounding box, w by h, has w*w + h*h <= r_r**2: rounded
@@ -375,7 +374,7 @@ def verify_open_edge_coupling(realization: Realization,
     n_cols = int(math.floor(w.width / s))
     n_rows = int(math.floor(w.height / s))
     if n_cols < 1 or n_rows < 2:
-        return OpenEdgeCheck(0, 0, 0) if detail else 0
+        return OpenEdgeCheck(0, 0, 0)
     origin = (w.x_min, w.y_min)
 
     # firewalls in the (2c+1) x (2c+1) cells around each cell, as a
@@ -408,10 +407,8 @@ def verify_open_edge_coupling(realization: Realization,
 
     # per-cell min and max of x, y and the ISG label, which reads -1 on a
     # protected device (labels are small integers, exact as floats)
-    label = np.full(realization.devices.n, -1.0)
-    label[realization.isg.vertices] = realization.isg.component_label
-    label[realization.is_protected] = -1.0
-    tally = np.column_stack([realization.devices.points, label]).take(binned, axis=0)
+    tally = np.column_stack([realization.devices.points, realization.label]
+                            ).take(binned, axis=0)
     lo = np.full((n_cols * n_rows, 3), np.inf)
     hi = -lo
     np.minimum.at(lo, cell, tally)
@@ -432,7 +429,7 @@ def verify_open_edge_coupling(realization: Realization,
 
     # clause (ii): no label -1; clause (iii): a single label
     violations = int((far | (lo[:, 2] < 0) | (hi[:, 2] != lo[:, 2])).sum())
-    return OpenEdgeCheck(violations, len(a), edges.shape[1]) if detail else violations
+    return OpenEdgeCheck(violations, len(a), edges.shape[1])
 
 
 def count_dependent_edges_bruteforce(a: int, b: int) -> int:
@@ -440,8 +437,10 @@ def count_dependent_edges_bruteforce(a: int, b: int) -> int:
     the maximal region around a reference edge whose edges all depend on it
     for a dependency region of a x b cells (a, b >= 2).
 
-    Horizontal and vertical edges counted separately by explicit iteration;
-    serves as the independent oracle for the closed-form count.
+    Horizontal and vertical edges counted separately by explicit iteration.
+    This is the closed form 8ab - 2a - 6b + 1 rearranged, not an independent
+    check of it: that is `tests/oracles.dependent_edges`, which counts the
+    edges whose dependency regions overlap a reference edge's.
     """
     a, b = int(a), int(b)
     if a < 2 or b < 2:

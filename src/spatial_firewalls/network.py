@@ -1,5 +1,5 @@
-"""Per-trial world sampling, the spatial index, and the types of the
-infection-susceptible graph (ISG).
+"""Per-trial world sampling, the spatial index, and the realization type,
+which labels each device by its infection-susceptible graph (ISG) component.
 
 Devices connect when within the D2D range r_r of each other (closed ball).
 A device is protected when some firewall lies within r_f of it (closed ball:
@@ -24,7 +24,6 @@ from .spatial import PointSet, Window, sample_ppp, split_seed
 
 __all__ = [
     "NetworkConfig",
-    "IsgGraph",
     "Realization",
     "sample_world",
 ]
@@ -52,7 +51,8 @@ class NetworkConfig:
 
     Firewalls are sampled on the window expanded by `firewall_margin` on each
     side; the default 0 samples both processes on the same window. Firewalls
-    are assumed to outrange devices (r_f >= r_r) unless explicitly overridden.
+    must outrange devices (r_f >= r_r); `allow_small_firewall_range=True`
+    lifts that check, which the command line never does.
     """
 
     lambda_r: float
@@ -85,8 +85,8 @@ class NetworkConfig:
                 raise ValueError(f"{name} = {r:.6g} is too small: its square "
                                  "underflows to 0")
         if self.r_f < self.r_r and not self.allow_small_firewall_range:
-            raise ValueError(
-                "r_f < r_r; set allow_small_firewall_range=True to override")
+            raise ValueError(f"r_f < r_r ({self.r_f:.6g} < {self.r_r:.6g}): firewalls "
+                             "must outrange devices; raise r_f to at least r_r")
         if not (math.isfinite(self.firewall_margin) and self.firewall_margin >= 0):
             raise ValueError("firewall_margin must be finite and >= 0")
         if self.master_seed < 0:
@@ -97,36 +97,20 @@ class NetworkConfig:
 
 
 @dataclass(frozen=True)
-class IsgGraph:
-    """Components of the fixed-radius graph over a subset of device indices.
-
-    `vertices[i]` is the device index of local vertex i and
-    `component_label[i]` its component: the root of its cell's node in the
-    trial kernel's labelling. Two vertices share a label exactly when they
-    share a component, which is all that clause (iii) of
-    `lattice.verify_open_edge_coupling` compares; the labels are not
-    numbered 0..n_components-1.
-    """
-
-    vertices: np.ndarray
-    component_label: np.ndarray
-    n_components: int
-
-    def __post_init__(self):
-        self.vertices.setflags(write=False)
-        self.component_label.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class Realization:
-    """One sampled world: devices, firewalls, the protected flag of each
-    device and the ISG."""
+    """One sampled world: devices, firewalls and each device's ISG label.
+
+    `label[i]`, in sampling order, is -1 when device i is protected, else the
+    root of its cell's node in the trial kernel's labelling: two susceptible
+    devices share a label exactly when they share an ISG component."""
 
     config: NetworkConfig
     devices: PointSet
     firewalls: PointSet
-    is_protected: np.ndarray
-    isg: IsgGraph
+    label: np.ndarray
+
+    def __post_init__(self):
+        self.label.setflags(write=False)
 
 
 class CellGrid:

@@ -107,7 +107,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import LC1_APPROX
-from .network import (CellGrid, IsgGraph, NetworkConfig, Realization,
+from .network import (CellGrid, NetworkConfig, Realization,
                       _component_roots, sample_world)
 from .spatial import open_csv, trial_seed
 
@@ -516,22 +516,14 @@ class _TrialState:
 def build_isg(config: NetworkConfig, tseed: int) -> Realization:
     """Sample trial seed `tseed`'s world at config.lambda_f and read its ISG
     off the trial kernel at p = 1, where every firewall is kept: a device is
-    protected when min_mark < 1, and its component label is its node's root."""
+    protected (label -1) when min_mark < 1, and otherwise labelled by its
+    node's root."""
     devices, firewalls, marks = sample_world(config, tseed, config.lambda_f)
     state = _TrialState(config, devices, firewalls, marks)
-    root = np.empty(devices.n, dtype=np.int64)
-    root[state.order] = state.roots(1.0).take(state.node)
-    is_protected = np.empty(devices.n, dtype=bool)
-    is_protected[state.order] = state.min_mark < 1.0
-    is_protected.setflags(write=False)
-    vertices = np.flatnonzero(~is_protected)
-    labels = root.take(vertices)
-    # the distinct roots, counted without np.unique: in NumPy 2.4 it imports
-    # numpy.ma, 11-14 ms in a fresh interpreter
-    n_components = int(np.count_nonzero(np.bincount(labels)))
-    return Realization(config=config, devices=devices, firewalls=firewalls,
-                       is_protected=is_protected,
-                       isg=IsgGraph(vertices, labels, n_components))
+    label = np.empty(devices.n, dtype=np.int64)
+    label[state.order] = np.where(state.min_mark < 1.0, -1,
+                                  state.roots(1.0).take(state.node))
+    return Realization(config=config, devices=devices, firewalls=firewalls, label=label)
 
 
 def _split(seen: list, lo: int, hi: int) -> int:

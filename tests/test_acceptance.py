@@ -168,7 +168,7 @@ def test_criterion_10_lattice_couplings():
                                     window=Window.square(50.0),
                                     master_seed=30 + seed)
                 check = verify_open_edge_coupling(
-                    build_isg(cfg, trial_seed(30 + seed, k)), detail=True)
+                    build_isg(cfg, trial_seed(30 + seed, k)))
                 violations += check.violations
                 open_edges += check.open_edges
                 k += 1

@@ -216,6 +216,21 @@ def test_protected_axis_point_below_r_r(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "r_f", "--start", "1", "--stop", "1", "--step", "1",
+     "--trials", "2"],
+    ["bounds", "--r-f", "1", "--r-r", "2"],
+])
+def test_small_firewall_range_error_names_what_the_cli_can_change(argv, capsys):
+    """r_f below r_r is refused with what to raise, not with the library's
+    `allow_small_firewall_range`, which no flag or spec field sets."""
+    rc = main(argv)
+    err = capsys.readouterr().err
+    _assert_spec_error_text(rc, err, "r_f < r_r")
+    assert "raise r_f to at least r_r" in err
+    assert "allow_small_firewall_range" not in err
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = {"command": "sweep", "lambda_r": 0.5, "window_size": 30, "trials": 3,
            "master_seed": 4,

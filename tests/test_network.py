@@ -27,6 +27,14 @@ def _isg_of(xy, r, firewalls=()):
         return build_isg(cfg, 0)
 
 
+def _isg(r):
+    """The ISG of realization r: its vertices (the devices labelled >= 0),
+    their labels and its number of components (of distinct labels)."""
+    vertices = np.flatnonzero(r.label >= 0)
+    labels = r.label.take(vertices)
+    return vertices, labels, len(np.unique(labels))
+
+
 def _min_d2(devices, firewalls, r, side):
     """`CellGrid.min_within` of the firewalls over the devices, binned on
     cells of `side` from the corner of their window, in the devices' order."""
@@ -103,18 +111,18 @@ def test_classify_boundary_inclusive():
     fw = _pset([[0.0, 0.0]])
     assert _min_d2(_pset(xy), fw, 2.0, 0.8).tolist() == [4.0, np.inf, np.inf]
     assert _protected_share(_pset(xy), fw, 2.0) == 1 / 3
-    assert _isg_of(xy, 2.0, [[0.0, 0.0]]).is_protected.tolist() == [True, False, False]
+    assert (_isg_of(xy, 2.0, [[0.0, 0.0]]).label < 0).tolist() == [True, False, False]
 
 
 def test_classify_partition():
     cfg = NetworkConfig(lambda_r=0.8, r_r=2, lambda_f=0.05, r_f=2,
                         window=Window.square(40), master_seed=11)
     r = build_isg(cfg, trial_seed(11, 0))
-    protected = r.is_protected
-    # one read-only flag per device index
-    assert protected.shape == (r.devices.n,) and protected.dtype == bool
+    protected = r.label < 0
+    # one read-only label per device index
+    assert r.label.shape == (r.devices.n,) and r.label.dtype == np.int64
     assert 0 < protected.sum() < r.devices.n
-    assert not protected.flags.writeable
+    assert not r.label.flags.writeable
 
 
 def test_classify_matches_coverage_formula():
@@ -136,8 +144,9 @@ def test_rgg_edge_at_exact_radius():
     r_r apart (offsets 3, 4 at r_r = 5) are linked, and a third one ulp
     beyond r_r of the second is not."""
     r = _isg_of([[10.0, 10.0], [13.0, 14.0], [13.0, np.nextafter(19.0, np.inf)]], 5.0)
-    assert r.isg.vertices.tolist() == [0, 1, 2]
-    assert same_partition(r.isg.component_label, [0, 0, 1]) and r.isg.n_components == 2
+    vertices, labels, k = _isg(r)
+    assert vertices.tolist() == [0, 1, 2]
+    assert same_partition(labels, [0, 0, 1]) and k == 2
 
 
 def test_tiny_range_on_a_normal_window():
@@ -158,13 +167,14 @@ def test_tiny_range_on_a_normal_window():
 
 def test_rgg_coincident_points_are_linked():
     # floating-point duplicates are tolerated: distance 0 <= radius is an edge
-    r = _isg_of([[1.0, 1.0], [50.0, 50.0], [1.0, 1.0]], 0.5)
-    assert same_partition(r.isg.component_label, [0, 1, 0]) and r.isg.n_components == 2
+    _, labels, k = _isg(_isg_of([[1.0, 1.0], [50.0, 50.0], [1.0, 1.0]], 0.5))
+    assert same_partition(labels, [0, 1, 0]) and k == 2
 
 
 def test_rgg_all_singletons():
-    r = _isg_of([[10.0, 10.0], [20.0, 10.0], [10.0, 20.0], [20.0, 20.0]], 5.0)
-    assert r.isg.n_components == 4 and same_partition(r.isg.component_label, [0, 1, 2, 3])
+    _, labels, k = _isg(_isg_of([[10.0, 10.0], [20.0, 10.0], [10.0, 20.0], [20.0, 20.0]],
+                                5.0))
+    assert k == 4 and same_partition(labels, [0, 1, 2, 3])
 
 
 def test_rgg_components_match_bfs():
@@ -172,9 +182,9 @@ def test_rgg_components_match_bfs():
         cfg = NetworkConfig(lambda_r=0.6, r_r=1.5, lambda_f=0, r_f=1.5,
                             window=Window.square(22), master_seed=400 + seed)
         r = build_isg(cfg, trial_seed(cfg.master_seed, 0))  # ~290 devices
-        assert r.devices.n <= 500 and len(r.isg.vertices) == r.devices.n
-        assert same_partition(r.isg.component_label,
-                               _bfs_partition(r.devices.points, 1.5))
+        vertices, labels, _ = _isg(r)
+        assert r.devices.n <= 500 and len(vertices) == r.devices.n
+        assert same_partition(labels, _bfs_partition(r.devices.points, 1.5))
 
 
 def test_isg_equals_rgg_without_firewalls():
@@ -182,10 +192,11 @@ def test_isg_equals_rgg_without_firewalls():
                         window=Window.square(40), master_seed=5)
     r = build_isg(cfg, trial_seed(5, 0))
     assert r.firewalls.n == 0
-    assert not r.is_protected.any()
-    assert np.array_equal(r.isg.vertices, np.arange(r.devices.n))
+    assert not (r.label < 0).any()
+    vertices, got, n_components = _isg(r)
+    assert np.array_equal(vertices, np.arange(r.devices.n))
     labels, k = components(r.devices.points, cfg.r_r)
-    assert same_partition(r.isg.component_label, labels) and r.isg.n_components == k
+    assert same_partition(got, labels) and n_components == k
 
 
 def test_isg_empty_under_dense_firewalls():
@@ -194,17 +205,19 @@ def test_isg_empty_under_dense_firewalls():
                         window=Window.square(50), master_seed=6)
     for t in range(3):
         r = build_isg(cfg, trial_seed(6, t))
-        assert len(r.isg.vertices) == 0 and r.isg.n_components == 0
+        vertices, _, k = _isg(r)
+        assert len(vertices) == 0 and k == 0
 
 
 def test_isg_matches_vertex_deletion():
     cfg = NetworkConfig(lambda_r=0.8, r_r=2, lambda_f=0.05, r_f=2,
                         window=Window.square(50), master_seed=9)
     r = build_isg(cfg, trial_seed(9, 0))
-    susceptible = np.flatnonzero(~r.is_protected)
+    susceptible = np.flatnonzero(r.label >= 0)
     oracle = _bfs_partition(r.devices.points[susceptible], cfg.r_r)
-    assert np.array_equal(r.isg.vertices, susceptible)
-    assert same_partition(r.isg.component_label, oracle)
+    vertices, labels, _ = _isg(r)
+    assert np.array_equal(vertices, susceptible)
+    assert same_partition(labels, oracle)
 
 
 def test_adding_firewalls_only_shrinks_components():
@@ -214,17 +227,18 @@ def test_adding_firewalls_only_shrinks_components():
     extra = sample_ppp(0.03, cfg.window, 999)
     grown = PointSet(np.vstack([r.firewalls.points, extra.points]), cfg.window)
     susceptible2 = np.flatnonzero(~covered(r.devices.points, grown.points, cfg.r_f))
-    assert len(susceptible2) <= len(r.isg.vertices)
-    assert np.isin(susceptible2, r.isg.vertices).all()
+    vertices, labels, _ = _isg(r)
+    assert len(susceptible2) <= len(vertices)
+    assert np.isin(susceptible2, vertices).all()
 
     labels2, _ = components(r.devices.points[susceptible2], cfg.r_r)
     comp_before = {}
-    for local, dev in enumerate(r.isg.vertices):
-        comp_before.setdefault(r.isg.component_label[local], set()).add(dev)
-    pos_in_old = {dev: local for local, dev in enumerate(r.isg.vertices)}
+    for local, dev in enumerate(vertices):
+        comp_before.setdefault(labels[local], set()).add(dev)
+    pos_in_old = {dev: local for local, dev in enumerate(vertices)}
     for local, dev in enumerate(susceptible2):
         new_members = {susceptible2[u] for u in
                        np.flatnonzero(labels2 == labels2[local])}
-        old_members = comp_before[r.isg.component_label[pos_in_old[dev]]]
+        old_members = comp_before[labels[pos_in_old[dev]]]
         assert new_members <= old_members
 

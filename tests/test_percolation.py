@@ -157,15 +157,15 @@ def test_firewall_removal_preserves_components():
     assert r.firewalls.n > 1
     fewer = PointSet(r.firewalls.points[:-1], cfg.window)
     susceptible2 = np.flatnonzero(~covered(r.devices.points, fewer.points, cfg.r_f))
-    assert np.isin(r.isg.vertices, susceptible2).all()
+    vertices = np.flatnonzero(r.label >= 0)
+    assert np.isin(vertices, susceptible2).all()
     labels2, _ = components(r.devices.points[susceptible2], cfg.r_r)
     new_pos = {dev: i for i, dev in enumerate(susceptible2)}
     new_comp_members = {}
     for i, dev in enumerate(susceptible2):
         new_comp_members.setdefault(labels2[i], set()).add(dev)
-    for local, dev in enumerate(r.isg.vertices):
-        old_members = {int(r.isg.vertices[u]) for u in np.flatnonzero(
-            r.isg.component_label == r.isg.component_label[local])}
+    for dev in vertices:
+        old_members = {int(u) for u in np.flatnonzero(r.label == r.label[dev])}
         new_members = new_comp_members[labels2[new_pos[dev]]]
         assert old_members <= new_members
 

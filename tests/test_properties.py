@@ -55,8 +55,8 @@ from spatial_firewalls import lattice, percolation
 from spatial_firewalls.bounds import _ceil_ratio, subcritical_sufficient_intensity
 from spatial_firewalls.lattice import (OpenEdgeCheck, _any_pair_beyond,
                                        verify_open_edge_coupling)
-from spatial_firewalls.network import (CellGrid, IsgGraph, NetworkConfig,
-                                       Realization, _component_roots, sample_world)
+from spatial_firewalls.network import (CellGrid, NetworkConfig, Realization,
+                                       _component_roots, sample_world)
 from spatial_firewalls.percolation import (NoDevicesError,
                                           ProtectedFractionEstimate, _PROTECT_SIDE,
                                           _spans_from_labels, _strip_masks,
@@ -148,10 +148,11 @@ def test_build_isg_matches_brute_force(world):
         r = build_isg(cfg, 0)
     devices, pool, _ = sampled
     protected, vertices, labels, k = isg(devices.points, pool.points, cfg.r_r, cfg.r_f)
-    assert r.is_protected.tolist() == protected.tolist()
-    assert r.isg.vertices.tolist() == vertices.tolist()
-    assert same_partition(r.isg.component_label, labels)
-    assert r.isg.n_components == k
+    got = np.flatnonzero(r.label >= 0)
+    assert (r.label < 0).tolist() == protected.tolist()
+    assert got.tolist() == vertices.tolist()
+    assert same_partition(r.label.take(got), labels)
+    assert len(np.unique(r.label.take(got))) == k
 
 
 def _scipy_labels(n, a, b):
@@ -1236,7 +1237,7 @@ def test_far_nodes_match_binary_search(sparse, r_r, degree, seed, floor):
 
 
 def _coupling_reference(realization):
-    """Per-edge reference for `verify_open_edge_coupling(..., detail=True)`:
+    """Per-edge reference for `verify_open_edge_coupling`:
     the loop over lattice edges it replaced, with the lattice at the window
     corner."""
     cfg = realization.config
@@ -1284,11 +1285,8 @@ def _coupling_reference(realization):
             total = total + fw_cum[ci0 - 1, cj0 - 1]
         return int(total)
 
-    # local susceptible index and component label per device
-    local = np.full(realization.devices.n, -1, dtype=np.int64)
-    local[realization.isg.vertices] = np.arange(len(realization.isg.vertices))
-    protected = realization.is_protected
-    labels = realization.isg.component_label
+    # component label per device, -1 when protected
+    label = realization.label
     r2 = cfg.r_r ** 2
 
     open_edges = 0
@@ -1305,9 +1303,9 @@ def _coupling_reference(realization):
         d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         if (d2 > r2).any():
             return 1
-        if protected[members].any():
+        if (label[members] < 0).any():
             return 1
-        if len(set(labels[local[members]].tolist())) != 1:
+        if len(set(label[members].tolist())) != 1:
             return 1
         return 0
 
@@ -1349,25 +1347,22 @@ def coupling_worlds(draw):
 
 
 def _perturbed(realization, data):
-    """The realization with a few susceptible devices flagged protected and a
-    few ISG labels reassigned, so that clauses (ii) and (iii) fail on the
-    open edges they touch. Flags go one way only: a susceptible device that
-    the ISG lacks never comes from `build_isg`, and the reference reads its
-    label through index -1."""
-    isg = realization.isg
-    if len(isg.vertices) == 0:
+    """The realization with a few susceptible devices' ISG labels reassigned
+    and a few of them flagged protected (label -1), so that clauses (ii) and
+    (iii) fail on the open edges they touch."""
+    vertices = np.flatnonzero(realization.label >= 0)
+    if len(vertices) == 0:
         return realization
-    vertex = st.integers(0, len(isg.vertices) - 1)
+    n_components = len(np.unique(realization.label.take(vertices)))
+    vertex = st.integers(0, len(vertices) - 1)
     flagged = data.draw(st.lists(vertex, min_size=1, max_size=6))
-    relabelled = data.draw(st.lists(st.tuples(vertex, st.integers(0, isg.n_components)),
+    relabelled = data.draw(st.lists(st.tuples(vertex, st.integers(0, n_components)),
                                     min_size=1, max_size=6))
-    protected = realization.is_protected.copy()
-    protected[isg.vertices[flagged]] = True
-    labels = isg.component_label.copy()
-    for v, label in relabelled:
-        labels[v] = label
-    return replace(realization, is_protected=protected,
-                   isg=replace(isg, component_label=labels))
+    label = realization.label.copy()
+    for v, component in relabelled:
+        label[vertices[v]] = component
+    label[vertices[flagged]] = -1
+    return replace(realization, label=label)
 
 
 def test_open_edge_coupling_matches_per_edge_reference():
@@ -1380,9 +1375,8 @@ def test_open_edge_coupling_matches_per_edge_reference():
     @given(coupling_worlds(), st.data())
     def check(realization, data):
         for r in (realization, _perturbed(realization, data)):
-            got = verify_open_edge_coupling(r, detail=True)
+            got = verify_open_edge_coupling(r)
             assert got == _coupling_reference(r)
-            assert verify_open_edge_coupling(r) == got.violations
         violations.append(got.violations)
 
     check()
@@ -1445,8 +1439,7 @@ def _hand_made(r_r, origin, points):
     n = len(points)
     return Realization(config=cfg, devices=PointSet(points, window),
                        firewalls=PointSet(np.empty((0, 2)), window),
-                       is_protected=np.zeros(n, dtype=bool),
-                       isg=IsgGraph(np.arange(n), np.zeros(n, dtype=np.int64), 1))
+                       label=np.zeros(n, dtype=np.int64))
 
 
 def test_pair_test_decides_edges_whose_box_exceeds_range():
@@ -1473,7 +1466,7 @@ def test_pair_test_decides_edges_whose_box_exceeds_range():
         assert _coupling_reference(realization) == expected
         with mock.patch.object(lattice, "_any_pair_beyond",
                                wraps=lattice._any_pair_beyond) as pair_test:
-            assert verify_open_edge_coupling(realization, detail=True) == expected
+            assert verify_open_edge_coupling(realization) == expected
         groups = sum(len(call.args[1]) for call in pair_test.call_args_list)
         assert groups == pair_tested
 
@@ -1648,4 +1641,4 @@ def test_readme_quickstart_runs():
     exec(compile(blocks[0], "README.md", "exec"), scope)
     assert 0.0 <= scope["est"].theta_hat <= 1.0
     assert scope["crit"].lambda_f_critical >= 0.0
-    assert len(scope["world"].is_protected) == scope["world"].devices.n
+    assert len(scope["world"].label) == scope["world"].devices.n
