@@ -27,10 +27,10 @@ from .lattice import blocking_counterexample_search, check_coupling_lattice, \
     independence_offsets, verify_open_edge_coupling, write_validator_csv
 from .bounds import closed_face_probability
 from .network import NetworkConfig, check_sample_means
-from .percolation import MAX_GRID_POINTS, NoDevicesError, SearchExhaustedError, \
-    build_isg, check_cell_grid, critical_grid, estimate_percolation_probability, \
-    SharedPool, find_critical_firewall_intensity, sweep_lambda_f, \
-    sweep_protected_fraction, write_critical_csv, write_sweep_csv
+from .percolation import INTERVAL_LEVEL, MAX_GRID_POINTS, NoDevicesError, \
+    SearchExhaustedError, build_isg, check_cell_grid, critical_grid, \
+    estimate_percolation_probability, SharedPool, find_critical_firewall_intensity, \
+    sweep_lambda_f, sweep_protected_fraction, write_critical_csv, write_sweep_csv
 from .spatial import Window, open_csv, trial_seed
 
 __all__ = ["AxisSpec", "ExperimentSpec", "run", "main"]
@@ -258,6 +258,12 @@ def _run_sweep(spec: ExperimentSpec) -> int:
     return 0
 
 
+def _interval_text(interval) -> str:
+    """[lower, upper] with an unbounded upper limit written as such."""
+    lo, hi = interval
+    return f"[{lo!r}, {hi!r}]" if math.isfinite(hi) else f"[{lo!r}, unbounded]"
+
+
 def _run_critical(spec: ExperimentSpec) -> int:
     t0 = time.perf_counter()
     cfg = spec.network_config()
@@ -281,8 +287,11 @@ def _run_critical(spec: ExperimentSpec) -> int:
             exhausted = (lr, exc)
             break
         rows.append((lr, res))
-        _progress(f"  lambda_f_critical={res.lambda_f_critical:.5f}")
-
+        _progress(f"  lambda_f_critical={res.lambda_f_critical:.5f} "
+                  f"interval {_interval_text(res.interval)}")
+    # the intervals go in '#' lines, so the body stays as it was
+    bounds_meta += [f"lambda_f_critical interval lambda_r={lr!r} level={INTERVAL_LEVEL!r}: "
+                    f"{_interval_text(res.interval)}" for lr, res in rows]
     _emit(spec, lambda fh: write_critical_csv(rows, fh, bounds_meta),
           str(len(rows)), t0)
     if exhausted:
@@ -490,8 +499,8 @@ def _assemble_spec(args) -> ExperimentSpec:
 def run(spec: ExperimentSpec, table: bool = False) -> int:
     """Validate the spec, then execute the experiment; returns a process exit
     status. The one validation of a command-line run happens here. All the
-    command's fan-outs share one process pool, whose workers are joined
-    before this returns or raises."""
+    command's fan-outs share one set of forked workers, reaped before this
+    returns or raises."""
     spec.validate()
     with SharedPool():
         if spec.command == "sweep":

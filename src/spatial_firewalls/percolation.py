@@ -92,14 +92,28 @@ and of the binning, and the windows are binned by the devices' own
 function, so no pair the test accepts lies outside them (`CellGrid.scan`).
 
 Protected fractions need no thinning. r_f enters neither the world nor the
-trial seed, so a sweep over r_f reads every fraction off one scan per trial
-(`_protected_worker`): each device keeps its least dx*dx + dy*dy to a
-firewall within the largest r_f, and is protected at each r_f by the same
-closed-ball test.
+trial seed, so a sweep over r_f reads every fraction off one world per trial
+(`_protected_worker`): the distinct r_f values are scanned in ascending
+order, each over only the devices that no smaller one protected, with the
+same closed-ball test, and a device protected at one r_f is protected at
+every larger one.
+
+Trials fan out over worker processes (`_run_chunked`) in chunks of
+consecutive trials, min(workers, trials) of them, so every count is the
+same for any worker count. On Linux the workers are forked from this
+process once per command (`SharedPool`), after NumPy's random module is
+loaded, so they start warm, and each takes its chunks as one pickled task
+over a pipe and answers with their results over another; elsewhere the
+chunks run in this process.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
+import sys
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -124,6 +138,7 @@ __all__ = [
     "find_critical_firewall_intensity",
     "critical_grid",
     "MAX_GRID_POINTS",
+    "INTERVAL_LEVEL",
     "estimate_protected_fraction",
     "sweep_protected_fraction",
     "write_sweep_csv",
@@ -131,6 +146,7 @@ __all__ = [
 ]
 
 MAX_GRID_POINTS = 100_000  # largest grid a search or a sweep axis may ask for
+INTERVAL_LEVEL = 0.95  # the confidence level of CriticalSearchResult.interval
 _CELL_SIDE = 0.7  # a trial's cell side per unit of r_r: diagonal 0.99 r_r
 # Cell side of the protected-fraction scan per unit of its range. On
 # `protected`'s worlds (lambda_r = 2, r = 4) a side of 0.4 r scans 157 k
@@ -180,6 +196,32 @@ class CriticalSearchResult:
     step: float
     resolution: float
     lambda_f_max: float
+    # a distribution-free INTERVAL_LEVEL interval for the intensity that
+    # lambda_f_critical estimates (`_rank_interval`); inf where unbounded
+    interval: tuple[float, float]
+
+
+def _rank_interval(n: int, epsilon: float) -> tuple[int, int]:
+    """1-based ranks (lo, hi) of the order statistics of n draws of a
+    random variable C that bound its (1 - epsilon)-quantile with
+    probability at least INTERVAL_LEVEL, whatever the distribution of C
+    (binomial ranks; Hahn & Meeker, *Statistical Intervals*): lo is the
+    largest rank with P(B < lo) <= (1 - INTERVAL_LEVEL) / 2 and hi the
+    smallest with P(B >= hi) <= (1 - INTERVAL_LEVEL) / 2, for
+    B ~ Bin(n, 1 - epsilon). lo = 0 where the interval has no lower limit,
+    and hi = n + 1 where it has no upper one, as at n = 4 or 100 with
+    epsilon = 0.02."""
+    tail, cdf, lo, hi = (1.0 - INTERVAL_LEVEL) / 2.0, 0.0, 0, n + 1
+    log_q, log_e = math.log1p(-epsilon), math.log(epsilon)
+    for i in range(n + 1):
+        if cdf <= tail:  # cdf = P(B < i)
+            lo = i
+        cdf += math.exp(math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                        + i * log_q + (n - i) * log_e)
+        if cdf >= 1.0 - tail:  # P(B >= i + 1) <= tail
+            hi = i + 1
+            break
+    return lo, hi
 
 
 class ProtectedFractionEstimate(NamedTuple):
@@ -637,9 +679,13 @@ def _protected_worker(args) -> np.ndarray:
     row of NaN when the device set came up empty. The devices' cells have
     side `_PROTECT_SIDE` times the largest r_f, or 2**-30 of their extent
     when that is smaller (the scan is exact on any cells, and the ids then
-    fit in int64); a mean of flags needs no unsorting."""
+    fit in int64). The distinct r_f values are scanned in ascending order,
+    each over only the devices that no smaller one protected, and a
+    fraction is the count protected so far over n, which is the mean of
+    the protected flags exactly; a count needs no unsorting."""
     config, r_fs, t0, t1 = args
-    r, r2 = max(r_fs), np.square(r_fs)
+    radii = sorted(set(r_fs))
+    column = np.searchsorted(radii, r_fs)
     out = np.full((t1 - t0, len(r_fs)), np.nan)
     for row, t in enumerate(range(t0, t1)):
         devices, firewalls, _ = sample_world(
@@ -648,60 +694,174 @@ def _protected_worker(args) -> np.ndarray:
             continue
         x, y = devices.points.T
         x0, y0 = devices.window.x_min, devices.window.y_min
-        side = max(_PROTECT_SIDE * r, float(max(x.max() - x0, y.max() - y0)) * 2.0 ** -30)
+        side = max(_PROTECT_SIDE * radii[-1],
+                   float(max(x.max() - x0, y.max() - y0)) * 2.0 ** -30)
         grid, _ = CellGrid.binned(x, y, (x0, y0), side)
-        d2 = grid.min_within(*firewalls.points.T, r)
-        out[row] = (d2[:, None] <= r2).mean(axis=0)
+        counts, protected = [], 0
+        for r in radii:
+            d2 = grid.min_within(*firewalls.points.T, r)
+            rest = (d2 > r * r).nonzero()[0]
+            protected += len(d2) - len(rest)
+            counts.append(protected)
+            grid = grid.subset(rest)
+        out[row] = np.divide(counts, devices.n).take(column)
     return out
 
 
 class SharedPool:
     """`with SharedPool():` makes every fan-out in the block (`_run_chunked`)
-    reuse one process pool, made at the first fan-out and shut down, its
-    workers joined, when the block ends, however it ends. Outside such a
-    block each fan-out makes and joins its own pool. The pool is sized by
-    the first fan-out, so the block suits calls that share `trials` and
-    `workers`, as one command's do."""
+    run on one set of worker processes, forked at the first fan-out and
+    reaped when the block ends, however it ends: each worker reads EOF on
+    its task pipe and exits, after SIGTERM when the block ends in an
+    exception. Outside such a block each fan-out forks and reaps its own
+    set. The set is sized by the first fan-out, so the block suits calls
+    that share `trials` and `workers`, as one command's do."""
 
     current = None  # the innermost open block
 
     def __enter__(self):
-        self.pool, self.outer, SharedPool.current = None, SharedPool.current, self
+        self.workers, self.outer, SharedPool.current = [], SharedPool.current, self
         return self
 
-    def __exit__(self, *exc_info):
+    def __exit__(self, exc_type, *_):
         SharedPool.current = self.outer
-        if self.pool is not None:
-            self.pool.shutdown(cancel_futures=True)
+        _reap(self.workers, kill=exc_type is not None)
+
+
+def _serve(tasks: int, results: int, pipes: list, mask) -> None:
+    """A forked worker's life, which ends only in os._exit: restore the
+    signal mask, close every end of `pipes` but its own two, then answer
+    each pickled (worker, [args, ...]) read from `tasks` with the list of
+    worker(args), or the exception a call raised, on `results`, until EOF."""
+    code = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for fd in (fd for ends in pipes for fd in ends):
+            if fd not in (tasks, results):
+                os.close(fd)
+        with os.fdopen(tasks, "rb") as rd, os.fdopen(results, "wb") as wr:
+            while True:
+                try:
+                    worker, chunks = pickle.load(rd)
+                except EOFError:
+                    break
+                try:
+                    reply = [worker(args) for args in chunks]
+                except Exception as exc:
+                    reply = exc
+                wr.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+                wr.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_workers(n: int) -> list:
+    """Fork n workers (`_serve`), each on a task pipe and a result pipe of
+    its own; (pid, task writer, result reader) per worker. NumPy's random
+    module is loaded first, so no worker imports it, and the standard
+    streams are flushed, so no worker holds a copy of their buffers.
+    SIGINT stays blocked across the forks, so it reaches a new worker only
+    inside `_serve`."""
+    np.random.default_rng  # loads numpy.random, a lazy submodule
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pipes = [os.pipe() + os.pipe() for _ in range(n)]  # task r, task w, result r, result w
+    workers = []
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        for tr, tw, rr, rw in pipes:
+            pid = os.fork()
+            if pid == 0:
+                _serve(tr, rw, pipes, mask)
+            workers.append((pid, os.fdopen(tw, "wb"), os.fdopen(rr, "rb")))
+    except BaseException:
+        for _, tw, rr, _ in pipes[len(workers):]:
+            os.close(tw)
+            os.close(rr)
+        _reap(workers, kill=True)
+        raise
+    finally:
+        for tr, _, _, rw in pipes:
+            os.close(tr)
+            os.close(rw)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    return workers
+
+
+def _reap(workers: list, kill: bool) -> list[int]:
+    """Send SIGTERM first when `kill`, close the pipes, whose EOF ends an
+    idle worker, wait for every worker and empty the list; their exit
+    codes, -N for signal N. SIGINT stays blocked meanwhile, so a second
+    Ctrl-C cannot cut the reaping short."""
+    if not workers:
+        return []
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        for pid, tasks, results in workers:
+            if kill:
+                os.kill(pid, signal.SIGTERM)
+            with contextlib.suppress(OSError):  # a dead worker: its unread task is dropped
+                tasks.close()
+            results.close()
+        return [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _, _ in workers]
+    finally:
+        workers.clear()
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _reply(workers: list, k: int):
+    """Worker k's reply; a RuntimeError naming its exit code, once every
+    worker is reaped, when it died first."""
+    try:
+        return pickle.load(workers[k][2])
+    except (EOFError, pickle.UnpicklingError):
+        pid = workers[k][0]
+        code = _reap(workers, kill=True)[k]
+        raise RuntimeError(f"worker process {pid} died mid-chunk "
+                           f"with exit status {code}") from None
 
 
 def _run_chunked(worker, common, trials: int, workers: int) -> np.ndarray:
-    """Run `worker` over min(workers, trials) trial ranges, deterministically
-    in trial order. More than one range fans out over a process pool of at
-    most one process per CPU: the open `SharedPool`'s, or one of its own."""
+    """Run `worker` over min(workers, trials) trial ranges (chunks) and
+    concatenate the results in trial order.
+
+    On Linux more than one chunk fans out over forked worker processes, at
+    most one per CPU: the open `SharedPool`'s, or a set of its own. Chunk i
+    goes to worker i mod n, and each worker answers with the results of its
+    chunks in order. A worker's exception is raised here with its type and
+    message; a worker that dies makes this raise RuntimeError, with every
+    worker reaped. One chunk, or another platform, runs the chunks in this
+    process, in order, with the same results."""
     chunks = min(workers, trials)
-    if chunks <= 1:
-        return worker(common + (0, trials))
-    # only a fan-out pays for the pool's import (multiprocessing, ~25 ms)
-    import os
-    from concurrent.futures import ProcessPoolExecutor
-    shared = SharedPool.current
-    pool = None if shared is None else shared.pool
-    if pool is None:
-        # the fork start method starts every process at the first submit
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        pool = ProcessPoolExecutor(max_workers=min(chunks, cpus))
-        if shared is not None:
-            shared.pool = pool
     bounds = np.linspace(0, trials, chunks + 1, dtype=int)
+    jobs = [common + (int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    if chunks <= 1 or not sys.platform.startswith("linux"):
+        return np.concatenate([worker(args) for args in jobs], axis=0)
+    shared = SharedPool.current
+    procs = [] if shared is None else shared.workers
     try:
-        futures = [pool.submit(worker, common + (int(a), int(b)))
-                   for a, b in zip(bounds[:-1], bounds[1:])]
-        return np.concatenate([f.result() for f in futures], axis=0)
+        if not procs:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            procs.extend(_fork_workers(min(chunks, cpus)))
+        n = min(len(procs), chunks)
+        for k in range(n):
+            procs[k][1].write(pickle.dumps((worker, jobs[k::n]), pickle.HIGHEST_PROTOCOL))
+            procs[k][1].flush()
+        replies = [_reply(procs, k) for k in range(n)]
+    except BaseException:
+        _reap(procs, kill=True)
+        raise
     finally:
         if shared is None:
-            pool.shutdown(cancel_futures=True)
+            _reap(procs, kill=False)
+    out = [None] * chunks
+    for k, reply in enumerate(replies):
+        if isinstance(reply, BaseException):
+            raise reply
+        out[k::n] = reply
+    return np.concatenate(out, axis=0)
 
 
 def estimate_percolation_probability(config: NetworkConfig, trials: int,
@@ -825,10 +985,19 @@ def find_critical_firewall_intensity(config: NetworkConfig, *,
         raise SearchExhaustedError(
             f"theta_hat > {epsilon} up to lambda_f_max {lambda_pool:.6g}; "
             "raise lambda_f_max or epsilon", evaluated)
+    # j_crit is an order statistic of the counts, the least j that at least
+    # a share 1 - epsilon of them do not exceed; the ranks bound that
+    # quantile, and a count past the grid (a trial spanning at
+    # lambda_f_max) has no upper limit either
+    lo, hi = _rank_interval(trials, epsilon)
+    c = np.sort(counts)
+    upper = c[hi - 1] * delta if hi <= trials and c[hi - 1] <= grid_n else math.inf
     return CriticalSearchResult(lambda_f_critical=j_crit * delta,
                                 evaluated=evaluated, epsilon=epsilon,
                                 trials=trials, step=step, resolution=delta,
-                                lambda_f_max=lambda_pool)
+                                lambda_f_max=lambda_pool,
+                                interval=(float(c[lo - 1] * delta) if lo else 0.0,
+                                          float(upper)))
 
 
 def estimate_protected_fraction(config: NetworkConfig, trials: int,

@@ -39,14 +39,26 @@ def _cfg(lambda_r, lambda_f=0.0, r_f=2.0, seed=0, margin=0.0):
 
 
 @pytest.fixture(scope="module")
-def critical_results():
+def critical_searches():
+    """The critical search per device intensity at r_r = r_f = 2, seed 0."""
+    return {lam_r: find_critical_firewall_intensity(
+                _cfg(lam_r), step=0.02, trials=trials, epsilon=0.02)
+            for lam_r, trials in ((0.4, 100), (0.8, 100), (2.0, 100), (4.0, 60), (7.0, 60))}
+
+
+@pytest.fixture(scope="module")
+def critical_results(critical_searches):
     """lambda_f_critical per device intensity at r_r = r_f = 2, seed 0."""
-    results = {}
-    for lam_r, trials in ((0.4, 100), (0.8, 100), (2.0, 100), (4.0, 60), (7.0, 60)):
-        res = find_critical_firewall_intensity(
-            _cfg(lam_r), step=0.02, trials=trials, epsilon=0.02)
-        results[lam_r] = res.lambda_f_critical
-    return results
+    return {lam_r: res.lambda_f_critical for lam_r, res in critical_searches.items()}
+
+
+def _intervals(searches, lam_rs):
+    """The searches' 95 % intervals, for the report line; they do not enter
+    a pass condition."""
+    return ", ".join(f"{lr}: [{res.interval[0]:.4f}, "
+                     + (f"{res.interval[1]:.4f}]" if math.isfinite(res.interval[1])
+                        else "unbounded]")
+                     for lr, res in ((lr, searches[lr]) for lr in lam_rs))
 
 
 def test_criterion_01_phase_transition():
@@ -68,14 +80,15 @@ def test_criterion_01_phase_transition():
                    f"theta<=0.02 from lambda_f={dead_before}, {elapsed:.0f}s")
 
 
-def test_criterion_02_critical_values(critical_results):
+def test_criterion_02_critical_values(critical_results, critical_searches):
     got_08, got_2 = critical_results[0.8], critical_results[2.0]
     ok = abs(got_08 - 0.067) <= 0.015 and abs(got_2 - 0.102) <= 0.015
     _report(2, ok, f"crit(0.8)={got_08:.4f} (0.067+-0.015), "
-                   f"crit(2)={got_2:.4f} (0.102+-0.015)")
+                   f"crit(2)={got_2:.4f} (0.102+-0.015); 95% intervals "
+                   + _intervals(critical_searches, (0.8, 2.0)))
 
 
-def test_criterion_03_upper_bound_saturation(critical_results):
+def test_criterion_03_upper_bound_saturation(critical_results, critical_searches):
     lc1_144 = critical_intensity_upper_bound(2.0, 2.0, LambdaC1.approximation())
     lc1_337 = critical_intensity_upper_bound(2.0, 2.0, LambdaC1.upper())
     saturate = all(critical_results[lr] <= lc1_144 + 0.01 for lr in (4.0, 7.0))
@@ -84,7 +97,8 @@ def test_criterion_03_upper_bound_saturation(critical_results):
     ok = saturate and dominated and below_337
     _report(3, ok, f"crit(4)={critical_results[4.0]:.4f}, "
                    f"crit(7)={critical_results[7.0]:.4f} vs {lc1_144}+0.01; "
-                   f"all {len(critical_results)} values < {lc1_337:.3f}: {below_337}")
+                   f"all {len(critical_results)} values < {lc1_337:.3f}: {below_337}; "
+                   "95% intervals " + _intervals(critical_searches, (4.0, 7.0)))
 
 
 def test_criterion_04_immune_regime():

@@ -1,11 +1,11 @@
 """End-to-end runs of every subcommand through the argparse entry point."""
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import textwrap
-from concurrent.futures import Future, ProcessPoolExecutor
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -102,6 +102,11 @@ def test_critical_csv_and_bound_lines(tmp_path):
     assert body[0] == "lambda_r,lambda_f_critical,epsilon,step,trials_per_point"
     assert len(body) == 2
     assert len(body[1].split(",")) == 5
+    # 10 trials at epsilon 0.02: the upper rank exceeds the trials
+    interval = [l for l in text if "interval" in l]
+    assert len(interval) == 1
+    assert interval[0].startswith("# lambda_f_critical interval lambda_r=0.8 level=0.95: [")
+    assert interval[0].endswith(", unbounded]")
 
 
 def test_critical_search_exhausted_exit(tmp_path, capsys):
@@ -493,11 +498,14 @@ def test_main_calls_run_through_the_module():
     assert run.call_count == 1
 
 
-def _run_fresh(script, cwd):
-    """Run `script` in a fresh interpreter that imports this checkout's package."""
+def _run_fresh(script, cwd, unset=()):
+    """Run `script` in a fresh interpreter that imports this checkout's
+    package, with the environment variables `unset` removed."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    for name in unset:
+        env.pop(name, None)
     return subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
 
@@ -534,10 +542,13 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
 
 def test_single_worker_commands_never_import_the_pool(tmp_path):
     """In a fresh interpreter, all five subcommands at tiny sizes and
-    `--workers 1` exit 0 without importing the process pool; a sweep at
-    `--workers 2` then fans out and writes the same CSV body."""
+    `--workers 1` exit 0 without forking; a sweep at `--workers 2` then
+    forks its workers and writes the same CSV body, and no process-pool
+    module (`concurrent.futures.process`, `multiprocessing`) is ever
+    imported."""
     script = textwrap.dedent("""
-        import sys
+        import os, sys
+        from unittest import mock
         from spatial_firewalls.cli import main
         small = ["--trials", "2", "--window-size", "10"]
         sweep = ["sweep", "--axis", "lambda_f", "--start", "0", "--stop", "0.1",
@@ -551,17 +562,41 @@ def test_single_worker_commands_never_import_the_pool(tmp_path):
              "--coupling-realizations", "2", "--out", "validate.csv"],
             ["protected", "--out", "protected.csv"] + small,
         ]
-        codes = [main(argv + ["--workers", "1"]) for argv in runs]
+        with mock.patch.object(os, "fork", wraps=os.fork) as forks:
+            codes = [main(argv + ["--workers", "1"]) for argv in runs]
+            single = forks.call_count
+            fanned = main(sweep + ["--out", "sweep2.csv", "--workers", "2"])
+        # unittest.mock imports concurrent.futures through asyncio, but
+        # neither process-pool module
         pool = [name for name in ("concurrent.futures.process", "multiprocessing")
                 if name in sys.modules]
-        fanned = main(sweep + ["--out", "sweep2.csv", "--workers", "2"])
-        print(codes, pool, fanned, "multiprocessing" in sys.modules)
+        print(codes, single, fanned, forks.call_count == min(2, len(os.sched_getaffinity(0))),
+              pool)
     """)
     proc = _run_fresh(script, tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] [] 0 True"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] 0 0 True []"
     assert _body(tmp_path / "sweep2.csv") == _body(tmp_path / "sweep1.csv")
 
+
+def test_output_buffered_before_the_fork_is_written_once(tmp_path):
+    """Text that a fresh interpreter holds in its `sys.stdout` and
+    `sys.stderr` buffers (both pipes, buffered: PYTHONUNBUFFERED unset)
+    when a fan-out forks reaches each stream exactly once."""
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from spatial_firewalls import percolation
+        def trials(args):
+            return np.arange(args[-2], args[-1])
+        sys.stdout.write("before the fork\\n")
+        sys.stderr.write("also before the fork\\n")
+        print(percolation._run_chunked(trials, (), 6, 2).tolist())
+    """)
+    proc = _run_fresh(script, tmp_path, unset=("PYTHONUNBUFFERED",))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["before the fork", "[0, 1, 2, 3, 4, 5]"]
+    assert proc.stderr.count("also before the fork") == 1
 
 def test_validate_never_imports_numpy_ma(tmp_path):
     """In a fresh interpreter, a small `validate` exits 0 without importing
@@ -578,17 +613,80 @@ def test_validate_never_imports_numpy_ma(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
+def _count_forks():
+    """Patch that counts the `os.fork` calls, forking at each."""
+    return mock.patch.object(os, "fork", wraps=os.fork)
+
+
+def _assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# the workers a fan-out forks for 2 chunks: one per chunk, at most one per CPU
+_FORKS = min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 2
+
+
+# fan-out workers; module-level, because a worker is pickled by reference
+def _ranges(args):
+    """The trial range of its chunk, as one row."""
+    return np.array([args[-2:]])
+
+
+def _trials(args):
+    """The trial indices of its range."""
+    return np.arange(args[-2], args[-1])
+
+
+def _fails_at_trial_5(args):
+    """`_trials`, but ValueError in the chunk that holds trial 5."""
+    if args[-2] <= 5 < args[-1]:
+        raise ValueError("trial 5 is bad")
+    return _trials(args)
+
+
+def _dies_at_trial_5(args):
+    """`_trials`, but its process exits with status 7 in the chunk that
+    holds trial 5."""
+    if args[-2] <= 5 < args[-1]:
+        os._exit(7)
+    return _trials(args)
+
+
+def _interrupts_the_parent(args):
+    """Sends SIGINT to the parent, as Ctrl-C would, then waits to be ended."""
+    os.kill(os.getppid(), signal.SIGINT)
+    time.sleep(60)
+    return _trials(args)
+
+
 def test_one_trial_stays_in_process():
     """With one trial there is one chunk, so `workers=2` runs it in this
-    process, without constructing a pool, and counts as `workers=1` does."""
+    process, without forking, and counts as `workers=1` does."""
     cfg = NetworkConfig(lambda_r=0.8, r_r=2.0, lambda_f=0.1, r_f=2.0,
                         window=Window.square(10.0))
     common = (cfg, cfg.lambda_f, (0.25, 0.5, 1.0))
-    with mock.patch.object(ProcessPoolExecutor, "__init__",
-                           side_effect=AssertionError("pool constructed")):
+    with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
         two = percolation._run_chunked(percolation._threshold_worker, common, 1, 2)
     one = percolation._run_chunked(percolation._threshold_worker, common, 1, 1)
     assert np.array_equal(two, one)
+
+
+def test_other_platforms_run_the_chunks_in_process(monkeypatch):
+    """Off Linux the chunks run in this process, in chunk order, with no
+    fork, and give the counts of a fan-out."""
+    cfg = NetworkConfig(lambda_r=0.8, r_r=2.0, lambda_f=0.1, r_f=2.0,
+                        window=Window.square(10.0))
+    common = (cfg, cfg.lambda_f, (0.25, 0.5, 1.0))
+    fanned = percolation._run_chunked(percolation._threshold_worker, common, 6, 3)
+    monkeypatch.setattr(sys, "platform", "darwin")
+    with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+        assert percolation._run_chunked(_ranges, (), 7, 3).tolist() == [[0, 2], [2, 4], [4, 7]]
+        inline = percolation._run_chunked(percolation._threshold_worker, common, 6, 3)
+    assert np.array_equal(inline, fanned)
+    assert np.array_equal(inline, percolation._run_chunked(
+        percolation._threshold_worker, common, 6, 1))
 
 
 # a command at --workers 2 over several axis points (critical: 2, sweep: 3,
@@ -603,94 +701,110 @@ _FAN_OUTS = {
 }
 
 
-def _count_pools():
-    """Patch that counts the process pools constructed, constructing each."""
-    return mock.patch.object(ProcessPoolExecutor, "__init__", autospec=True,
-                             side_effect=ProcessPoolExecutor.__init__)
-
-
 @pytest.mark.parametrize("command", sorted(_FAN_OUTS))
 def test_axis_points_share_one_pool(command, tmp_path):
     """At `--workers 2` every axis point of a command fans out over one
-    pool, whose workers are joined before `main` returns, and the body is
-    `--workers 1`'s, which constructs none."""
+    set of workers, forked once and reaped before `main` returns, and the
+    body is `--workers 1`'s, which forks none."""
     bodies = []
     for workers in (1, 2):
         out = tmp_path / f"{workers}.csv"
-        with _count_pools() as made:
+        with _count_forks() as forks:
             assert main(_FAN_OUTS[command] + ["--trials", "4", "--seed", "5", "--workers",
                                               str(workers), "--out", str(out)]) == 0
-        assert made.call_count == workers - 1
-        assert multiprocessing.active_children() == []
+        assert forks.call_count == (0 if workers == 1 else _FORKS)
+        _assert_no_child()
         bodies.append(_body(out))
     assert bodies[0] == bodies[1]
     assert len(bodies[0]) == (3 if command == "critical" else 4)
 
 
 def test_no_pool_worker_outlives_a_failed_command(tmp_path):
-    """The pool is joined on exit 1, a search exhausted at its first
+    """The workers are reaped on exit 1, a search exhausted at its first
     lambda_r, and when the command raises after its fan-outs."""
     exhausted = ["critical", "--axis", "lambda_r", "--start", "0.8", "--stop", "1.0",
                  "--step", "0.2", "--window-size", "40", "--trials", "5",
                  "--lambda-f-max", "0.004", "--search-step", "0.002", "--workers", "2",
                  "--out", str(tmp_path / "crit.csv")]
-    with _count_pools() as made:
+    with _count_forks() as forks:
         assert main(exhausted) == 1
-    assert made.call_count == 1
-    assert multiprocessing.active_children() == []
-    with _count_pools() as made, \
+    assert forks.call_count == _FORKS
+    _assert_no_child()
+    with _count_forks() as forks, \
             mock.patch.object(cli, "write_sweep_csv", side_effect=RuntimeError("boom")):
         with pytest.raises(RuntimeError, match="boom"):
             main(_FAN_OUTS["sweep"] + ["--trials", "4", "--workers", "2"])
-    assert made.call_count == 1
-    assert multiprocessing.active_children() == []
+    assert forks.call_count == _FORKS
+    _assert_no_child()
+
+
+def test_a_worker_exception_reaches_the_parent(monkeypatch, capsys):
+    """A worker's exception is raised in the parent with its type and
+    message, and the set stays in step: the block's next fan-out answers.
+    A ValueError in a command's worker ends it with exit 1 and one `error:`
+    line, and no child is left on any of these paths."""
+    with pytest.raises(ValueError, match="trial 5 is bad"):
+        percolation._run_chunked(_fails_at_trial_5, (), 8, 2)
+    _assert_no_child()
+    with percolation.SharedPool():
+        with pytest.raises(ValueError, match="trial 5 is bad"):
+            percolation._run_chunked(_fails_at_trial_5, (), 8, 2)
+        assert percolation._run_chunked(_trials, (), 8, 2).tolist() == list(range(8))
+    _assert_no_child()
+    monkeypatch.setattr(percolation, "_threshold_worker", _fails_at_trial_5)
+    assert main(_FAN_OUTS["sweep"] + ["--trials", "8", "--workers", "2"]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == ["error: trial 5 is bad"]
+    _assert_no_child()
+
+
+def test_a_dead_worker_raises_and_leaves_no_child():
+    """A worker that dies mid-chunk makes the parent raise RuntimeError
+    naming its exit status, once every worker is reaped, in a block or not."""
+    with pytest.raises(RuntimeError, match="exit status 7"):
+        percolation._run_chunked(_dies_at_trial_5, (), 8, 2)
+    _assert_no_child()
+    with pytest.raises(RuntimeError, match="exit status 7"):
+        with percolation.SharedPool():
+            assert percolation._run_chunked(_trials, (), 8, 2).tolist() == list(range(8))
+            percolation._run_chunked(_dies_at_trial_5, (), 8, 2)
+    _assert_no_child()
+
+
+def test_ctrl_c_ends_every_worker():
+    """SIGINT in the parent while it waits (Ctrl-C) raises KeyboardInterrupt
+    there, after its workers, still busy, are terminated and reaped."""
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        percolation._run_chunked(_interrupts_the_parent, (), 4, 2)
+    assert time.monotonic() - t0 < 30
+    _assert_no_child()
 
 
 @pytest.mark.parametrize("affinity", [True, False])
 def test_pool_never_outnumbers_the_cpus(affinity, monkeypatch):
-    """`workers` far above the CPU count makes a pool of one process per
-    CPU, counted by `os.sched_getaffinity` where it exists and by
-    `os.cpu_count` elsewhere, while the trials still split into
-    min(workers, trials) ranges. Outside a `SharedPool` each call makes and
-    shuts down its own pool; inside one, the calls share a pool, shut down
-    when the block ends."""
-    sizes, ranges, shutdowns = [], [], []
-
-    class InlinePool:
-        """Stand-in for ProcessPoolExecutor that records its size, the trial
-        ranges submitted and its shutdowns, and runs each range in this
-        process: it starts nothing."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def submit(self, fn, args):
-            ranges.append(args[-2:])
-            future = Future()
-            future.set_result(fn(args))
-            return future
-
-        def shutdown(self, cancel_futures=False):
-            shutdowns.append(self)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    """`workers` far above the CPU count forks one worker per CPU, counted
+    by `os.sched_getaffinity` where it exists and by `os.cpu_count`
+    elsewhere, while the trials still split into min(workers, trials)
+    ranges. Outside a `SharedPool` each call forks and reaps its own set;
+    inside one, the calls share a set, reaped when the block ends."""
     if affinity:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     else:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-
-    def worker(args):
-        return np.arange(args[-2], args[-1])
-
-    out = percolation._run_chunked(worker, (), 5000, 5000)
-    assert out.tolist() == list(range(5000))
-    assert ranges == [(t, t + 1) for t in range(5000)]
-    assert (sizes, len(shutdowns)) == ([3], 1)
-    percolation._run_chunked(worker, (), 7, 2)
-    assert (sizes, len(shutdowns)) == ([3, 2], 2)
-    with percolation.SharedPool():
-        for _ in range(3):
-            assert percolation._run_chunked(worker, (), 8, 8).tolist() == list(range(8))
-        assert (sizes, len(shutdowns)) == ([3, 2, 3], 2)
-    assert len(shutdowns) == 3
+    with _count_forks() as forks:
+        out = percolation._run_chunked(_ranges, (), 5000, 5000)
+        assert out.tolist() == [[t, t + 1] for t in range(5000)]
+        assert forks.call_count == 3
+        _assert_no_child()
+        assert percolation._run_chunked(_ranges, (), 7, 2).tolist() == [[0, 3], [3, 7]]
+        assert forks.call_count == 5
+        _assert_no_child()
+        with percolation.SharedPool():
+            for _ in range(3):
+                assert percolation._run_chunked(_trials, (), 8, 8).tolist() == list(range(8))
+            assert forks.call_count == 8
+            assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # three workers, all alive
+        _assert_no_child()

@@ -216,6 +216,40 @@ def test_critical_search_result_invariants():
     assert all(a >= b for a, b in zip(thetas, thetas[1:]))
 
 
+@pytest.mark.parametrize("n, epsilon", [(1, 0.02), (4, 0.02), (60, 0.02), (100, 0.02),
+                                        (400, 0.02), (1000, 0.02), (50, 0.3), (200, 0.5)])
+def test_rank_interval_matches_binomial_tails(n, epsilon):
+    """The ranks are those that SciPy's binomial distribution gives at the
+    0.95 level: lo the largest with P(B < lo) <= 2.5 % (0 for none), hi the
+    smallest with P(B >= hi) <= 2.5 % (n + 1 for none), B ~ Bin(n,
+    1 - epsilon)."""
+    from scipy.stats import binom
+    b = binom(n, 1.0 - epsilon)
+    lo = max((r for r in range(1, n + 1) if b.cdf(r - 1) <= 0.025), default=0)
+    hi = min((r for r in range(1, n + 1) if b.sf(r - 1) <= 0.025), default=n + 1)
+    assert percolation._rank_interval(n, epsilon) == (lo, hi)
+
+
+def test_critical_interval_brackets_the_estimate():
+    """The interval holds lambda_f_critical, its lower limit is the counts'
+    order statistic at the lower rank, and its upper limit is unbounded
+    where the upper rank exceeds the trials (4 and 100 trials at epsilon =
+    0.02) and finite at 400."""
+    cfg = NetworkConfig(lambda_r=0.8, r_r=2, lambda_f=0, r_f=2,
+                        window=Window.square(20), master_seed=7)
+    for trials in (4, 100, 400):
+        res = find_critical_firewall_intensity(cfg, step=0.04, trials=trials)
+        grid_n = len(res.evaluated) - 1
+        counts = np.sort(_threshold_worker(
+            (cfg, res.lambda_f_max, tuple(j / grid_n for j in range(grid_n + 1)), 0, trials)))
+        lo, hi = percolation._rank_interval(trials, 0.02)
+        assert res.interval[0] == counts[lo - 1] * res.resolution
+        assert res.interval[0] <= res.lambda_f_critical <= res.interval[1]
+        assert math.isinf(res.interval[1]) == (trials < 400)
+        if trials == 400:
+            assert res.interval[1] == counts[hi - 1] * res.resolution
+
+
 def test_protected_fraction_zero_without_firewalls():
     cfg = NetworkConfig(lambda_r=0.5, r_r=2, lambda_f=0, r_f=2,
                         window=Window.square(40), master_seed=0)
