@@ -38,6 +38,7 @@ __all__ = ["AxisSpec", "ExperimentSpec", "run", "main"]
 _COMMANDS = ("sweep", "critical", "bounds", "validate", "protected")
 _NUMERIC_PARAMS = ("lambda_r", "lambda_f", "r_r", "r_f")
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+_NO_VALUE_FLAGS = ("--help", "--table")
 
 
 def _check_types(spec) -> None:
@@ -119,6 +120,8 @@ class ExperimentSpec:
         _check_types(self)
         if self.command not in _COMMANDS:
             raise SpecError(f"command must be one of {_COMMANDS}, got {self.command!r}")
+        if self.axis is not None and self.command in ("bounds", "validate"):
+            raise SpecError(f"{self.command} takes no axis")
         for name in ("trials", "workers", "face_samples", "blocking_trials",
                      "coupling_realizations"):
             if getattr(self, name) < 1:
@@ -514,9 +517,33 @@ def run(spec: ExperimentSpec, table: bool = False) -> int:
         return _run_protected(spec)
 
 
+def _is_number(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each word that reads as a negative number, such as -1e-3,
+    -inf or -nan, joined to the flag before it (`--r-r=-1e-3`): argparse
+    takes such a word for a flag unless it looks like -2 or -0.5. A flag
+    that takes no value, or an abbreviation of one, keeps its next word."""
+    out = []
+    for word in argv:
+        flag = out[-1] if out else ""
+        if (word.startswith("-") and _is_number(word) and flag.startswith("--")
+                and "=" not in flag and not any(f.startswith(flag) for f in _NO_VALUE_FLAGS)):
+            out[-1] = f"{flag}={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         spec = _assemble_spec(args)
         return run(spec, table=getattr(args, "table", False))

@@ -26,7 +26,6 @@ MAX_COUPLING_CELLS = 1 << 22
 
 __all__ = [
     "HexFace",
-    "SquareEdge",
     "BlockingCounterexample",
     "PocketSurvey",
     "closed_face_mc_frequency",
@@ -46,7 +45,8 @@ _EPS = 1e-12
 
 @dataclass(frozen=True)
 class HexFace:
-    """Flat-top regular hexagon with three designated corner triangles.
+    """Flat-top regular hexagon, centred on the origin, with three
+    designated corner triangles.
 
     The side equals the D2D range. The hexagon splits into six equilateral
     center triangles; the designated ones are the alternate three at the
@@ -54,7 +54,6 @@ class HexFace:
     non-adjacent (they share only the center point).
     """
 
-    center: tuple[float, float] = (0.0, 0.0)
     side: float = 1.0
 
     def __post_init__(self):
@@ -64,14 +63,12 @@ class HexFace:
     def vertices(self) -> np.ndarray:
         """Six corners, counterclockwise from angle 0."""
         ang = np.deg2rad(np.arange(0, 360, 60))
-        cx, cy = self.center
-        return np.column_stack([cx + self.side * np.cos(ang),
-                                cy + self.side * np.sin(ang)])
+        return np.column_stack([self.side * np.cos(ang), self.side * np.sin(ang)])
 
     def triangles(self) -> list[np.ndarray]:
         """The three designated triangles as (3, 2) vertex arrays."""
         v = self.vertices()
-        o = np.asarray(self.center, dtype=float)
+        o = np.zeros(2)
         return [np.array([o, v[1], v[2]]),   # upper
                 np.array([o, v[3], v[4]]),   # lower-left
                 np.array([o, v[5], v[0]])]   # lower-right
@@ -86,7 +83,7 @@ class HexFace:
         uncovered pockets inside single sectors.
         """
         xy = np.atleast_2d(xy)
-        ang = np.arctan2(xy[:, 1] - self.center[1], xy[:, 0] - self.center[0])
+        ang = np.arctan2(xy[:, 1], xy[:, 0])
         return (np.floor(np.mod(ang, 2 * np.pi) / (2 * np.pi / 3))).astype(int) % 3
 
 
@@ -118,7 +115,7 @@ def _sample_triangle(tri: np.ndarray, n: int, rng) -> np.ndarray:
 
 def _sample_hexagon(face: HexFace, n: int, rng) -> np.ndarray:
     v = face.vertices()
-    o = np.asarray(face.center, dtype=float)
+    o = np.zeros(2)
     which = rng.integers(0, 6, n)
     out = np.empty((n, 2))
     for k in range(6):
@@ -178,16 +175,14 @@ class PocketSurvey:
     """
 
     trials: int
-    pairs_per_trial: int
     same_sector_pairs: int
     crossing_pairs: int
-    examples: tuple
 
 
-def _uncovered_close_pairs(face: HexFace, trials: int, pairs_per_trial: int,
-                           seed: int):
+def _uncovered_close_pairs(face: HexFace, trials: int, seed: int):
     """Yield uncovered pairs within the D2D range over random one-firewall-
-    per-triangle configurations. r_f = r_r = side."""
+    per-triangle configurations, four pairs drawn per configuration.
+    r_f = r_r = side."""
     rng = np.random.default_rng(seed)
     side = face.side
     fw = np.stack([_sample_triangle(t, trials, rng) for t in face.triangles()],
@@ -198,7 +193,7 @@ def _uncovered_close_pairs(face: HexFace, trials: int, pairs_per_trial: int,
         dy = fw[idx, :, 1] - pt[idx, None, 1]
         return np.sqrt(dx * dx + dy * dy).min(axis=1)
 
-    for _ in range(pairs_per_trial):
+    for _ in range(4):
         p = _sample_hexagon(face, trials, rng)
         q = _sample_hexagon(face, trials, rng)
         # cheapest test first: most pairs are farther apart than the range
@@ -215,9 +210,8 @@ def _uncovered_close_pairs(face: HexFace, trials: int, pairs_per_trial: int,
                    (int(face.sector(p[i])[0]), int(face.sector(q[i])[0])))
 
 
-def blocking_counterexample_search(side: float, trials: int, seed: int,
-                                   pairs_per_trial: int = 4
-                                   ) -> Optional[BlockingCounterexample]:
+def blocking_counterexample_search(side: float, trials: int,
+                                   seed: int) -> Optional[BlockingCounterexample]:
     """Search for a susceptible pair within D2D range that crosses a closed
     face (r_f = r_r = side, one firewall per designated triangle).
 
@@ -230,8 +224,7 @@ def blocking_counterexample_search(side: float, trials: int, seed: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     face = HexFace(side=side)
-    for p, q, fw, dp, dq, dist, sectors in _uncovered_close_pairs(
-            face, trials, pairs_per_trial, seed):
+    for p, q, fw, dp, dq, dist, sectors in _uncovered_close_pairs(face, trials, seed):
         if sectors[0] != sectors[1]:
             return BlockingCounterexample(firewalls=fw, p=tuple(p), q=tuple(q),
                                           pair_distance=dist,
@@ -239,75 +232,15 @@ def blocking_counterexample_search(side: float, trials: int, seed: int,
     return None
 
 
-def pocket_pair_survey(side: float, trials: int, seed: int,
-                       pairs_per_trial: int = 4, max_examples: int = 10
-                       ) -> PocketSurvey:
-    """Log every uncovered close pair, split by whether it crosses sectors."""
-    face = HexFace(side=side)
-    same = 0
-    crossing = 0
-    examples = []
-    for p, q, fw, dp, dq, dist, sectors in _uncovered_close_pairs(
-            face, trials, pairs_per_trial, seed):
+def pocket_pair_survey(side: float, trials: int, seed: int) -> PocketSurvey:
+    """Count every uncovered close pair, split by whether it crosses sectors."""
+    same = crossing = 0
+    for *_, sectors in _uncovered_close_pairs(HexFace(side=side), trials, seed):
         if sectors[0] == sectors[1]:
             same += 1
         else:
             crossing += 1
-        if len(examples) < max_examples:
-            examples.append((tuple(p), tuple(q), dist, sectors))
-    return PocketSurvey(trials=trials, pairs_per_trial=pairs_per_trial,
-                        same_sector_pairs=same, crossing_pairs=crossing,
-                        examples=tuple(examples))
-
-
-@dataclass(frozen=True)
-class SquareEdge:
-    """One edge of the coupling square lattice (side s = r_r / sqrt(5)).
-
-    Horizontal edge (i, j) runs from (i s, j s) to ((i+1) s, j s); its two
-    squares are the cells below and above. Vertical edge (i, j) runs from
-    (i s, j s) to (i s, (j+1) s); squares left and right. The firewall range
-    r_f fixes the dependency region. Coordinates are relative to `origin`.
-    """
-
-    orientation: str
-    i: int
-    j: int
-    side: float
-    r_f: float
-    origin: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        if self.orientation not in ("h", "v"):
-            raise ValueError("orientation must be 'h' or 'v'")
-        if not (self.side > 0 and self.r_f > 0):
-            raise ValueError("side and r_f must be > 0")
-
-    def _cell_rect(self, ci: int, cj: int) -> tuple[float, float, float, float]:
-        s = self.side
-        ox, oy = self.origin
-        return (ox + ci * s, oy + cj * s, ox + (ci + 1) * s, oy + (cj + 1) * s)
-
-    def squares(self):
-        """The two adjacent cells sharing this edge, each as (x0, y0, x1, y1)."""
-        if self.orientation == "h":
-            return (self._cell_rect(self.i, self.j - 1),
-                    self._cell_rect(self.i, self.j))
-        return (self._cell_rect(self.i - 1, self.j),
-                self._cell_rect(self.i, self.j))
-
-    def union_rect(self) -> tuple[float, float, float, float]:
-        """Bounds of the two squares' union; its diagonal equals side*sqrt(5)."""
-        (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = self.squares()
-        return (min(ax0, bx0), min(ay0, by0), max(ax1, bx1), max(ay1, by1))
-
-    def a_region(self) -> tuple[float, float, float, float]:
-        """Cell-aligned dependency region containing the four corner disks of
-        radius r_f. Spans (2c+1) x (2c+2) cells with c = ceil(r_f / side)."""
-        c = _ceil_ratio(self.r_f, self.side)
-        s = self.side
-        x0, y0, x1, y1 = self.union_rect()
-        return (x0 - c * s, y0 - c * s, x1 + c * s, y1 + c * s)
+    return PocketSurvey(trials=trials, same_sector_pairs=same, crossing_pairs=crossing)
 
 
 class OpenEdgeCheck(NamedTuple):

@@ -51,8 +51,7 @@ class NetworkConfig:
 
     Firewalls are sampled on the window expanded by `firewall_margin` on each
     side; the default 0 samples both processes on the same window. Firewalls
-    must outrange devices (r_f >= r_r); `allow_small_firewall_range=True`
-    lifts that check, which the command line never does.
+    must outrange devices (r_f >= r_r).
     """
 
     lambda_r: float
@@ -62,7 +61,6 @@ class NetworkConfig:
     window: Window
     master_seed: int = 0
     firewall_margin: float = 0.0
-    allow_small_firewall_range: bool = False
 
     def __post_init__(self):
         if not math.isfinite(self.lambda_r) or self.lambda_r < 0:
@@ -84,7 +82,7 @@ class NetworkConfig:
             if r * r == 0.0:
                 raise ValueError(f"{name} = {r:.6g} is too small: its square "
                                  "underflows to 0")
-        if self.r_f < self.r_r and not self.allow_small_firewall_range:
+        if self.r_f < self.r_r:
             raise ValueError(f"r_f < r_r ({self.r_f:.6g} < {self.r_r:.6g}): firewalls "
                              "must outrange devices; raise r_f to at least r_r")
         if not (math.isfinite(self.firewall_margin) and self.firewall_margin >= 0):

@@ -248,17 +248,17 @@ def _changes(a: np.ndarray) -> np.ndarray:
     return first
 
 
-def _spans_from_labels(labels, k, strips) -> tuple[bool, bool]:
-    """Spanning flags given component labels and `_strip_masks` rows."""
+def _spans_from_labels(labels, k, strips) -> bool:
+    """Does the graph span both axes: does some component, of labels
+    0..k-1, touch the left and right strips, and some the bottom and top
+    ones (`_strip_masks` rows)?"""
     if k == 0:
-        return (False, False)
+        return False
     hit = np.zeros((4, k), dtype=bool)
     for row, mask in enumerate(strips):
         if mask.any():
             hit[row, labels[mask]] = True
-    spans_lr = bool((hit[0] & hit[1]).any())
-    spans_bt = bool((hit[2] & hit[3]).any())
-    return (spans_lr, spans_bt)
+    return bool((hit[0] & hit[1]).any() and (hit[2] & hit[3]).any())
 
 
 class _TrialState:
@@ -452,8 +452,7 @@ class _TrialState:
             ends.append((a.take(one), node.take(j.take(hit.take(one)))))
         n = len(self.cell_ids)
         roots = _component_roots(n, *(np.concatenate(e) for e in zip(*ends)))
-        lr, bt = _spans_from_labels(roots, n, self.strip_w >= p)
-        return lr and bt
+        return _spans_from_labels(roots, n, self.strip_w >= p)
 
     def bounded(self, p: float) -> bool:
         """Does a supergraph of the ISG at p fail to span an axis?
@@ -501,8 +500,7 @@ class _TrialState:
         gy = np.maximum(np.maximum(y0.take(b) - y1.take(a), y0.take(a) - y1.take(b)), 0.0)
         hit = (gx * gx + gy * gy <= self.r_r * self.r_r).nonzero()[0]
         roots = _component_roots(m, a.take(hit), b.take(hit))
-        lr, bt = _spans_from_labels(roots, m, self.strip_w.take(node.take(at), axis=1) >= p)
-        return not (lr and bt)
+        return not _spans_from_labels(roots, m, self.strip_w.take(node.take(at), axis=1) >= p)
 
     def spans_at(self, p: float, ends: bool | None = None,
                  floor: float | None = None) -> bool:
@@ -528,10 +526,10 @@ class _TrialState:
                 self.certified(p) if ends else self.bounded(p)):
             return ends
         roots = self.roots(p, floor)
-        lr, bt = _spans_from_labels(roots, len(self.cell_ids), self.strip_w >= p)
-        if not (lr and bt):
+        spans = _spans_from_labels(roots, len(self.cell_ids), self.strip_w >= p)
+        if not spans:
             self.fail_p, self.fail_roots = p, roots
-        return lr and bt
+        return spans
 
     def roots(self, p: float, floor: float | None = None) -> np.ndarray:
         """Per node, its component's root among the edges live at p, for p
@@ -924,16 +922,14 @@ def critical_grid(config: NetworkConfig, lambda_f_max: float | None = None,
     in, and the grid j * step / 8, j = 0..grid_n, that reaches lambda_f_max
     rounded up onto it.
 
-    Raises ValueError when the default ceiling does not exist, when the
-    ceiling or the step is not > 0, or when the grid would have more than
-    MAX_GRID_POINTS points; the size is checked before anything is built.
+    Raises ValueError when the ceiling or the step is not > 0, or when the
+    grid would have more than MAX_GRID_POINTS points; the size is checked
+    before anything is built.
     """
     if lambda_f_max is None:
-        denom = 4.0 * config.r_f ** 2 - config.r_r ** 2
-        if not denom > 0:
-            raise ValueError("the default lambda_f_max, 1.5 * 1.44 / (4 r_f^2 - r_r^2), "
-                             "needs 2 * r_f > r_r; pass lambda_f_max")
-        lambda_f_max = 1.5 * LC1_APPROX / denom
+        # r_f >= r_r, so 4 r_f^2 - r_r^2 >= 3 r_r^2 > 0 (or inf, which the
+        # ceiling check below refuses)
+        lambda_f_max = 1.5 * LC1_APPROX / (4.0 * config.r_f ** 2 - config.r_r ** 2)
     if step is None:
         step = lambda_f_max / 9.0
     if not (lambda_f_max > 0 and step > 0):

@@ -41,9 +41,9 @@ class Window:
             raise ValueError("degenerate window: need x_max > x_min and y_max > y_min")
 
     @classmethod
-    def square(cls, size: float, origin: tuple[float, float] = (0.0, 0.0)) -> "Window":
-        x0, y0 = origin
-        return cls(x0, y0, x0 + size, y0 + size)
+    def square(cls, size: float) -> "Window":
+        """The square [0, size] x [0, size]."""
+        return cls(0.0, 0.0, float(size), float(size))
 
     @property
     def width(self) -> float:

@@ -1,12 +1,20 @@
 """Brute-force references shared by the tests. Every distance comes from a
-full dx*dx + dy*dy matrix and every component from SciPy's
-`connected_components`, so no reference runs the package's cell grid or
-labelling. The worlds the tests build are small."""
-from dataclasses import replace
+full dx*dx + dy*dy matrix, or from SciPy's kd-tree and then the same
+squared test, and every component from SciPy's `connected_components`, so
+no reference runs the package's cell grid or labelling. The worlds the
+tests build are small, except those of `threshold_counts`, which takes the
+benchmark's. `SquareEdge` is the reference geometry of the coupling
+lattice's dependency regions."""
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
+
+from spatial_firewalls.network import sample_world
+from spatial_firewalls.spatial import trial_seed
 
 
 def squared_distances(a, b):
@@ -98,6 +106,98 @@ def certificate_spans(xy, cell_id, stride, n_cells, window, r):
     _, labels = connected_components(sparse.csr_matrix(linked), directed=False)
     lr, bt = spans(xy, labels, window, r)
     return lr and bt
+
+
+def threshold_counts(config, lambda_pool, p_grid, t0, t1):
+    """Per trial t0..t1-1 of `config`, how many leading points of the
+    ascending thinning grid `p_grid` span, as `_threshold_worker` counts
+    them, from the world `sample_world` gives at `lambda_pool`.
+
+    A device's least firewall mark within r_f comes from SciPy's
+    `cKDTree.sparse_distance_matrix` at r_f (1 + 1e-9) and the device pairs
+    from `query_pairs` at r_r (1 + 1e-9), each then cut by the squared test
+    dx*dx + dy*dy <= r*r; components come from `connected_components` over
+    the pairs of devices kept at p (min_mark >= p), the strips from
+    `spans`, and the count from a plain bisection."""
+    counts = []
+    for t in range(t0, t1):
+        devices, pool, marks = sample_world(config, trial_seed(config.master_seed, t),
+                                            lambda_pool)
+        xy, n = devices.points, devices.n
+        tree = cKDTree(xy)
+        min_mark = np.full(n, np.inf)
+        near = tree.sparse_distance_matrix(cKDTree(pool.points), config.r_f * (1 + 1e-9),
+                                           output_type="ndarray")
+        i, j = near["i"], near["j"]
+        d = xy[i] - pool.points[j]
+        hit = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= config.r_f * config.r_f
+        np.minimum.at(min_mark, i[hit], marks[j[hit]])
+        pairs = tree.query_pairs(config.r_r * (1 + 1e-9), output_type="ndarray")
+        d = xy[pairs[:, 0]] - xy[pairs[:, 1]]
+        pairs = pairs[d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= config.r_r * config.r_r]
+
+        def spans_at(p):
+            kept = min_mark >= p
+            a, b = pairs[kept[pairs].all(axis=1)].T
+            graph = sparse.coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+            _, labels = connected_components(graph, directed=False)
+            lr, bt = spans(xy[kept], labels[kept], config.window, config.r_r)
+            return lr and bt
+
+        lo, hi = 0, len(p_grid)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if spans_at(p_grid[mid]):
+                lo = mid + 1
+            else:
+                hi = mid
+        counts.append(lo)
+    return np.array(counts, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class SquareEdge:
+    """One edge of the coupling square lattice (side s = r_r / sqrt(5)).
+
+    Horizontal edge (i, j) runs from (i s, j s) to ((i+1) s, j s); its two
+    squares are the cells below and above. Vertical edge (i, j) runs from
+    (i s, j s) to (i s, (j+1) s); squares left and right. The firewall range
+    r_f fixes the dependency region. Coordinates are relative to `origin`.
+    """
+
+    orientation: str
+    i: int
+    j: int
+    side: float
+    r_f: float
+    origin: tuple = (0.0, 0.0)
+
+    def _cell_rect(self, ci, cj):
+        s = self.side
+        ox, oy = self.origin
+        return (ox + ci * s, oy + cj * s, ox + (ci + 1) * s, oy + (cj + 1) * s)
+
+    def squares(self):
+        """The two adjacent cells sharing this edge, each as (x0, y0, x1, y1)."""
+        if self.orientation == "h":
+            return (self._cell_rect(self.i, self.j - 1),
+                    self._cell_rect(self.i, self.j))
+        return (self._cell_rect(self.i - 1, self.j),
+                self._cell_rect(self.i, self.j))
+
+    def union_rect(self):
+        """Bounds of the two squares' union; its diagonal equals side*sqrt(5)."""
+        (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = self.squares()
+        return (min(ax0, bx0), min(ay0, by0), max(ax1, bx1), max(ay1, by1))
+
+    def a_region(self):
+        """Cell-aligned dependency region containing the four corner disks of
+        radius r_f. Spans (2c+1) x (2c+2) cells with c = ceil(r_f / side),
+        less one part in 1e9 for rounding."""
+        c = math.ceil(self.r_f / self.side - 1e-9)
+        s = self.side
+        x0, y0, x1, y1 = self.union_rect()
+        return (x0 - c * s, y0 - c * s, x1 + c * s, y1 + c * s)
 
 
 def dependent_edges(reference):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from oracles import dependent_edges
+from oracles import SquareEdge, dependent_edges
 
 from spatial_firewalls.bounds import (CIRCUIT_BASE, LambdaC1, classify_regime,
                                       closed_face_probability,
@@ -16,7 +16,6 @@ from spatial_firewalls.bounds import (CIRCUIT_BASE, LambdaC1, classify_regime,
                                       protected_fraction, safe_d2d_range,
                                       subcritical_sufficient_intensity,
                                       supercritical_sufficient_bound)
-from spatial_firewalls.lattice import SquareEdge
 from spatial_firewalls.network import NetworkConfig
 from spatial_firewalls.spatial import Window
 
@@ -202,16 +201,20 @@ def test_evaluate_all_delegates():
 
 
 def test_evaluate_all_records_field_errors():
-    cfg = NetworkConfig(lambda_r=0.8, r_r=2, lambda_f=0.05, r_f=1,
-                        window=Window.square(100), master_seed=0,
-                        allow_small_firewall_range=True)
+    """At lambda_f = 0 the safe D2D range has no upper end, and at
+    r_f / r_r = 1e160 the dependent-edge count overflows a float: both
+    fields are recorded as errors, and the others are still computed."""
+    cfg = NetworkConfig(lambda_r=0.8, r_r=1e-150, lambda_f=0.0, r_f=1e10,
+                        window=Window.square(100), master_seed=0)
     rep = evaluate_all(cfg, LC1)
-    assert rep.critical_upper_bound is None          # 4 r_f^2 == r_r^2
-    assert rep.supercritical_bound is None           # needs r_f >= r_r
-    assert rep.critical_protected_fraction is None
-    assert {"critical_upper_bound", "supercritical",
-            "critical_protected_fraction"} <= set(rep.errors)
-    assert rep.protected_fraction is not None        # unaffected fields survive
+    assert rep.d2d_range_window is None              # needs lambda_f > 0
+    assert rep.supercritical_bound is None           # the count overflows
+    assert rep.beta is None and rep.supercritical_vacuous is None
+    assert set(rep.errors) == {"d2d_range_window", "supercritical"}
+    assert "overflows a float" in rep.errors["supercritical"]
+    assert rep.protected_fraction == 0.0             # unaffected fields survive
+    assert rep.critical_upper_bound is not None
+    assert rep.critical_protected_fraction is not None
 
 
 def test_report_json_round_trip():

@@ -227,13 +227,11 @@ def test_protected_axis_point_below_r_r(capsys):
     ["bounds", "--r-f", "1", "--r-r", "2"],
 ])
 def test_small_firewall_range_error_names_what_the_cli_can_change(argv, capsys):
-    """r_f below r_r is refused with what to raise, not with the library's
-    `allow_small_firewall_range`, which no flag or spec field sets."""
+    """r_f below r_r is refused with what to raise."""
     rc = main(argv)
     err = capsys.readouterr().err
     _assert_spec_error_text(rc, err, "r_f < r_r")
     assert "raise r_f to at least r_r" in err
-    assert "allow_small_firewall_range" not in err
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -335,6 +333,37 @@ _AXIS = ["--axis", "lambda_f", "--start", "0", "--stop", "0.1", "--step", "0.05"
 ])
 def test_malformed_model_parameters(argv, needle, capsys):
     _assert_spec_error(main(argv + ["--trials", "2"]), capsys, needle)
+
+
+@pytest.mark.parametrize("words,needle", [
+    (["bounds", "--r-r", "-1e-3"], "r_r must be > 0"),
+    (["sweep"] + _AXIS + ["--lambda-r", "-inf"], "lambda_r must be finite and >= 0"),
+    (["bounds", "--r-f", "-nan"], "r_f must be > 0"),
+])
+def test_a_negative_value_written_as_its_own_word(words, needle, capsys):
+    """-1e-3, -inf and -nan after a flag are its value, as in the `=` form,
+    not a flag that argparse does not know: exit 2 with one error line."""
+    joined = words[:-2] + [f"{words[-2]}={words[-1]}"]
+    for argv in (words, joined):
+        _assert_spec_error(main(argv), capsys, needle)
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize("command", ["bounds", "validate"])
+def test_bounds_and_validate_refuse_an_axis(command, source, tmp_path, capsys):
+    """An axis that the command would ignore is refused, from flags or from
+    a config file, before any work: exit 2 with one error line."""
+    axis = {"param": "lambda_r", "start": 0.0, "stop": 1.0, "step": 0.5}
+    if source == "flags":
+        argv = [command, "--axis", "lambda_r", "--start", "0", "--stop", "1", "--step", "0.5"]
+    else:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"command": command, "axis": axis}))
+        argv = [command, "--config", str(path)]
+    with mock.patch.object(cli, "_run_bounds") as bounds, \
+            mock.patch.object(cli, "_run_validate") as validate:
+        _assert_spec_error(main(argv), capsys, f"{command} takes no axis")
+    assert not bounds.called and not validate.called
 
 
 @pytest.mark.parametrize("argv", [

@@ -83,11 +83,9 @@ def test_config_validation():
         NetworkConfig(lambda_r=-1, r_r=2, lambda_f=0, r_f=2, window=w)
     with pytest.raises(ValueError):
         NetworkConfig(lambda_r=1, r_r=0, lambda_f=0, r_f=2, window=w)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="r_f < r_r"):
         NetworkConfig(lambda_r=1, r_r=2, lambda_f=0, r_f=1, window=w)
-    cfg = NetworkConfig(lambda_r=1, r_r=2, lambda_f=0, r_f=1, window=w,
-                        allow_small_firewall_range=True)
-    assert cfg.r_f == 1
+    assert NetworkConfig(lambda_r=1, r_r=2, lambda_f=0, r_f=2, window=w).r_f == 2
     with pytest.raises(ValueError):
         NetworkConfig(lambda_r=1, r_r=2, lambda_f=0, r_f=2, window=w,
                       firewall_margin=-0.5)

@@ -22,8 +22,8 @@ from spatial_firewalls.percolation import (NoDevicesError, SearchExhaustedError,
 from spatial_firewalls.spatial import PointSet, Window, trial_seed
 
 
-def _flags(state, p):
-    """(spans left-right, spans bottom-top) of a trial state at p."""
+def _spans(state, p):
+    """The spanning read of a trial state's labelling at p."""
     return _spans_from_labels(state.roots(p), len(state.cell_ids), state.strip_w >= p)
 
 
@@ -44,18 +44,36 @@ def test_detect_spanning_empty():
                         window=Window.square(50), master_seed=0)
     world = sample_world(cfg, trial_seed(0, 0), 0.0)
     assert world[0].n == 0
-    assert _flags(_TrialState(cfg, *world), 1.0) == (False, False)
+    assert _spans(_TrialState(cfg, *world), 1.0) is False
+
+
+def _chain_spans(xy):
+    """(the oracle's (left-right, bottom-top) flags, the spanning read) of
+    the devices xy on a 100 m window at r_r = r_f = 2, with no firewall."""
+    window = Window.square(100.0)
+    cfg = NetworkConfig(lambda_r=0.0, r_r=2.0, lambda_f=0.0, r_f=2.0, window=window)
+    world = (PointSet(xy, window), PointSet(np.empty((0, 2)), window), np.empty(0))
+    return spans(xy, components(xy, 2.0)[0], window, 2.0), _spans(_TrialState(cfg, *world), 1.0)
+
+
+_ACROSS = np.arange(0.0, 101.0, 2.0)  # 51 devices 2 m apart, r_r = 2
 
 
 def test_detect_spanning_horizontal_chain_only():
     """A chain of devices 2 m apart (r_r = 2) across the window at mid
-    height spans left-right but not bottom-top."""
-    window = Window.square(100.0)
-    xy = np.column_stack([np.arange(0.0, 101.0, 2.0), np.full(51, 50.0)])
-    cfg = NetworkConfig(lambda_r=0.0, r_r=2.0, lambda_f=0.0, r_f=2.0, window=window)
-    assert spans(xy, components(xy, 2.0)[0], window, 2.0) == (True, False)
-    world = (PointSet(xy, window), PointSet(np.empty((0, 2)), window), np.empty(0))
-    assert _flags(_TrialState(cfg, *world), 1.0) == (True, False)
+    height spans left-right but not bottom-top, so the trial does not
+    span."""
+    xy = np.column_stack([_ACROSS, np.full(51, 50.0)])
+    assert _chain_spans(xy) == ((True, False), False)
+
+
+def test_detect_spanning_vertical_chain_and_cross():
+    """The chain at mid width spans bottom-top only, which is no span
+    either; the two chains together, crossing at a shared device, span."""
+    vertical = np.column_stack([np.full(51, 50.0), _ACROSS])
+    assert _chain_spans(vertical) == ((False, True), False)
+    cross = np.concatenate([vertical, np.column_stack([_ACROSS, np.full(51, 50.0)])])
+    assert _chain_spans(cross) == ((True, True), True)
 
 
 def test_deep_supercritical_spans():
@@ -185,19 +203,6 @@ def test_critical_search_exhausted():
         find_critical_firewall_intensity(cfg, lambda_f_max=0.008, step=0.004,
                                          trials=10)
     assert len(err.value.evaluated) >= 1
-
-
-@pytest.mark.parametrize("r_f", [1.0, 0.8])
-def test_critical_default_ceiling_needs_wide_firewall_range(r_f):
-    """The default ceiling 1.5 * 1.44 / (4 r_f^2 - r_r^2) exists only for
-    2 r_f > r_r; below that the caller has to pass lambda_f_max."""
-    cfg = NetworkConfig(lambda_r=0.1, r_r=2, lambda_f=0, r_f=r_f,
-                        window=Window.square(20), master_seed=1,
-                        allow_small_firewall_range=True)
-    with pytest.raises(ValueError, match=r"needs 2 \* r_f > r_r; pass lambda_f_max"):
-        find_critical_firewall_intensity(cfg, trials=2)
-    res = find_critical_firewall_intensity(cfg, lambda_f_max=0.5, trials=2)
-    assert res.lambda_f_max == pytest.approx(0.5)
 
 
 def test_critical_search_result_invariants():

@@ -167,8 +167,7 @@ def _scipy_probe(state, p):
     labels of the live ones, then the spanning flags."""
     live = state.edge_w >= p
     k, labels = _scipy_labels(len(state.cell_ids), state.edge_a[live], state.edge_b[live])
-    lr, bt = _spans_from_labels(labels, k, state.strip_w >= p)
-    return lr and bt
+    return _spans_from_labels(labels, k, state.strip_w >= p)
 
 
 @SETTINGS
@@ -242,7 +241,8 @@ def test_labelling_from_a_failure_matches_components(world, p_hi, ps):
 
 
 def test_spans_from_labels_ignores_label_ids():
-    """The flags depend on which nodes share a label, never on the ids."""
+    """The read depends on which nodes share a label, never on the ids, and
+    spanning one axis only is no span."""
     labels = np.array([0, 0, 1, 1, 2, 2, 0])
     strips = np.array([[1, 0, 1, 0, 0, 0, 0],   # left
                        [0, 0, 0, 1, 0, 0, 1],   # right
@@ -251,13 +251,13 @@ def test_spans_from_labels_ignores_label_ids():
                       dtype=bool)
     # label 0 touches left and right, label 1 left and right, label 2
     # only bottom; top is label 0's
-    cases = ((strips, (True, False)),
-             (strips[[2, 3, 0, 1]], (False, True)),
-             (strips[[0, 2, 2, 3]], (False, False)),
-             (strips[[0, 1, 0, 1]], (True, True)))
-    for rows, flags in cases:
+    cases = ((strips, False),                  # left-right only
+             (strips[[2, 3, 0, 1]], False),    # bottom-top only
+             (strips[[0, 2, 2, 3]], False),
+             (strips[[0, 1, 0, 1]], True))
+    for rows, spanned in cases:
         for perm in ([0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]):
-            assert _spans_from_labels(np.take(perm, labels), 3, rows) == flags
+            assert _spans_from_labels(np.take(perm, labels), 3, rows) is spanned
 
 
 def test_pairs_enumerated_only_among_devices_above_floor():
@@ -357,18 +357,22 @@ def test_cell_edge_weight_from_best_linked_pair():
     0.9) and 0.68 (0.5); cell B at x = 1.12 (0.3) and 1.38 (0.8). The two
     top-mark devices are 1.36 apart, so the edge weight is 0.5, from the
     pair (0.68, 1.38), and not the bound min(0.9, 0.8). Each device has a
-    firewall of its mark on it, with r_f small enough to cover that device
-    alone. The window is 2.1 by 0.7: every device lies in the bottom and
-    top strips, cell A in the left one only and cell B in the right one
-    only, so the trial spans exactly while the edge is live.
+    firewall of its mark outside the window, on a margin of 0.75, within
+    r_f = r_r of that device alone. The window is 2.1 by 0.7: every device
+    lies in the bottom and top strips, cell A in the left one only and cell
+    B in the right one only, so the trial spans exactly while the edge is
+    live.
     """
-    r_r, r_f = 1.0, 0.01
+    r_r = r_f = 1.0
     xy = np.array([[0.02, 0.05], [0.68, 0.4], [1.12, 0.3], [1.38, 0.65]])
+    fw = np.array([[-0.6, -0.6], [0.55, 1.38], [1.2, -0.68], [2.0, 1.4]])
     marks = np.array([0.9, 0.5, 0.3, 0.8])
     window = Window(0.0, 0.0, 2.1, 0.7)
     cfg = NetworkConfig(lambda_r=0.0, r_r=r_r, lambda_f=0.0, r_f=r_f, window=window,
-                        allow_small_firewall_range=True)
-    world = (PointSet(xy, window), PointSet(xy, window), marks)
+                        firewall_margin=0.75)
+    assert not window.contains(fw).any()
+    assert ((squared_distances(xy, fw) <= r_f * r_f) == np.eye(4, dtype=bool)).all()
+    world = (PointSet(xy, window), PointSet(fw, cfg.firewall_window()), marks)
     state = _TrialState(cfg, *world)
     assert state.min_mark.tolist() == marks.tolist()  # already in cell order
 
@@ -1383,15 +1387,16 @@ def test_open_edge_coupling_matches_per_edge_reference():
     assert any(violations)
 
 
-def _uncovered_close_pairs_reference(face, trials, pairs_per_trial, seed):
+def _uncovered_close_pairs_reference(face, trials, seed):
     """The blocking search's generator as first written: every distance of
     every pair by `np.linalg.norm` over (trials, 3, 2) arrays, then one
-    joint mask. Draws the same random stream as `_uncovered_close_pairs`."""
+    joint mask, four pairs per trial. Draws the same random stream as
+    `_uncovered_close_pairs`."""
     rng = np.random.default_rng(seed)
     side = face.side
     fw = np.stack([lattice._sample_triangle(t, trials, rng)
                    for t in face.triangles()], axis=1)
-    for _ in range(pairs_per_trial):
+    for _ in range(4):
         p = lattice._sample_hexagon(face, trials, rng)
         q = lattice._sample_hexagon(face, trials, rng)
         dp = np.linalg.norm(fw - p[:, None, :], axis=2).min(axis=1)
@@ -1416,8 +1421,8 @@ def test_blocking_search_matches_norm_reference():
     @example(0.3, 7)
     def check(side, seed):
         face = lattice.HexFace(side=side)
-        got = list(lattice._uncovered_close_pairs(face, 2000, 4, seed))
-        want = list(_uncovered_close_pairs_reference(face, 2000, 4, seed))
+        got = list(lattice._uncovered_close_pairs(face, 2000, seed))
+        want = list(_uncovered_close_pairs_reference(face, 2000, seed))
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert all(np.array_equal(a, b) for a, b in zip(g[:3], w[:3]))
