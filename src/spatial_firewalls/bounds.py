@@ -2,13 +2,14 @@
 
 Everything here is a pure function of the model parameters and of the
 unit-range critical intensity, which is known only approximately and is
-therefore carried as an explicit first-class value with its provenance.
+therefore carried as an explicit first-class value, whose provenance (a
+known estimate or custom) follows from it.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 from .network import NetworkConfig
@@ -21,6 +22,7 @@ __all__ = [
     "device_percolation_threshold",
     "subcritical_sufficient_intensity",
     "closed_face_probability",
+    "dependent_edge_count",
     "dependency_counts",
     "supercritical_sufficient_bound",
     "critical_intensity_upper_bound",
@@ -41,53 +43,44 @@ _TRIANGLE_AREA = math.sqrt(3.0) / 4.0
 CIRCUIT_BASE = (11.0 - 2.0 * math.sqrt(10.0)) / 27.0
 
 
+# the provenance of each known value of lambda_c1; any other value is custom
+_PROVENANCE = {LC1_APPROX: "approximation_1_44", LC1_UPPER: "upper_3_37",
+               LC1_LOWER: "lower_0_768"}
+
+
 @dataclass(frozen=True)
 class LambdaC1:
     """Critical intensity for unit-range continuum percolation.
 
     No exact value is known; the usable approximation is 1.44 and the proven
-    bracket is (0.768, 3.37). Non-custom values must stay in that bracket.
+    bracket is (0.768, 3.37). The provenance follows from the value: one of
+    those three, or custom.
     """
 
     value: float
-    provenance: str = "custom"
-
-    _KNOWN = ("approximation_1_44", "upper_3_37", "lower_0_768", "custom")
 
     def __post_init__(self):
-        if self.provenance not in self._KNOWN:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.provenance != "custom" and not (LC1_LOWER <= self.value <= LC1_UPPER):
-            raise ValueError("non-custom value outside [0.768, 3.37]")
         if not (self.value > 0 and math.isfinite(self.value)):
             raise ValueError("value must be finite and > 0")
 
+    @property
+    def provenance(self) -> str:
+        return _PROVENANCE.get(self.value, "custom")
+
     @classmethod
     def approximation(cls) -> "LambdaC1":
-        return cls(LC1_APPROX, "approximation_1_44")
+        return cls(LC1_APPROX)
 
     @classmethod
     def upper(cls) -> "LambdaC1":
-        return cls(LC1_UPPER, "upper_3_37")
-
-    @classmethod
-    def lower(cls) -> "LambdaC1":
-        return cls(LC1_LOWER, "lower_0_768")
-
-    @classmethod
-    def custom(cls, value: float) -> "LambdaC1":
-        return cls(float(value), "custom")
+        return cls(LC1_UPPER)
 
     @classmethod
     def parse(cls, text) -> "LambdaC1":
-        """Accepts 1.44 / 3.37 / 0.768 (mapped to their provenances) or any
-        positive float as a custom value."""
+        """Accepts any positive float; one within 1e-12 of 1.44, 3.37 or
+        0.768 is taken as that value."""
         v = float(text)
-        for known, ctor in ((LC1_APPROX, cls.approximation),
-                            (LC1_UPPER, cls.upper), (LC1_LOWER, cls.lower)):
-            if abs(v - known) < 1e-12:
-                return ctor()
-        return cls.custom(v)
+        return cls(next((known for known in _PROVENANCE if abs(v - known) < 1e-12), v))
 
 
 def _ceil_ratio(num: float, den: float) -> int:
@@ -136,6 +129,11 @@ def closed_face_probability(lambda_f: float, r_r: float) -> float:
     return (-math.expm1(-lambda_f * _TRIANGLE_AREA * r_r ** 2)) ** 3
 
 
+def dependent_edge_count(a: int, b: int) -> int:
+    """Lattice edges that share an a x b cell dependency region with an edge."""
+    return 8 * a * b - 2 * a - 6 * b + 1
+
+
 def dependency_counts(r_f: float, r_r: float) -> DependencyGeometry:
     """Dependency-region dimensions and dependent-edge count for given ranges.
 
@@ -152,8 +150,7 @@ def dependency_counts(r_f: float, r_r: float) -> DependencyGeometry:
     c = _ceil_ratio(math.sqrt(5.0) * r_f, r_r)
     a = 2 * c + 2
     b = 2 * c + 1
-    n = 8 * a * b - 2 * a - 6 * b + 1
-    return DependencyGeometry(a=a, b=b, dependent_edge_count=n,
+    return DependencyGeometry(a=a, b=b, dependent_edge_count=dependent_edge_count(a, b),
                               region_cell_count=a * b,
                               side=r_r / math.sqrt(5.0))
 
@@ -276,18 +273,15 @@ class BoundsReport:
         def sig12(v):
             return float(f"{v:.12g}") if isinstance(v, float) else v
         out = {}
-        for name in ("device_percolation_threshold", "subcritical_sufficient_lambda_f",
-                     "closed_face_prob", "supercritical_bound", "supercritical_vacuous",
-                     "beta", "log_beta", "critical_upper_bound", "protected_fraction",
-                     "critical_protected_fraction", "regime"):
-            out[name] = sig12(getattr(self, name))
-        rng = self.d2d_range_window
-        out["d2d_range_lo"] = sig12(rng[0]) if rng else None
-        out["d2d_range_hi"] = sig12(rng[1]) if rng else None
-        out["lc1_value"] = sig12(self.lc1_value)
-        out["lc1_provenance"] = self.lc1_provenance
-        if self.errors:
-            out["errors"] = dict(self.errors)
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name == "d2d_range_window":
+                out["d2d_range_lo"], out["d2d_range_hi"] = map(sig12, v or (None, None))
+            elif f.name == "errors":
+                if v:
+                    out["errors"] = dict(v)
+            else:
+                out[f.name] = sig12(v)
         return out
 
     def to_json(self) -> str:
@@ -296,51 +290,31 @@ class BoundsReport:
 
 def evaluate_all(config: NetworkConfig, lc1: LambdaC1 | None = None) -> BoundsReport:
     """Evaluate every bound for `config`; field-level failures are recorded,
-    not raised."""
+    not raised, under the field's name (`supercritical` for the four fields
+    of the supercritical bound)."""
     lc1 = lc1 or LambdaC1.approximation()
+    c = config
+    formulas = {
+        "device_percolation_threshold": lambda: device_percolation_threshold(c.r_r, lc1),
+        "subcritical_sufficient_lambda_f": lambda: subcritical_sufficient_intensity(c.r_r),
+        "closed_face_prob": lambda: closed_face_probability(c.lambda_f, c.r_r),
+        "supercritical": lambda: supercritical_sufficient_bound(c.lambda_r, c.r_r, c.r_f),
+        "critical_upper_bound": lambda: critical_intensity_upper_bound(c.r_r, c.r_f, lc1),
+        "d2d_range_window": lambda: safe_d2d_range(c.lambda_r, c.lambda_f, c.r_f, lc1),
+        "protected_fraction": lambda: protected_fraction(c.lambda_f, c.r_f),
+        "critical_protected_fraction": lambda: critical_protected_fraction(c.r_r, c.r_f, lc1),
+        "regime": lambda: classify_regime(c, lc1),
+    }
     values: dict = {}
     errors: dict = {}
-
-    def run(name, fn):
+    for name, formula in formulas.items():
         try:
-            values[name] = fn()
+            values[name] = formula()
         except ValueError as exc:
             values[name] = None
             errors[name] = str(exc)
-
-    run("device_percolation_threshold",
-        lambda: device_percolation_threshold(config.r_r, lc1))
-    run("subcritical_sufficient_lambda_f",
-        lambda: subcritical_sufficient_intensity(config.r_r))
-    run("closed_face_prob",
-        lambda: closed_face_probability(config.lambda_f, config.r_r))
-    run("supercritical",
-        lambda: supercritical_sufficient_bound(config.lambda_r, config.r_r, config.r_f))
-    run("critical_upper_bound",
-        lambda: critical_intensity_upper_bound(config.r_r, config.r_f, lc1))
-    run("d2d_range_window",
-        lambda: safe_d2d_range(config.lambda_r, config.lambda_f, config.r_f, lc1))
-    run("protected_fraction",
-        lambda: protected_fraction(config.lambda_f, config.r_f))
-    run("critical_protected_fraction",
-        lambda: critical_protected_fraction(config.r_r, config.r_f, lc1))
-    run("regime", lambda: classify_regime(config, lc1))
-
-    sup = values.pop("supercritical", None)
-    return BoundsReport(
-        device_percolation_threshold=values["device_percolation_threshold"],
-        subcritical_sufficient_lambda_f=values["subcritical_sufficient_lambda_f"],
-        closed_face_prob=values["closed_face_prob"],
-        supercritical_bound=sup.bound if sup else None,
-        supercritical_vacuous=sup.vacuous if sup else None,
-        beta=sup.beta if sup else None,
-        log_beta=sup.log_beta if sup else None,
-        critical_upper_bound=values["critical_upper_bound"],
-        d2d_range_window=values["d2d_range_window"],
-        protected_fraction=values["protected_fraction"],
-        critical_protected_fraction=values["critical_protected_fraction"],
-        regime=values["regime"],
-        lc1_value=lc1.value,
-        lc1_provenance=lc1.provenance,
-        errors=errors,
-    )
+    sup = values.pop("supercritical") or SupercriticalBound(None, None, None, None)
+    return BoundsReport(**values, supercritical_bound=sup.bound,
+                        supercritical_vacuous=sup.vacuous, beta=sup.beta,
+                        log_beta=sup.log_beta, lc1_value=lc1.value,
+                        lc1_provenance=lc1.provenance, errors=errors)

@@ -20,23 +20,26 @@ from itertools import islice
 from typing import Optional
 
 from . import __version__
-from .bounds import LambdaC1, critical_intensity_upper_bound, dependency_counts, \
-    evaluate_all, protected_fraction, subcritical_sufficient_intensity
+from .bounds import LambdaC1, closed_face_probability, critical_intensity_upper_bound, \
+    dependency_counts, dependent_edge_count, evaluate_all, protected_fraction, \
+    subcritical_sufficient_intensity
 from .lattice import blocking_counterexample_search, check_coupling_lattice, \
     closed_face_mc_frequency, count_dependent_edges_bruteforce, \
-    independence_offsets, verify_open_edge_coupling, write_validator_csv
-from .bounds import closed_face_probability
+    independence_offsets, verify_open_edge_coupling
 from .network import NetworkConfig, check_sample_means
 from .percolation import INTERVAL_LEVEL, MAX_GRID_POINTS, NoDevicesError, \
     SearchExhaustedError, build_isg, check_cell_grid, critical_grid, \
     estimate_percolation_probability, SharedPool, find_critical_firewall_intensity, \
     sweep_lambda_f, sweep_protected_fraction, write_critical_csv, write_sweep_csv
-from .spatial import Window, open_csv, trial_seed
+from .spatial import Window, trial_seed, write_csv
 
 __all__ = ["AxisSpec", "ExperimentSpec", "run", "main"]
 
-_COMMANDS = ("sweep", "critical", "bounds", "validate", "protected")
 _NUMERIC_PARAMS = ("lambda_r", "lambda_f", "r_r", "r_f")
+# the axes each command takes; a sweep needs one, the others may go without
+_AXES = {"sweep": _NUMERIC_PARAMS, "critical": ("lambda_r",), "bounds": (),
+         "validate": (), "protected": ("lambda_f", "r_f")}
+_COMMANDS = tuple(_AXES)
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 _NO_VALUE_FLAGS = ("--help", "--table")
 
@@ -114,14 +117,18 @@ class ExperimentSpec:
     coupling_realizations: int = 100
 
     def validate(self):
-        """Raise SpecError unless every field is well typed and every
-        network configuration the spec describes, one per axis point, is
-        valid."""
+        """Raise SpecError unless every field is well typed, the command
+        takes the spec's axis (a sweep needs one), and every network
+        configuration the spec describes, one per axis point, is valid."""
         _check_types(self)
         if self.command not in _COMMANDS:
             raise SpecError(f"command must be one of {_COMMANDS}, got {self.command!r}")
-        if self.axis is not None and self.command in ("bounds", "validate"):
-            raise SpecError(f"{self.command} takes no axis")
+        axes = _AXES[self.command]
+        if self.axis is None and self.command == "sweep":
+            raise SpecError("sweep requires an axis")
+        if self.axis is not None and self.axis.param not in axes:
+            raise SpecError(f"{self.command} takes no axis" if not axes else
+                            f"{self.command} takes an axis over {' or '.join(axes)} only")
         for name in ("trials", "workers", "face_samples", "blocking_trials",
                      "coupling_realizations"):
             if getattr(self, name) < 1:
@@ -165,8 +172,8 @@ class ExperimentSpec:
                 check_coupling_lattice(c)
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
-        if self.command == "protected" and any(c.lambda_r <= 0 for c in configs):
-            raise SpecError("lambda_r must be > 0 for protected, at every axis point")
+        if self.command == "protected" and not self.lambda_r > 0:
+            raise SpecError("lambda_r must be > 0 for protected")
 
     def network_config(self) -> NetworkConfig:
         return NetworkConfig(lambda_r=self.lambda_r, r_r=self.r_r,
@@ -228,20 +235,17 @@ def _meta_lines(spec: ExperimentSpec, wall_s: float) -> list[str]:
             f"wall_time_s: {wall_s:.3f}"]
 
 
-def _emit(spec: ExperimentSpec, writer, rows_desc: str, t0: float) -> None:
-    """Write the metadata lines, then the CSV through `writer(file_handle)`,
-    to out or stdout."""
-    meta = _meta_lines(spec, time.perf_counter() - t0)
-    with open_csv(spec.out or sys.stdout, meta) as fh:
-        writer(fh)
+def _emit(spec: ExperimentSpec, rows: list, write, t0: float) -> None:
+    """Write the CSV of `rows` through `write(rows, out, header_lines)`,
+    with the metadata lines as its header lines, to out or stdout; with out,
+    print a summary that counts the rows."""
+    write(rows, spec.out or sys.stdout, _meta_lines(spec, time.perf_counter() - t0))
     if spec.out:
         print(json.dumps({"command": spec.command, "out": spec.out,
-                          "rows": rows_desc}))
+                          "rows": str(len(rows))}))
 
 
 def _run_sweep(spec: ExperimentSpec) -> int:
-    if spec.axis is None:
-        raise SpecError("sweep requires an axis")
     t0 = time.perf_counter()
     cfg = spec.network_config()
     values = spec.axis.values()
@@ -257,7 +261,7 @@ def _run_sweep(spec: ExperimentSpec) -> int:
                 workers=spec.workers))
             _progress(f"  {spec.axis.param}={v:g} theta_hat="
                       f"{estimates[-1].theta_hat:.3f}")
-    _emit(spec, lambda fh: write_sweep_csv(estimates, fh), str(len(estimates)), t0)
+    _emit(spec, estimates, write_sweep_csv, t0)
     return 0
 
 
@@ -271,8 +275,6 @@ def _run_critical(spec: ExperimentSpec) -> int:
     t0 = time.perf_counter()
     cfg = spec.network_config()
     lam_rs = spec.axis.values() if spec.axis else [spec.lambda_r]
-    if spec.axis and spec.axis.param != "lambda_r":
-        raise SpecError("critical sweeps over lambda_r only")
     bounds_meta = []
     for lc1 in (LambdaC1.approximation(), LambdaC1.upper()):
         ub = critical_intensity_upper_bound(spec.r_r, spec.r_f, lc1)
@@ -295,8 +297,8 @@ def _run_critical(spec: ExperimentSpec) -> int:
     # the intervals go in '#' lines, so the body stays as it was
     bounds_meta += [f"lambda_f_critical interval lambda_r={lr!r} level={INTERVAL_LEVEL!r}: "
                     f"{_interval_text(res.interval)}" for lr, res in rows]
-    _emit(spec, lambda fh: write_critical_csv(rows, fh, bounds_meta),
-          str(len(rows)), t0)
+    _emit(spec, rows, lambda rows, out, meta: write_critical_csv(rows, out, meta + bounds_meta),
+          t0)
     if exhausted:
         lr, exc = exhausted
         print(f"error: search exhausted at lambda_r={lr:g}: {exc}",
@@ -375,19 +377,16 @@ def _run_validate(spec: ExperimentSpec) -> int:
     _progress(f"open-edge coupling: {violations} violations over "
               f"{open_edges} open edges")
 
-    mismatches = 0
-    for a in range(2, 9):
-        for b in range(2, 9):
-            formula = 8 * a * b - 2 * a - 6 * b + 1
-            if count_dependent_edges_bruteforce(a, b) != formula:
-                mismatches += 1
+    mismatches = sum(count_dependent_edges_bruteforce(a, b) != dependent_edge_count(a, b)
+                     for a in range(2, 9) for b in range(2, 9))
     rows.append(("dependent_edge_count", 49, mismatches, "a,b in [2,8]^2"))
 
     s = spec.r_r / 5 ** 0.5
     dx, dy = independence_offsets(spec.r_f, s)
     rows.append(("independence_offsets", 1, 0, f"dx={dx:.4f} dy={dy:.4f}"))
 
-    _emit(spec, lambda fh: write_validator_csv(rows, fh), str(len(rows)), t0)
+    _emit(spec, rows, lambda rows, out, meta: write_csv(
+        out, "check_name,trials,violations,details", rows, meta), t0)
     total = sum(r[2] for r in rows)
     if total:
         print(f"error: {total} validator violations", file=sys.stderr)
@@ -403,26 +402,20 @@ def _run_protected(spec: ExperimentSpec) -> int:
         groups = [(spec.lambda_f, [spec.r_f])]
     elif spec.axis.param == "lambda_f":
         groups = [(v, [spec.r_f]) for v in spec.axis.values()]
-    elif spec.axis.param == "r_f":
+    else:  # r_f
         groups = [(spec.lambda_f, spec.axis.values())]
-    else:
-        raise SpecError("protected sweeps over lambda_f or r_f only")
     results = []
     for lf, rfs in groups:
         estimates = sweep_protected_fraction(replace(cfg, lambda_f=lf), rfs,
                                              spec.trials, workers=spec.workers)
         for rf, est in zip(rfs, estimates):
-            results.append((lf, rf, est, protected_fraction(lf, rf)))
+            formula = protected_fraction(lf, rf)
+            results.append((lf, rf, est.trials_used + est.trials_skipped,
+                            est.mean_fraction, est.std_err, formula))
             _progress(f"protected lambda_f={lf:g} r_f={rf:g}: "
-                      f"{est.mean_fraction:.4f} vs formula {results[-1][3]:.4f}")
-
-    def writer(fh):
-        fh.write("lambda_f,r_f,trials,mean_fraction,std_err,formula_fraction\n")
-        for lf, rf, est, formula in results:
-            fh.write(f"{lf!r},{rf!r},{est.trials_used + est.trials_skipped},"
-                     f"{est.mean_fraction!r},{est.std_err!r},{formula!r}\n")
-
-    _emit(spec, writer, str(len(results)), t0)
+                      f"{est.mean_fraction:.4f} vs formula {formula:.4f}")
+    _emit(spec, results, lambda rows, out, meta: write_csv(
+        out, "lambda_f,r_f,trials,mean_fraction,std_err,formula_fraction", rows, meta), t0)
     return 0
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .bounds import _ceil_ratio
 from .network import NetworkConfig, Realization
-from .spatial import open_csv
 
 _CHUNK = 1 << 18  # point pairs per pass of `_any_pair_beyond`, to bound the temporaries
 # Largest coupling lattice `verify_open_edge_coupling` takes, in cells of its
@@ -37,7 +36,6 @@ __all__ = [
     "MAX_COUPLING_CELLS",
     "count_dependent_edges_bruteforce",
     "independence_offsets",
-    "write_validator_csv",
 ]
 
 _EPS = 1e-12
@@ -397,10 +395,3 @@ def independence_offsets(r_f: float, s: float) -> tuple[float, float]:
     c = _ceil_ratio(r_f, s)
     return (2.0 * s * c, 2.0 * s * c + 2.0 * s)
 
-
-def write_validator_csv(rows, path_or_file) -> None:
-    """Validator report rows: check_name,trials,violations,details."""
-    with open_csv(path_or_file) as fh:
-        fh.write("check_name,trials,violations,details\n")
-        for name, trials, violations, details in rows:
-            fh.write(f"{name},{trials},{violations},{details}\n")

@@ -123,7 +123,7 @@ import numpy as np
 from .bounds import LC1_APPROX
 from .network import (CellGrid, NetworkConfig, Realization,
                       _component_roots, sample_world)
-from .spatial import open_csv, trial_seed
+from .spatial import trial_seed, write_csv
 
 __all__ = [
     "PercolationEstimate",
@@ -840,9 +840,7 @@ def _run_chunked(worker, common, trials: int, workers: int) -> np.ndarray:
     procs = [] if shared is None else shared.workers
     try:
         if not procs:
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            procs.extend(_fork_workers(min(chunks, cpus)))
+            procs.extend(_fork_workers(min(chunks, len(os.sched_getaffinity(0)))))
         n = min(len(procs), chunks)
         for k in range(n):
             procs[k][1].write(pickle.dumps((worker, jobs[k::n]), pickle.HIGHEST_PROTOCOL))
@@ -1038,13 +1036,11 @@ def _window_size(config: NetworkConfig) -> float:
 
 def write_sweep_csv(estimates, path_or_file, header_lines=()) -> None:
     """Sweep rows: lambda_r,r_r,lambda_f,r_f,window_size,trials,theta_hat,std_err,seed."""
-    with open_csv(path_or_file, header_lines) as fh:
-        fh.write("lambda_r,r_r,lambda_f,r_f,window_size,trials,theta_hat,std_err,seed\n")
-        for est in estimates:
-            c = est.config
-            fh.write(f"{c.lambda_r!r},{c.r_r!r},{c.lambda_f!r},{c.r_f!r},"
-                     f"{_window_size(c)!r},{est.trials},{est.theta_hat!r},"
-                     f"{est.std_err!r},{c.master_seed}\n")
+    rows = [(c.lambda_r, c.r_r, c.lambda_f, c.r_f, _window_size(c), est.trials,
+             est.theta_hat, est.std_err, c.master_seed)
+            for est in estimates for c in (est.config,)]
+    write_csv(path_or_file, "lambda_r,r_r,lambda_f,r_f,window_size,trials,theta_hat,"
+              "std_err,seed", rows, header_lines)
 
 
 def write_critical_csv(rows, path_or_file, header_lines=()) -> None:
@@ -1052,8 +1048,6 @@ def write_critical_csv(rows, path_or_file, header_lines=()) -> None:
 
     `rows` is an iterable of (lambda_r, CriticalSearchResult).
     """
-    with open_csv(path_or_file, header_lines) as fh:
-        fh.write("lambda_r,lambda_f_critical,epsilon,step,trials_per_point\n")
-        for lambda_r, res in rows:
-            fh.write(f"{lambda_r!r},{res.lambda_f_critical!r},{res.epsilon!r},"
-                     f"{res.step!r},{res.trials}\n")
+    write_csv(path_or_file, "lambda_r,lambda_f_critical,epsilon,step,trials_per_point",
+              [(lambda_r, res.lambda_f_critical, res.epsilon, res.step, res.trials)
+               for lambda_r, res in rows], header_lines)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ __all__ = [
     "split_seed",
     "trial_seed",
     "sample_ppp",
-    "open_csv",
+    "write_csv",
 ]
 
 
@@ -144,20 +143,19 @@ def sample_ppp(intensity: float, window: Window, seed: int) -> PointSet:
     return PointSet._drawn(np.stack([xs, ys]), window)
 
 
-@contextmanager
-def open_csv(path_or_file, header_lines=()):
-    """Yield a text handle for a CSV, after writing each header line as a
-    `# ` comment.
+def write_csv(path_or_file, header: str, rows, header_lines=()) -> None:
+    """Write a CSV: each header line as a `# ` comment, the `header` line
+    of column names, then one line per row of `rows`. Each value is written
+    by `str`: a string as it is, a float as its shortest round-trip repr.
 
-    `path_or_file` is a path, opened here and closed on exit, or an open
-    handle, which stays open.
+    `path_or_file` is a path, opened here and closed, or an open handle,
+    which stays open.
     """
-    owned = not hasattr(path_or_file, "write")
-    fh = open(path_or_file, "w") if owned else path_or_file
-    try:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        yield fh
-    finally:
-        if owned:
-            fh.close()
+    lines = [f"# {line}" for line in header_lines] + [header]
+    lines += [",".join(map(str, row)) for row in rows]
+    text = "".join(line + "\n" for line in lines)
+    if hasattr(path_or_file, "write"):
+        path_or_file.write(text)
+    else:
+        with open(path_or_file, "w") as fh:
+            fh.write(text)

@@ -11,7 +11,7 @@ from spatial_firewalls.bounds import (CIRCUIT_BASE, LambdaC1, classify_regime,
                                       closed_face_probability,
                                       critical_intensity_upper_bound,
                                       critical_protected_fraction,
-                                      dependency_counts,
+                                      dependency_counts, dependent_edge_count,
                                       device_percolation_threshold, evaluate_all,
                                       protected_fraction, safe_d2d_range,
                                       subcritical_sufficient_intensity,
@@ -23,17 +23,38 @@ LC1 = LambdaC1.approximation()
 
 
 def test_lambda_c1_constructors():
-    assert LC1.value == 1.44
-    assert LambdaC1.upper().value == 3.37
-    assert LambdaC1.lower().value == 0.768
-    assert LambdaC1.parse("1.44").provenance == "approximation_1_44"
-    assert LambdaC1.parse("3.37").provenance == "upper_3_37"
-    assert LambdaC1.parse("2.0").provenance == "custom"
-    assert LambdaC1.custom(5.0).value == 5.0
+    assert LC1 == LambdaC1(1.44)
+    assert LambdaC1.upper() == LambdaC1(3.37)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            LambdaC1(bad)
+    # the provenance is not a value of its own
+    with pytest.raises(TypeError):
+        LambdaC1(2.0, "approximation_1_44")
+    with pytest.raises(AttributeError):
+        LC1.provenance = "custom"
+
+
+@pytest.mark.parametrize("value, provenance", [
+    (1.44, "approximation_1_44"), (3.37, "upper_3_37"), (0.768, "lower_0_768"),
+    (2.0, "custom"), (1.4400001, "custom"), (5.0, "custom")])
+def test_lambda_c1_provenance_follows_the_value(value, provenance):
+    assert LambdaC1(value).provenance == provenance
+    assert LambdaC1.parse(repr(value)) == LambdaC1(value)
+    cfg = NetworkConfig(lambda_r=0.8, r_r=2, lambda_f=0.05, r_f=2,
+                        window=Window.square(100), master_seed=0)
+    assert evaluate_all(cfg, LambdaC1(value)).to_dict()["lc1_provenance"] == provenance
+
+
+def test_lambda_c1_parse_snaps_to_the_known_values():
+    """A value within 1e-12 of 1.44, 3.37 or 0.768 is taken as that value,
+    so it carries that provenance; one further away stays custom."""
+    for known in (1.44, 3.37, 0.768):
+        for text in (repr(known + 5e-13), repr(known - 5e-13), f"{known:.15f}"):
+            assert LambdaC1.parse(text).value == known
+    assert LambdaC1.parse("1.44000001").provenance == "custom"
     with pytest.raises(ValueError):
-        LambdaC1(0.5, "approximation_1_44")
-    with pytest.raises(ValueError):
-        LambdaC1(-1.0, "custom")
+        LambdaC1.parse("-1")
 
 
 def test_device_threshold_values():
@@ -82,15 +103,16 @@ def test_dependency_counts_formula_consistency():
 def test_dependent_edge_count_counts_overlapping_regions(ratio, c, orientation):
     """At r_r = 2 (side s = 2 / sqrt 5) and r_f = ratio * s, the edges whose
     dependency regions overlap a reference edge's, counted geometrically,
-    number what `dependency_counts` gives. It refuses r_f < r_r, so at
-    c = 1 and 2 the count is held to 8ab - 2a - 6b + 1 written out (71 and
-    199)."""
+    number `dependent_edge_count(2c + 2, 2c + 1)`, the closed form that
+    `dependency_counts` and the validate suite use. `dependency_counts`
+    refuses r_f < r_r; at r_f >= r_r it gives the same count."""
     side = 2.0 / math.sqrt(5.0)
     reference = SquareEdge(orientation, 3, -2, side, ratio * side, origin=(0.5, -1.25))
     assert math.ceil(ratio - 1e-9) == c
-    expected = ({1: 71, 2: 199}.get(c)
-                or dependency_counts(ratio * side, 2.0).dependent_edge_count)
+    expected = dependent_edge_count(2 * c + 2, 2 * c + 1)
     assert dependent_edges(reference) == expected
+    if ratio * side >= 2.0:
+        assert dependency_counts(ratio * side, 2.0).dependent_edge_count == expected
 
 
 def test_dependency_counts_requires_rf_geq_rr():

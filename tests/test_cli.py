@@ -1,4 +1,5 @@
 """End-to-end runs of every subcommand through the argparse entry point."""
+import contextlib
 import json
 import os
 import signal
@@ -165,6 +166,34 @@ def test_protected_rows(tmp_path):
     rows = [r.split(",") for r in body[1:]]
     assert len(rows) == 2
     assert float(rows[0][5]) == protected_fraction(0.05, 2.0)
+
+
+# tiny specs of the four commands that write a CSV
+_TINY = {
+    "sweep": ["sweep", "--lambda-r", "0.5", "--window-size", "20", "--axis", "lambda_f",
+              "--start", "0", "--stop", "0.1", "--step", "0.05"],
+    "critical": ["critical", "--axis", "lambda_r", "--start", "1", "--stop", "1.5",
+                 "--step", "0.5", "--window-size", "20", "--search-step", "0.05"],
+    "validate": ["validate", "--face-samples", "50", "--blocking-trials", "100",
+                 "--coupling-realizations", "2"],
+    "protected": ["protected", "--lambda-r", "0.5", "--window-size", "20", "--axis", "r_f",
+                  "--start", "2", "--stop", "3", "--step", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TINY))
+def test_out_file_holds_the_stdout_body(command, tmp_path, capsys):
+    """A command writes the same CSV body to stdout and to --out, and the
+    summary line of --out counts the body's rows."""
+    argv = _TINY[command] + ["--trials", "3", "--seed", "2"]
+    assert main(argv) == 0
+    printed = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert _body(out) == printed
+    assert summary == {"command": command, "out": str(out), "rows": str(len(printed) - 1)}
+    assert len(printed) > 2
 
 
 _PROTECTED = ["protected", "--lambda-r", "0.5", "--window-size", "30",
@@ -349,26 +378,41 @@ def test_a_negative_value_written_as_its_own_word(words, needle, capsys):
 
 
 @pytest.mark.parametrize("source", ["flags", "config"])
-@pytest.mark.parametrize("command", ["bounds", "validate"])
-def test_bounds_and_validate_refuse_an_axis(command, source, tmp_path, capsys):
-    """An axis that the command would ignore is refused, from flags or from
-    a config file, before any work: exit 2 with one error line."""
-    axis = {"param": "lambda_r", "start": 0.0, "stop": 1.0, "step": 0.5}
-    if source == "flags":
-        argv = [command, "--axis", "lambda_r", "--start", "0", "--stop", "1", "--step", "0.5"]
-    else:
+@pytest.mark.parametrize("command, param, needle", [
+    pytest.param("bounds", "lambda_r", "bounds takes no axis", id="bounds"),
+    pytest.param("validate", "lambda_r", "validate takes no axis", id="validate"),
+    pytest.param("critical", "r_f", "critical takes an axis over lambda_r only",
+                 id="critical"),
+    pytest.param("protected", "r_r", "protected takes an axis over lambda_f or r_f only",
+                 id="protected"),
+    pytest.param("sweep", None, "sweep requires an axis", id="sweep"),
+])
+def test_bounds_and_validate_refuse_an_axis(command, param, needle, source, tmp_path,
+                                            capsys):
+    """An axis that the command does not take, or a sweep without one, is
+    refused, from flags or from a config file, before any per-point check
+    or work: exit 2 with one error line. At r_f = 0.5 < r_r, critical over
+    r_f names the axis, not the firewall range."""
+    spec = {"command": command}
+    argv = [command]
+    if param is not None:
+        spec["axis"] = {"param": param, "start": 0.5, "stop": 1.0, "step": 0.5}
+        argv += ["--axis", param, "--start", "0.5", "--stop", "1", "--step", "0.5"]
+    if source == "config":
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps({"command": command, "axis": axis}))
+        path.write_text(json.dumps(spec))
         argv = [command, "--config", str(path)]
-    with mock.patch.object(cli, "_run_bounds") as bounds, \
-            mock.patch.object(cli, "_run_validate") as validate:
-        _assert_spec_error(main(argv), capsys, f"{command} takes no axis")
-    assert not bounds.called and not validate.called
+    with contextlib.ExitStack() as stack:
+        runs = [stack.enter_context(mock.patch.object(cli, f"_run_{name}"))
+                for name in cli._COMMANDS]
+        _assert_spec_error(main(argv), capsys, needle)
+    assert not any(run.called for run in runs)
 
 
 @pytest.mark.parametrize("argv", [
     ["protected", "--lambda-r", "0"],
-    ["protected", "--axis", "lambda_r", "--start", "0", "--stop", "1", "--step", "0.5"],
+    ["protected", "--lambda-r", "0", "--axis", "lambda_f", "--start", "0", "--stop", "1",
+     "--step", "0.5"],
 ])
 def test_protected_needs_positive_lambda_r(argv, capsys):
     _assert_spec_error(main(argv + ["--trials", "2"]), capsys, "lambda_r")
@@ -453,8 +497,8 @@ def test_tiny_step_exits_2(capsys):
 def test_trial_cell_grid_beyond_int64_exits_2(tmp_path, capsys):
     """A D2D range whose trial cells (side 0.7 r_r) over the window would
     number more than 2**62 is refused by the spec check, at any axis point
-    of a sweep or a critical search: exit 2, one error line, no trial run
-    and no CSV written."""
+    of a sweep or in a critical search: exit 2, one error line, no trial
+    run and no CSV written."""
     out = tmp_path / "out.csv"
     tiny = ["--r-r", "1e-9", "--r-f", "1e-9", "--lambda-r", "0.01", "--trials", "2",
             "--out", str(out)]
@@ -462,10 +506,7 @@ def test_trial_cell_grid_beyond_int64_exits_2(tmp_path, capsys):
         for argv in (["sweep", *tiny, *_AXIS],
                      ["critical", *tiny, "--lambda-f-max", "1", "--search-step", "0.5"],
                      ["sweep", "--r-f", "2", "--axis", "r_r", "--start", "1e-9",
-                      "--stop", "1", "--step", "0.5", "--trials", "2", "--out", str(out)],
-                     ["critical", "--r-f", "2", "--axis", "r_r", "--start", "1e-9",
-                      "--stop", "1", "--step", "0.5", "--trials", "2",
-                      "--lambda-f-max", "1", "--out", str(out)]):
+                      "--stop", "1", "--step", "0.5", "--trials", "2", "--out", str(out)]):
             _assert_spec_error(main(argv), capsys, "2**62")
             assert not out.exists()
     # the cells of a 1 m window at r_r = 1e-9 fit, and the sweep runs
@@ -811,18 +852,13 @@ def test_ctrl_c_ends_every_worker():
     _assert_no_child()
 
 
-@pytest.mark.parametrize("affinity", [True, False])
-def test_pool_never_outnumbers_the_cpus(affinity, monkeypatch):
+def test_pool_never_outnumbers_the_cpus(monkeypatch):
     """`workers` far above the CPU count forks one worker per CPU, counted
-    by `os.sched_getaffinity` where it exists and by `os.cpu_count`
-    elsewhere, while the trials still split into min(workers, trials)
-    ranges. Outside a `SharedPool` each call forks and reaps its own set;
-    inside one, the calls share a set, reaped when the block ends."""
-    if affinity:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    else:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    by `os.sched_getaffinity`, while the trials still split into
+    min(workers, trials) ranges. Outside a `SharedPool` each call forks and
+    reaps its own set; inside one, the calls share a set, reaped when the
+    block ends."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
     with _count_forks() as forks:
         out = percolation._run_chunked(_ranges, (), 5000, 5000)
         assert out.tolist() == [[t, t + 1] for t in range(5000)]

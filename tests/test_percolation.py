@@ -309,8 +309,9 @@ def test_sweep_csv_rejects_rectangles(tmp_path):
     cfg = NetworkConfig(lambda_r=0.5, r_r=2, lambda_f=0, r_f=2,
                         window=Window(0, 0, 40, 30), master_seed=5)
     est = estimate_percolation_probability(cfg, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="square window"):
         write_sweep_csv([est], tmp_path / "bad.csv")
+    assert not (tmp_path / "bad.csv").exists()      # refused before any write
 
 
 def test_spanning_crosses_half_at_continuum_threshold():
