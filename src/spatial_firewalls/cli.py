@@ -15,8 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
-from itertools import islice
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 from . import __version__
@@ -35,26 +34,38 @@ from .spatial import Window, trial_seed, write_csv
 
 __all__ = ["AxisSpec", "ExperimentSpec", "run", "main"]
 
-_NUMERIC_PARAMS = ("lambda_r", "lambda_f", "r_r", "r_f")
 # the axes each command takes; a sweep needs one, the others may go without
-_AXES = {"sweep": _NUMERIC_PARAMS, "critical": ("lambda_r",), "bounds": (),
-         "validate": (), "protected": ("lambda_f", "r_f")}
+_AXES = {"sweep": ("lambda_r", "lambda_f", "r_r", "r_f"), "critical": ("lambda_r",),
+         "bounds": (), "validate": (), "protected": ("lambda_f", "r_f")}
 _COMMANDS = tuple(_AXES)
+# the values a field of each type takes; the last parses its flag, but a str
+# flag keeps argparse's default
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 _NO_VALUE_FLAGS = ("--help", "--table")
 
 
-def _check_types(spec) -> None:
-    """Raise SpecError for a field whose value does not have its annotated
-    type. A float field also takes an int; a bool passes as neither. None
-    passes where the annotation is Optional."""
+def _kind(f) -> str:
+    """A field's annotated type without its Optional."""
+    return f.type.removeprefix("Optional[").removesuffix("]")
+
+
+def _check_types(spec, prefix: str = "") -> None:
+    """Raise SpecError, naming the field after `prefix`, for a field whose
+    value does not have its annotated type, and store each float field's
+    value as a float. A float field also takes an int, and an int too large
+    for a float is a SpecError; a bool passes as neither. None passes where
+    the annotation is Optional."""
     for f in fields(spec):
-        value = getattr(spec, f.name)
-        kind = f.type.removeprefix("Optional[").removesuffix("]")
+        value, kind = getattr(spec, f.name), _kind(f)
         if kind not in _FIELD_TYPES or (value is None and kind != f.type):
             continue
         if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
-            raise SpecError(f"{f.name} must be of type {kind}, got {value!r}")
+            raise SpecError(f"{prefix}{f.name} must be of type {kind}, got {value!r}")
+        if kind == "float":
+            try:
+                setattr(spec, f.name, float(value))
+            except OverflowError:
+                raise SpecError(f"{prefix}{f.name} is too large for a float") from None
 
 
 @dataclass
@@ -67,10 +78,7 @@ class AxisSpec:
     step: float
 
     def validate(self):
-        _check_types(self)
-        if self.param not in _NUMERIC_PARAMS:
-            raise SpecError(f"axis.param must be one of {_NUMERIC_PARAMS}, "
-                            f"got {self.param!r}")
+        _check_types(self, "axis.")
         if not all(math.isfinite(v) for v in (self.start, self.stop, self.step)):
             raise SpecError("axis.start, axis.stop and axis.step must be finite")
         if not (self.step > 0):
@@ -92,34 +100,37 @@ class AxisSpec:
 
 @dataclass
 class ExperimentSpec:
-    """Everything needed to run one batch experiment."""
+    """Everything needed to run one batch experiment. Each field after
+    `command` is a flag of its type (`_build_parser`), in field order: the
+    field's name with dashes, or its metadata's "flag"; a field whose
+    metadata names a "command" is a flag of that subcommand only. `axis` is
+    four flags, --axis, --start, --stop and --step."""
 
     command: str
+    master_seed: int = field(default=0, metadata={"flag": "--seed"})
+    trials: int = 100
+    epsilon: float = 0.02
+    out: Optional[str] = None
+    lc1: str = field(default="1.44", metadata={"help": "1.44 | 3.37 | 0.768 | custom float"})
+    workers: int = 1
     lambda_r: float = 0.8
     r_r: float = 2.0
     lambda_f: float = 0.0
     r_f: float = 2.0
     window_size: float = 100.0
-    firewall_margin: float = 0.0
-    master_seed: int = 0
-    trials: int = 100
-    epsilon: float = 0.02
-    workers: int = 1
-    lc1: str = "1.44"
-    out: Optional[str] = None
+    firewall_margin: float = field(default=0.0, metadata={"flag": "--margin"})
     axis: Optional[AxisSpec] = None
-    # critical-search controls
-    lambda_f_max: Optional[float] = None
-    search_step: Optional[float] = None
-    # validate-suite sizes
-    face_samples: int = 2000
-    blocking_trials: int = 100000
-    coupling_realizations: int = 100
+    lambda_f_max: Optional[float] = field(default=None, metadata={"command": "critical"})
+    search_step: Optional[float] = field(default=None, metadata={"command": "critical"})
+    face_samples: int = field(default=2000, metadata={"command": "validate"})
+    blocking_trials: int = field(default=100000, metadata={"command": "validate"})
+    coupling_realizations: int = field(default=100, metadata={"command": "validate"})
 
     def validate(self):
         """Raise SpecError unless every field is well typed, the command
         takes the spec's axis (a sweep needs one), and every network
-        configuration the spec describes, one per axis point, is valid."""
+        configuration the spec describes, one per axis point, is valid.
+        Each float field's value is stored as a float on the way."""
         _check_types(self)
         if self.command not in _COMMANDS:
             raise SpecError(f"command must be one of {_COMMANDS}, got {self.command!r}")
@@ -133,6 +144,8 @@ class ExperimentSpec:
                      "coupling_realizations"):
             if getattr(self, name) < 1:
                 raise SpecError(f"{name} must be >= 1")
+        if self.trials > 2 ** 62:  # the fan-out splits the trials in int64
+            raise SpecError("trials must be <= 2**62")
         if not (0 < self.epsilon < 1):
             raise SpecError("epsilon must be in (0, 1)")
         if not (self.window_size > 0):
@@ -159,14 +172,11 @@ class ExperimentSpec:
             # at its ceiling); an axis overrides the base configuration
             sampled = configs[1:] or configs
             for c in sampled if self.command in ("sweep", "critical", "protected") else ():
-                pool = c.lambda_f
-                if self.command == "critical":
-                    _, step, grid_n = critical_grid(c, self.lambda_f_max, self.search_step)
-                    pool = grid_n * (step / 8.0)
-                check_sample_means(c, pool)
-            # the coupling suite's worlds repeat after its 20 intensity pairs
-            coupling = _coupling_configs(self) if self.command == "validate" else ()
-            for _, c in islice(coupling, min(20, self.coupling_realizations)):
+                check_sample_means(c, critical_grid(c, self.lambda_f_max, self.search_step)[0]
+                                   if self.command == "critical" else c.lambda_f)
+            # the coupling suite's worlds repeat after its 20 configurations
+            coupling = _coupling_configs(self) if self.command == "validate" else []
+            for c in coupling[:self.coupling_realizations]:
                 check_cell_grid(c)
                 check_sample_means(c, c.lambda_f)
                 check_coupling_lattice(c)
@@ -182,27 +192,28 @@ class ExperimentSpec:
                              master_seed=self.master_seed,
                              firewall_margin=self.firewall_margin)
 
-    def lc1_value(self) -> LambdaC1:
-        return LambdaC1.parse(self.lc1)
-
     def to_dict(self) -> dict:
-        d = asdict(self)
-        if self.axis is None:
-            d.pop("axis")
-        return d
+        return {k: v for k, v in asdict(self).items() if k != "axis" or v is not None}
 
 
 class SpecError(ValueError):
     """Malformed experiment description."""
 
 
-def spec_from_dict(data: dict) -> ExperimentSpec:
-    data = dict(data)
+def load_spec(path) -> ExperimentSpec:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer of more digits than int() converts
+        raise SpecError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SpecError(f"{path}: top-level JSON value must be an object")
     axis = data.pop("axis", None)
-    known = {f.name for f in ExperimentSpec.__dataclass_fields__.values()}
-    for key in data:
-        if key not in known:
-            raise SpecError(f"unknown config field {key!r}")
+    unknown = [key for key in data if key not in {f.name for f in fields(ExperimentSpec)}]
+    if unknown:
+        raise SpecError(f"unknown config field {unknown[0]!r}")
     if "command" not in data:
         raise SpecError("config is missing the 'command' field")
     spec = ExperimentSpec(**data)
@@ -212,17 +223,6 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         except TypeError as exc:
             raise SpecError(f"axis: {exc}") from exc
     return spec
-
-
-def load_spec(path) -> ExperimentSpec:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise SpecError(f"{path}: top-level JSON value must be an object")
-    return spec_from_dict(data)
 
 
 def _progress(msg: str):
@@ -301,14 +301,13 @@ def _run_critical(spec: ExperimentSpec) -> int:
           t0)
     if exhausted:
         lr, exc = exhausted
-        print(f"error: search exhausted at lambda_r={lr:g}: {exc}",
-              file=sys.stderr)
+        print(f"error: search exhausted at lambda_r={lr:g}: {exc}", file=sys.stderr)
         return 1
     return 0
 
 
 def _run_bounds(spec: ExperimentSpec, table: bool) -> int:
-    report = evaluate_all(spec.network_config(), spec.lc1_value())
+    report = evaluate_all(spec.network_config(), LambdaC1.parse(spec.lc1))
     payload = report.to_json()
     if spec.out:
         with open(spec.out, "w") as fh:
@@ -324,20 +323,15 @@ def _run_bounds(spec: ExperimentSpec, table: bool) -> int:
     return 0
 
 
-def _coupling_configs(spec: ExperimentSpec):
-    """Sub- and super-critical parameter mix for the open-edge coupling suite."""
+def _coupling_configs(spec: ExperimentSpec) -> list[NetworkConfig]:
+    """The open-edge coupling suite's 20 sub- and super-critical
+    configurations; realization k runs configuration k mod 20."""
     base = subcritical_sufficient_intensity(spec.r_r)
-    lam_fs = [0.0, 0.25 * base, 0.5 * base, 1.0 * base, 1.25 * base]
-    lam_rs = [0.3, 0.8, 1.5, 3.0]
-    k = 0
-    while True:
-        for lr in lam_rs:
-            for lf in lam_fs:
-                yield k, NetworkConfig(lambda_r=lr, r_r=spec.r_r, lambda_f=lf,
-                                       r_f=spec.r_f,
-                                       window=Window.square(min(spec.window_size, 50.0)),
-                                       master_seed=spec.master_seed)
-                k += 1
+    return [NetworkConfig(lambda_r=lr, r_r=spec.r_r, lambda_f=lf, r_f=spec.r_f,
+                          window=Window.square(min(spec.window_size, 50.0)),
+                          master_seed=spec.master_seed)
+            for lr in (0.3, 0.8, 1.5, 3.0)
+            for lf in (0.0, 0.25 * base, 0.5 * base, 1.0 * base, 1.25 * base)]
 
 
 def _run_validate(spec: ExperimentSpec) -> int:
@@ -365,10 +359,10 @@ def _run_validate(spec: ExperimentSpec) -> int:
 
     violations = 0
     open_edges = 0
-    gen = _coupling_configs(spec)
-    for _ in range(spec.coupling_realizations):
-        k, cfg = next(gen)
-        realization = build_isg(cfg, trial_seed(spec.master_seed, 2000 + k))
+    configs = _coupling_configs(spec)
+    for k in range(spec.coupling_realizations):
+        realization = build_isg(configs[k % len(configs)],
+                                trial_seed(spec.master_seed, 2000 + k))
         check = verify_open_edge_coupling(realization)
         violations += check.violations
         open_edges += check.open_edges
@@ -433,32 +427,19 @@ def _build_parser() -> argparse.ArgumentParser:
             ("protected", "empirical vs closed-form protected fraction")):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", help="JSON file mirroring ExperimentSpec fields")
-        p.add_argument("--seed", type=int, dest="master_seed")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--out")
-        p.add_argument("--lc1", help="1.44 | 3.37 | 0.768 | custom float")
-        p.add_argument("--workers", type=int)
-        p.add_argument("--lambda-r", type=float, dest="lambda_r")
-        p.add_argument("--r-r", type=float, dest="r_r")
-        p.add_argument("--lambda-f", type=float, dest="lambda_f")
-        p.add_argument("--r-f", type=float, dest="r_f")
-        p.add_argument("--window-size", type=float, dest="window_size")
-        p.add_argument("--margin", type=float, dest="firewall_margin")
-        p.add_argument("--axis", dest="axis_param")
-        p.add_argument("--start", type=float, dest="axis_start")
-        p.add_argument("--stop", type=float, dest="axis_stop")
-        p.add_argument("--step", type=float, dest="axis_step")
-        if name == "critical":
-            p.add_argument("--lambda-f-max", type=float, dest="lambda_f_max")
-            p.add_argument("--search-step", type=float, dest="search_step")
+        for f in fields(ExperimentSpec)[1:]:  # `command` is the subcommand
+            if f.name == "axis":
+                p.add_argument("--axis", dest="axis_param")
+                p.add_argument("--start", type=float, dest="axis_start")
+                p.add_argument("--stop", type=float, dest="axis_stop")
+                p.add_argument("--step", type=float, dest="axis_step")
+            elif f.metadata.get("command", name) == name:
+                kind = _kind(f)
+                p.add_argument(f.metadata.get("flag", "--" + f.name.replace("_", "-")),
+                               dest=f.name, help=f.metadata.get("help"),
+                               type=None if kind == "str" else _FIELD_TYPES[kind][-1])
         if name == "bounds":
             p.add_argument("--table", action="store_true")
-        if name == "validate":
-            p.add_argument("--face-samples", type=int, dest="face_samples")
-            p.add_argument("--blocking-trials", type=int, dest="blocking_trials")
-            p.add_argument("--coupling-realizations", type=int,
-                           dest="coupling_realizations")
     return parser
 
 
@@ -470,25 +451,19 @@ def _assemble_spec(args) -> ExperimentSpec:
                             f"subcommand {args.command!r}")
     else:
         spec = ExperimentSpec(command=args.command)
-    for name in ("master_seed", "trials", "epsilon", "out", "lc1", "workers",
-                 "lambda_r", "r_r", "lambda_f", "r_f", "window_size",
-                 "firewall_margin", "lambda_f_max", "search_step",
-                 "face_samples", "blocking_trials", "coupling_realizations"):
-        value = getattr(args, name, None)
+    for f in fields(spec):  # every flag given; args.command is spec.command
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(spec, name, value)
-    axis_flags = {k: getattr(args, f"axis_{k}", None)
-                  for k in ("param", "start", "stop", "step")}
-    if any(v is not None for v in axis_flags.values()):
-        if spec.axis is None:
-            missing = [k for k, v in axis_flags.items() if v is None]
-            if missing:
-                raise SpecError(f"axis flags incomplete, missing {missing}")
-            spec.axis = AxisSpec(**axis_flags)
-        else:
-            for k, v in axis_flags.items():
-                if v is not None:
-                    setattr(spec.axis, k, v)
+            setattr(spec, f.name, value)
+    axis = {k: getattr(args, f"axis_{k}") for k in ("param", "start", "stop", "step")}
+    given = {k: v for k, v in axis.items() if v is not None}
+    if given and spec.axis is None:
+        missing = [k for k in axis if k not in given]
+        if missing:
+            raise SpecError(f"axis flags incomplete, missing {missing}")
+        spec.axis = AxisSpec(**given)
+    for k, v in given.items():  # over the config file's axis
+        setattr(spec.axis, k, v)
     return spec
 
 
@@ -499,15 +474,10 @@ def run(spec: ExperimentSpec, table: bool = False) -> int:
     returns or raises."""
     spec.validate()
     with SharedPool():
-        if spec.command == "sweep":
-            return _run_sweep(spec)
-        if spec.command == "critical":
-            return _run_critical(spec)
         if spec.command == "bounds":
             return _run_bounds(spec, table)
-        if spec.command == "validate":
-            return _run_validate(spec)
-        return _run_protected(spec)
+        return {"sweep": _run_sweep, "critical": _run_critical, "validate": _run_validate,
+                "protected": _run_protected}[spec.command](spec)
 
 
 def _is_number(word: str) -> bool:
@@ -540,12 +510,9 @@ def main(argv=None) -> int:
     try:
         spec = _assemble_spec(args)
         return run(spec, table=getattr(args, "table", False))
-    except SpecError as exc:
+    except (ValueError, OSError, MemoryError, NoDevicesError) as exc:  # SpecError included
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, MemoryError, NoDevicesError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, SpecError) else 1
 
 
 if __name__ == "__main__":

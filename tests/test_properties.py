@@ -1170,9 +1170,9 @@ def test_columnar_binning_matches_row_binning(cloud):
 @SETTINGS
 @given(st.sampled_from([256, 300, 65_536, 65_537]), st.integers(1, 300), st.data())
 def test_binning_order_is_the_stable_sort_of_the_ids(top, n, data):
-    """On grids of at most 2**16 cells (sorted as 16-bit keys), of up to
-    2**32 (two 16-bit passes) and of more (sorted as int64), `CellGrid.binned`
-    orders the points as the stable sort of their cell ids. Points share a
+    """On grids of at most 2**16 cells (sorted as 16-bit keys) and of more
+    (sorted as int64), `CellGrid.binned` orders the points as the stable
+    sort of their cell ids. Points share a
     few cells, so ties are many, and the corner point makes the grid
     `top` x `top`: 2**16 cells, 300**2, 2**32 or just above, once over
     every point and once over the corner and one other point."""

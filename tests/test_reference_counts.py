@@ -35,8 +35,8 @@ def _critical_dense():
     --step 5 --search-step 0.02 --trials 4 --seed 0`, as
     `find_critical_firewall_intensity` grids it."""
     cfg = _config(2.0, 0.0, 0)
-    _, step, grid_n = critical_grid(cfg, None, 0.02)
-    return cfg, grid_n * (step / 8.0), tuple(j / grid_n for j in range(grid_n + 1)), 4
+    ceiling, _, grid_n = critical_grid(cfg, None, 0.02)
+    return cfg, ceiling, tuple(j / grid_n for j in range(grid_n + 1)), 4
 
 
 def _sweep_lr():
